@@ -11,6 +11,12 @@ remaining first-year events with the probability scaled by the remaining
 fraction of the life-year, days_ahead / (days_ahead + days_elapsed), and
 the probability row is the one that applied at the last birthday.
 
+The probabilities of one life-year come from one
+``params.life_year_rates(year, region, sex)`` call: each table's age row for
+that key, with the ``all``-sex fallback and the region hierarchy already
+resolved and cached by the table, so a draw only indexes the row at the
+agent's age (the last entry for ages beyond the table's ``max_age``).
+
 Death and Emigration are terminal: they mark the agent not-alive and cancel
 everything still pending. Birth and InternalMigration leave the agent
 running. All cross-agent effects are buffered as outbox messages for the
@@ -37,11 +43,18 @@ class EventKind(IntEnum):
     EMIGRATION = 3
     BIRTH = 4
     INTERNAL_MIGRATION = 5
-    REMOVE = 6
-    CUSTOM = 7
+    CUSTOM = 6
 
 
 TERMINAL_KINDS = (EventKind.DEATH, EventKind.EMIGRATION)
+
+# per sex, the accept/reject draws of a life-year in draw order, with their table names
+DRAW_ORDER = {
+    "f": ((EventKind.DEATH, "death"), (EventKind.EMIGRATION, "emigration"),
+          (EventKind.BIRTH, "birth"), (EventKind.INTERNAL_MIGRATION, "internal_migration")),
+    "m": ((EventKind.DEATH, "death"), (EventKind.EMIGRATION, "emigration"),
+          (EventKind.INTERNAL_MIGRATION, "internal_migration")),
+}
 
 # census metric per demographic event kind
 RECORD_METRIC = {
@@ -99,9 +112,6 @@ class Agent:
 
     def schedule(self, due: date, kind: EventKind, data=None) -> None:
         heappush(self.events, AgentEvent(due, kind, self.next_seq(), data))
-
-    def pending_kinds(self) -> set[EventKind]:
-        return {ev.kind for ev in self.events}
 
     def __repr__(self):
         state = "alive" if self.alive else "removed"
@@ -164,15 +174,9 @@ def _draw_life_year_events(agent: Agent, start: date, window_days: int,
     """One accept/reject draw per demographic kind; accepted events land
     uniformly within the window. Kinds with probability 0 consume no draws."""
     rng = agent.rng
-    for kind, name in ((EventKind.DEATH, "death"),
-                       (EventKind.EMIGRATION, "emigration"),
-                       (EventKind.BIRTH, "birth"),
-                       (EventKind.INTERNAL_MIGRATION, "internal_migration")):
-        if kind is EventKind.BIRTH and agent.sex != "f":
-            continue
-        if not params.has(name):
-            continue
-        p = params.prob(name, lookup_year, agent.region, agent.sex, agent.age)
+    age = agent.age
+    for kind, row in params.life_year_rates(lookup_year, agent.region, agent.sex):
+        p = row.item(age if age < len(row) else -1)
         if scale != 1.0:
             p *= scale
         if p <= 0.0:

@@ -12,7 +12,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import InputError
-from .scenario import read_key_values
+from .scenario import parse_value, read_key_values
 
 _PATH_KEYS = ("params_death", "params_emigration", "params_birth",
               "params_internal_migration", "migration_tensor", "immigration",
@@ -85,9 +85,9 @@ class RunConfig:
             if key not in valid:
                 raise InputError(f"{path}: unknown config key {key!r}")
             if key in ("step_multiplier", "seed", "runs", "workers", "max_age"):
-                kwargs[key] = int(raw)
+                kwargs[key] = parse_value(path, key, raw, int)
             elif key == "male_fraction":
-                kwargs[key] = float(raw)
+                kwargs[key] = parse_value(path, key, raw, float)
             else:
                 kwargs[key] = raw
         return cls(**kwargs)

@@ -17,10 +17,17 @@ Reaching a position X means:
 
 Phases 2-3 repeat until quiescent (a caught-up newborn may itself give
 birth before X), so the world state at X reflects exactly the events dated
-up to X and the census conservation identities hold exactly. Phase 1 is
-parallelisable over agents; identical results are guaranteed for any
-worker count because agents own independent RNG streams and all cross-agent
-effects flow through the ordered outbox.
+up to X and the census conservation identities hold exactly.
+
+Phase 1 visits only the agents whose queue head is dated on or before X,
+in id order (the agent dict keeps creation order). An agent with nothing
+due would process no event, draw nothing and emit nothing, so skipping it
+leaves the outbox (in origin-id order) and the world stream's draws exactly
+as a sweep over every agent would. Phase 1 is parallelisable over agents;
+identical results are guaranteed for any worker count because agents own
+independent RNG streams, the due agents are split into contiguous id
+blocks whose outputs are joined in block order, and all cross-agent effects
+flow through the ordered outbox.
 """
 
 from __future__ import annotations
@@ -30,10 +37,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import partial
 from heapq import heappop, heappush
 
 from . import dates
-from .agents import Agent, AgentEvent, EventKind, OutboxMessage, advance, init_agent
+from .agents import (DRAW_ORDER, Agent, AgentEvent, EventKind, OutboxMessage, advance,
+                     init_agent)
 from .census import SyntheticCensus, count_population
 from .errors import CoverageError, InputError
 from .ipf import MigrationTensor
@@ -43,6 +52,9 @@ from .rng import agent_stream, world_stream
 log = logging.getLogger(__name__)
 
 STEP_UNITS = ("day", "month", "year")
+
+# fewer agents due than this are advanced on the calling thread
+PARALLEL_MIN_DUE = 256
 
 
 @dataclass(frozen=True)
@@ -92,14 +104,19 @@ class ModelParameters:
         self.immigration = immigration
         self.migration_tensor = migration_tensor
         self._dest_cache: dict[tuple[str, int], tuple] = {}
-        if self.has("internal_migration") and migration_tensor is None:
+        if "internal_migration" in self.tables and migration_tensor is None:
             raise InputError("internal_migration table requires a migration tensor")
 
-    def has(self, kind: str) -> bool:
-        return kind in self.tables
+    def life_year_rates(self, year: int, region: str, sex: str) -> list:
+        """(EventKind, age row) of every kind with a table, in draw order.
 
-    def prob(self, kind: str, year: int, region: str, sex: str, age: int) -> float:
-        return self.tables[kind].lookup(year, region, sex, age)
+        Birth rows are given for women only. The rows come from each table's
+        resolved-row cache, read afresh on every call, so replacing a table in
+        ``tables`` or calling its ``set_row`` takes effect at the next call.
+        """
+        tables = self.tables
+        return [(kind, tables[name].row(year, region, sex)) for kind, name in DRAW_ORDER[sex]
+                if name in tables]
 
     def sample_destination(self, origin: str, age: int, u: float) -> str | None:
         tensor = self.migration_tensor
@@ -208,31 +225,27 @@ class World:
     # ----- phases ----------------------------------------------------------
 
     def _advance_all(self, bound: date) -> None:
-        agents = list(self.agents.values())
-        if self.workers == 1 or len(agents) < 256 or self.listeners:
-            records: list = []
-            outbox: list = []
-            for agent in agents:
-                advance(agent, bound, self.params, records, outbox, self.listeners)
+        due = [agent for agent in self.agents.values()
+               if agent.events and agent.events[0].due <= bound]
+        work = partial(self._advance_block, bound)
+        if self.workers == 1 or len(due) < PARALLEL_MIN_DUE or self.listeners:
+            results = [work(due)]
+        else:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(max_workers=self.workers)
+            chunk = (len(due) + self.workers - 1) // self.workers
+            results = self._executor.map(work, [due[i:i + chunk]
+                                                for i in range(0, len(due), chunk)])
+        for records, outbox in results:
             self._pending_records.extend(records)
             self._pending_msgs.extend(outbox)
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        chunk = (len(agents) + self.workers - 1) // self.workers
-        blocks = [agents[i:i + chunk] for i in range(0, len(agents), chunk)]
 
-        def work(block):
-            records: list = []
-            outbox: list = []
-            params = self.params
-            for agent in block:
-                advance(agent, bound, params, records, outbox)
-            return records, outbox
-
-        for records, outbox in self._executor.map(work, blocks):
-            self._pending_records.extend(records)
-            self._pending_msgs.extend(outbox)
+    def _advance_block(self, bound: date, block: list) -> tuple[list, list]:
+        records: list = []
+        outbox: list = []
+        for agent in block:
+            advance(agent, bound, self.params, records, outbox, self.listeners)
+        return records, outbox
 
     def _exchange(self, bound: date) -> None:
         msgs = self._pending_msgs
@@ -252,7 +265,6 @@ class World:
                 target = self.agents.get(msg.target)
                 if target is None or not target.alive:
                     self.dropped_messages += 1
-                    log.warning("dropped message for removed agent %s", msg.target)
                 else:
                     target.schedule(max(msg.date, self.date), EventKind.CUSTOM, msg.payload)
             else:

@@ -185,31 +185,29 @@ def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) ->
                     writer.writerow([r, a, repr(float(mat[i, k]))])
 
 
-def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
-    od_rows = []
-    with open(od_path, newline="") as fh:
+def _read_value_rows(path, header: tuple[str, str, str], parse_key) -> list[tuple]:
+    """(first column, parse_key(second column), float value) per data row."""
+    rows = []
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["origin", "destination", "value"]:
-            raise InputError(f"{od_path}: expected header origin,destination,value")
-        for row in reader:
-            if row:
-                od_rows.append((row[0], row[1], float(row[2])))
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise InputError(f"{path}: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                first, second, value = row
+                rows.append((first, parse_key(second), float(value)))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
+    return rows
 
-    def read_age_matrix(path):
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["region", "age", "value"]:
-                raise InputError(f"{path}: expected header region,age,value")
-            for row in reader:
-                if row:
-                    rows.append((row[0], int(row[1]), float(row[2])))
-        return rows
 
-    emig_rows = read_age_matrix(emig_path)
-    imm_rows = read_age_matrix(imm_path)
+def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
+    od_rows = _read_value_rows(od_path, ("origin", "destination", "value"), str)
+    emig_rows = _read_value_rows(emig_path, ("region", "age", "value"), int)
+    imm_rows = _read_value_rows(imm_path, ("region", "age", "value"), int)
     region_list = tuple(sorted({o for o, _, _ in od_rows} | {d for _, d, _ in od_rows}
                                | {r for r, _, _ in emig_rows} | {r for r, _, _ in imm_rows}))
     age_list = tuple(sorted({a for _, a, _ in emig_rows} | {a for _, a, _ in imm_rows}))

@@ -126,7 +126,7 @@ class ParameterTable:
         self.years: set[int] = set()
         self.regions: set[str] = set()
         self.sexes: set[str] = set()
-        self._region_cache: dict[str, str] = {}
+        self._resolved: dict[tuple[int, str, str], np.ndarray] = {}
 
     def set_row(self, year: int, region: str, sex: str, values) -> None:
         arr = np.asarray(values, dtype=float)
@@ -148,7 +148,7 @@ class ParameterTable:
         self.years.add(year)
         self.regions.add(region)
         self.sexes.add(sex)
-        self._region_cache.clear()
+        self._resolved.clear()
 
     def set_constant(self, years: Iterable[int], region_list: Iterable[str],
                      sexes: Iterable[str], values) -> None:
@@ -157,25 +157,30 @@ class ParameterTable:
                 for s in sexes:
                     self.set_row(y, r, s, values)
 
-    def _map_region(self, region: str) -> str:
-        mapped = self._region_cache.get(region)
-        if mapped is None:
-            mapped = regions.region_at_level(region, self.level)
-            self._region_cache[region] = mapped
-        return mapped
+    def row(self, year: int, region: str, sex: str) -> np.ndarray:
+        """The stored age row answering (year, region, sex).
+
+        The ``all``-sex fallback and the region hierarchy are resolved once per
+        key; the table's own array is returned, so it must not be modified.
+        """
+        key = (year, region, sex)
+        row = self._resolved.get(key)
+        if row is None:
+            if self.level is None:
+                raise CoverageError(f"{self.kind} table is empty")
+            key_sex = "all" if "all" in self.sexes else sex
+            row = self._rows.get((year, regions.region_at_level(region, self.level), key_sex))
+            if row is None:
+                raise CoverageError(
+                    f"{self.kind} parameters missing for year={year} region={region} sex={sex}"
+                )
+            self._resolved[key] = row
+        return row
 
     def lookup(self, year: int, region: str, sex: str, age: int) -> float:
         if age < 0:
             raise InputError(f"negative age {age}")
-        if self.level is None:
-            raise CoverageError(f"{self.kind} table is empty")
-        key_sex = "all" if "all" in self.sexes else sex
-        row = self._rows.get((year, self._map_region(region), key_sex))
-        if row is None:
-            raise CoverageError(
-                f"{self.kind} parameters missing for year={year} region={region} sex={sex}"
-            )
-        return float(row[min(age, self.max_age)])
+        return float(self.row(year, region, sex)[min(age, self.max_age)])
 
     def covers(self, years: Iterable[int], region_list: Iterable[str],
                sexes: Iterable[str]) -> list[str]:
@@ -184,14 +189,12 @@ class ParameterTable:
         for y in years:
             for r in region_list:
                 for s in sexes:
-                    key_sex = "all" if "all" in self.sexes else s
                     try:
-                        mapped = self._map_region(r)
+                        self.row(y, r, s)
+                    except CoverageError:
+                        gaps.append(f"{self.kind}: year={y} region={r} sex={s}")
                     except InputError as exc:
                         gaps.append(str(exc))
-                        continue
-                    if (y, mapped, key_sex) not in self._rows:
-                        gaps.append(f"{self.kind}: year={y} region={r} sex={s}")
         return gaps
 
     def to_csv(self, path) -> None:
@@ -205,15 +208,16 @@ class ParameterTable:
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
-        cells, kind, max_age = _read_param_csv(path)
+        cells, kind, max_age, first_line = _read_param_csv(path)
         if kind == IMMIGRATION_KIND:
             raise InputError(f"{path}: use ImmigrationTable.from_csv for immigration counts")
         table = cls(kind, max_age)
         for (year, region, sex), by_age in cells.items():
-            values = np.zeros(max_age + 1)
-            for age, v in by_age.items():
-                values[age] = v
-            table.set_row(year, region, sex, values)
+            if len(by_age) != max_age + 1:
+                missing = sorted(set(range(max_age + 1)) - set(by_age))
+                raise InputError(f"{path}:{first_line[(year, region, sex)]}: row "
+                                 f"({year},{region},{sex}) lacks ages {missing} of 0..{max_age}")
+            table.set_row(year, region, sex, [by_age[a] for a in range(max_age + 1)])
         return table
 
 
@@ -254,7 +258,7 @@ class ImmigrationTable:
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":
-        cells, kind, _ = _read_param_csv(path)
+        cells, kind, _, _ = _read_param_csv(path)
         if kind != IMMIGRATION_KIND:
             raise InputError(f"{path}: expected immigration counts, found kind {kind!r}")
         table = cls()
@@ -267,7 +271,10 @@ class ImmigrationTable:
 
 
 def _read_param_csv(path):
+    """Cells by (year, region, sex) then age, the kind, the largest age, and the
+    line of each (year, region, sex) group's first row."""
     cells: dict[tuple[int, str, str], dict[int, float]] = {}
+    first_line: dict[tuple[int, str, str], int] = {}
     kind = None
     max_age = 0
     with open(path, newline="") as fh:
@@ -291,11 +298,16 @@ def _read_param_csv(path):
                 raise InputError(f"{path}:{lineno}: sex must be m, f or all")
             if age < 0:
                 raise InputError(f"{path}:{lineno}: negative age")
-            cells.setdefault((year, region, sex), {})[age] = value
+            by_age = cells.setdefault((year, region, sex), {})
+            if age in by_age:
+                raise InputError(f"{path}:{lineno}: duplicate row for "
+                                 f"({year},{region},{sex},{age})")
+            by_age[age] = value
+            first_line.setdefault((year, region, sex), lineno)
             max_age = max(max_age, age)
     if kind is None:
         raise InputError(f"{path}: no data rows")
-    return cells, kind, max_age
+    return cells, kind, max_age, first_line
 
 
 def derive_params_from_census(census, kind: str, max_age: int | None = None) -> ParameterTable:

@@ -129,11 +129,11 @@ class ScenarioSpec:
             if key == "regions":
                 kwargs[key] = [r.strip() for r in raw.split(",") if r.strip()]
             elif key.startswith("p_"):
-                kwargs[key] = parse_profile(raw)
+                kwargs[key] = parse_value(path, key, raw, parse_profile)
             elif key == "male_fraction":
-                kwargs[key] = float(raw)
+                kwargs[key] = parse_value(path, key, raw, float)
             else:
-                kwargs[key] = int(raw)
+                kwargs[key] = parse_value(path, key, raw, int)
         return cls(**kwargs)
 
 
@@ -150,6 +150,15 @@ def read_key_values(path) -> dict[str, str]:
             key, _, value = line.partition("=")
             pairs[key.strip()] = value.strip()
     return pairs
+
+
+def parse_value(path, key: str, raw: str, convert):
+    """``convert(raw)`` for a key of a ``key = value`` file; a malformed value
+    is an InputError naming the file and the key."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise InputError(f"{path}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 def profile_to_array(profile, max_age: int) -> np.ndarray:
@@ -291,7 +300,7 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                 table = tables.get(kind)
                 if table is None or (kind == "birth" and sex != "f"):
                     return np.zeros(track + 1)
-                return np.array([table.lookup(year, region, sex, int(a)) for a in ages])
+                return table.row(year, region, sex)[np.minimum(ages, table.max_age)]
             got = (vec("death"), vec("emigration"), vec("birth"),
                    vec("internal_migration"))
             rate_cache[key] = got

@@ -1,10 +1,15 @@
 """Config round trips and end-to-end command-line paths."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import popsim
 from popsim.cli import main
 from popsim.config import RunConfig
 from popsim.errors import InputError
@@ -151,3 +156,42 @@ def test_gen_synthetic_rejects_bad_spec(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "x")])
     assert code == 1
     assert "p_death" in capsys.readouterr().err
+
+
+def _run_cli(*args):
+    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(popsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "popsim.cli", "--quiet", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def _bad_marginals(tmp_path):
+    (tmp_path / "od.csv").write_text("origin,destination,value\nAT-1,AT-2,1.0\n")
+    (tmp_path / "emig.csv").write_text("region,age,value\nAT-1,0,1.0\nAT-2,x,1.0\n")
+    (tmp_path / "imm.csv").write_text("region,age,value\nAT-2,0,1.0\n")
+    return (["ipf", "--od", str(tmp_path / "od.csv"), "--emigrants",
+             str(tmp_path / "emig.csv"), "--immigrants", str(tmp_path / "imm.csv"),
+             "--out", str(tmp_path / "fit.csv")], "emig.csv:3")
+
+
+def _bad_run_config(tmp_path):
+    (tmp_path / "run.conf").write_text("initial_population = init.csv\nseed = x\n")
+    return (["simulate", "--config", str(tmp_path / "run.conf"),
+             "--out-dir", str(tmp_path / "runs")], "'seed'")
+
+
+def _bad_scenario(tmp_path):
+    (tmp_path / "scenario.conf").write_text("years = abc\n")
+    return (["gen-synthetic", "--spec", str(tmp_path / "scenario.conf"),
+             "--out-dir", str(tmp_path / "scen")], "'years'")
+
+
+@pytest.mark.parametrize("make", [_bad_marginals, _bad_run_config, _bad_scenario])
+def test_malformed_number_exits_1_without_traceback(tmp_path, make):
+    args, where = make(tmp_path)
+    done = _run_cli(*args)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert where in done.stderr

@@ -5,7 +5,9 @@ from datetime import date
 import numpy as np
 import pytest
 
+from popsim import engine
 from popsim.agents import EventKind
+from popsim.dates import anniversary_in_year
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import CoverageError, InputError
 from popsim.params import ImmigrationTable, ParameterTable
@@ -286,6 +288,83 @@ def test_cross_agent_event_delivered_next_step():
     assert not seen
     world.macro_step(date(2022, 1, 1))
     assert seen and seen[0][0] == 1 and seen[0][1].data == "ping"
+
+
+def test_life_year_rates_match_lookup():
+    regions = ("AT-1", "AT-2")
+    params = constant_parameters(regions=regions, max_age=30, death=0.01,
+                                 emigration=0.02, internal_migration=0.03)
+    params.tables["birth"] = _birth_table(regions=regions)
+    params.tables["death"].set_row(2024, "AT-2", "all", np.linspace(0, 0.3, 31))
+    for region in ("AT-2", "AT-1-05"):
+        for sex in "mf":
+            rates = params.life_year_rates(2024, region, sex)
+            kinds = [EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
+                     EventKind.INTERNAL_MIGRATION]
+            if sex == "m":
+                kinds.remove(EventKind.BIRTH)
+            assert [kind for kind, _ in rates] == kinds
+            for kind, row in rates:
+                table = params.tables[kind.name.lower()]
+                for age in range(110):
+                    assert row[min(age, len(row) - 1)] == table.lookup(2024, region, sex, age)
+    with pytest.raises(CoverageError):
+        params.life_year_rates(2040, "AT-1", "f")
+
+
+def test_replaced_or_edited_table_takes_effect_after_first_draw():
+    # month steps through 2020: every woman's 2020 birthday reads the 2020 birth row
+    params = constant_parameters(death=0.0)
+    params.tables["birth"] = _birth_table(0.0)
+    world = World(MacroStepConfig(START, date(2021, 1, 1), "month", 3), params, seed=9)
+    world.add_initial_population([("AT-1", "f", 30, 200)])
+
+    def births_drawn():
+        return world.counters["births"] + sum(ev.kind == EventKind.BIRTH
+                                              for a in world.agents.values()
+                                              for ev in a.events)
+
+    def birthdays_in(lo, hi):  # of the initial women; Birthdays fire on the bound itself
+        return sum(lo < anniversary_in_year(a.birthdate, 2020) <= hi
+                   for a in world.agents.values() if a.id < 200)
+
+    world.macro_step(date(2020, 4, 1))  # caches the zero 2020 row
+    assert births_drawn() == 0
+    params.tables["birth"] = _birth_table(1.0)
+    world.macro_step(date(2020, 7, 1))
+    drawn = births_drawn()
+    assert drawn == birthdays_in(date(2020, 4, 1), date(2020, 7, 1)) > 0
+    params.tables["birth"].set_row(2020, "AT-1", "f", np.zeros(101))
+    world.macro_step(date(2020, 10, 1))
+    assert births_drawn() == drawn
+    assert birthdays_in(date(2020, 7, 1), date(2020, 10, 1)) > 0
+
+
+def test_month_steps_identical_across_workers_and_listener(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "PARALLEL_MIN_DUE", 2)  # thread even the small sweeps
+    # two regions, so a newborn's region-and-sex cell depends on the outbox order
+    regions = ("AT-1", "AT-2")
+    params = constant_parameters(regions=regions, death=0.02, emigration=0.05,
+                                 internal_migration=0.05)
+    params.tables["birth"] = _birth_table(0.2, regions=regions)
+    immigration = ImmigrationTable()
+    for y in range(2020, 2023):
+        immigration.add(y, "AT-1", "f", 28, 60)
+        immigration.add(y, "AT-2", "m", 3, 40)
+    params.immigration = immigration
+    initial = [(r, s, a, 6) for r in regions for s in "mf" for a in range(0, 70, 3)]
+    step = MacroStepConfig(START, date(2023, 1, 1), "month", 1)
+    outputs = []
+    for workers, listen in ((1, False), (2, False), (1, True), (2, True)):
+        world = World(step, params, seed=31, workers=workers)
+        if listen:
+            world.listeners.append(lambda agent, event: None)
+        world.add_initial_population(initial)
+        path = tmp_path / f"census_{workers}_{listen}.csv"
+        world.run().to_csv(path)
+        outputs.append(path.read_bytes())
+    assert world.counters["births"] and world.counters["immigrants"]
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_macro_step_requires_forward_target():

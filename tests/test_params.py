@@ -272,6 +272,55 @@ def test_lookup_total_over_coverage():
         assert table.lookup(2020, region, sex, age) == 0.25
 
 
+def test_row_equals_lookup_for_every_age():
+    table = ParameterTable("death", 20)
+    for year in (2020, 2021):
+        for region in ("AT-5", "AT-7"):
+            for k, sex in enumerate("mf"):
+                table.set_row(year, region, sex,
+                              np.linspace(0.01 * k, 0.3 + year - 2020, 21) / 2)
+    for year in (2020, 2021):
+        for region in ("AT-5", "AT-7-03", "AT-5-11-004"):  # district codes resolve upward
+            for sex in "mf":
+                row = table.row(year, region, sex)
+                assert row is table.row(year, region, sex)  # resolved once
+                for age in range(40):  # ages above max_age read the last entry
+                    assert row[min(age, table.max_age)] == table.lookup(year, region, sex, age)
+    assert table.row(2020, "AT-5-01", "f") is table.row(2020, "AT-5", "f")
+
+
+def test_row_all_sex_table_answers_both_sexes():
+    table = small_table(["AT-1"], sexes=("all",), max_age=10)
+    assert table.row(2020, "AT-1", "m") is table.row(2020, "AT-1", "f")
+    assert list(table.row(2020, "AT-1-02", "m")) == [0.25] * 11
+
+
+def test_row_birth_table_covers_women_only():
+    table = small_table(["AT-1"], sexes=("f",), max_age=10)
+    assert table.row(2020, "AT-1", "f")[3] == table.lookup(2020, "AT-1", "f", 3)
+    with pytest.raises(CoverageError):
+        table.row(2020, "AT-1", "m")
+
+
+def test_row_coverage_errors_match_lookup():
+    table = small_table(["AT-5"])
+    with pytest.raises(CoverageError, match="year=2021"):
+        table.row(2021, "AT-5", "m")
+    with pytest.raises(InputError):
+        table.row(2020, "AT", "m")  # coarser than table level
+    with pytest.raises(CoverageError):
+        ParameterTable("death", 3).row(2020, "AT-5", "m")  # empty table
+
+
+def test_row_cache_cleared_by_set_row():
+    table = small_table(["AT-5"], sexes=("m", "f"), max_age=3)
+    before = table.row(2020, "AT-5-01", "m")
+    table.set_row(2020, "AT-5", "m", [0.5, 0.5, 0.5, 0.5])
+    after = table.row(2020, "AT-5-01", "m")
+    assert after is not before and list(after) == [0.5] * 4
+    assert table.lookup(2020, "AT-5-01", "m", 9) == 0.5
+
+
 def test_mixed_levels_rejected():
     table = ParameterTable("death", 10)
     table.set_row(2020, "AT-5", "all", np.zeros(11))
@@ -289,6 +338,28 @@ def test_param_csv_round_trip(tmp_path):
     assert loaded.kind == "emigration"
     for sex, age in (("m", 0), ("m", 3), ("f", 1), ("f", 2)):
         assert loaded.lookup(2020, "AT-1", sex, age) == table.lookup(2020, "AT-1", sex, age)
+
+
+def _write_param_rows(path, rows):
+    path.write_text("kind,year,region,sex,age,value\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    return path
+
+
+def test_param_csv_rejects_duplicate_row(tmp_path):
+    rows = [("death", 2020, "AT-1", "m", a, 0.01) for a in range(3)]
+    rows.append(("death", 2020, "AT-1", "m", 1, 0.02))
+    path = _write_param_rows(tmp_path / "dup.csv", rows)
+    with pytest.raises(InputError, match=r"dup\.csv:5: duplicate row for \(2020,AT-1,m,1\)"):
+        ParameterTable.from_csv(path)
+
+
+def test_param_csv_rejects_missing_ages(tmp_path):
+    rows = [("death", 2020, "AT-1", "f", a, 0.01) for a in range(6)]
+    rows += [("death", 2020, "AT-1", "m", 0, 0.01), ("death", 2020, "AT-1", "m", 5, 0.02)]
+    path = _write_param_rows(tmp_path / "gap.csv", rows)
+    with pytest.raises(InputError, match=r"gap\.csv:8: .*AT-1,m.* lacks ages \[1, 2, 3, 4\]"):
+        ParameterTable.from_csv(path)
 
 
 def test_immigration_csv_round_trip(tmp_path):
