@@ -26,7 +26,7 @@ from .rng import agent_stream, substream, world_stream
 from .scenario import (ScenarioSpec, cohort_projection, generate_scenario_files,
                        profile_to_array)
 from .validation import (DeviationReport, ReportRow, deviation_extrema,
-                         deviation_report, ensemble_mean, quantile_band)
+                         deviation_report, ensemble_mean)
 
 __version__ = "0.1.0"
 
@@ -47,5 +47,5 @@ __all__ = [
     "ScenarioSpec", "cohort_projection", "generate_scenario_files",
     "profile_to_array",
     "DeviationReport", "ReportRow", "deviation_extrema", "deviation_report",
-    "ensemble_mean", "quantile_band",
+    "ensemble_mean",
 ]

@@ -10,12 +10,12 @@ Storage is sparse: absent cells read as zero.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from . import regions as regions_mod
 from .errors import InputError
+from .files import number, read_table, write_table
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 EVENT_METRICS = ("B", "D", "E", "I", "IM_IN", "IM_OUT")
@@ -50,8 +50,11 @@ class AgeClassScheme:
         return cls(range(max_age + 1), _identity=True)
 
     def label_for(self, age: int):
-        if age < 0:
-            raise InputError(f"negative age {age}")
+        try:
+            if age < 0:
+                raise InputError(f"negative age {age}")
+        except TypeError:
+            raise InputError(f"age {age!r} is not a whole number of years") from None
         return self.labels[bisect_right(self.lower_bounds, age) - 1]
 
 
@@ -138,38 +141,30 @@ class SyntheticCensus:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CENSUS_CSV_HEADER)
-            for metric in METRICS:
-                for key in sorted(self._data[metric], key=_cell_sort_key):
-                    year, region, sex, age = key
-                    n = self._data[metric][key]
-                    n_repr = int(n) if float(n).is_integer() else repr(float(n))
-                    writer.writerow([metric, year, region, sex, age, n_repr])
+        write_table(path, CENSUS_CSV_HEADER, self._csv_rows())
+
+    def _csv_rows(self):
+        for metric in METRICS:
+            cells = self._data[metric]
+            for key in sorted(cells, key=_cell_sort_key):
+                n = cells[key]
+                yield [metric, *key, int(n) if float(n).is_integer() else repr(float(n))]
 
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
         census = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != list(CENSUS_CSV_HEADER):
-                raise InputError(f"{path}: expected header {','.join(CENSUS_CSV_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    metric, year, region, sex, age, count = row
-                    year = int(year)
-                    age = int(age) if age.lstrip("-").isdigit() else age
-                    count = float(count)
-                except (ValueError, TypeError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-                if metric not in METRICS:
-                    raise InputError(f"{path}:{lineno}: unknown metric {metric!r}")
-                census.record_event(metric, year, region, sex, age, count)
+        data = census._data
+        for (metric, cell), n in read_table(path, CENSUS_CSV_HEADER, _parse_census_row).items():
+            data[metric][cell] = n
         return census
+
+
+def _parse_census_row(row):
+    metric, year, region, sex, age, count = row
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    age = int(age) if age.lstrip("-").isdigit() else age
+    return (metric, (int(year), region, sex, age)), number(count)
 
 
 def _cell_sort_key(key):

@@ -16,6 +16,7 @@ from .census import SyntheticCensus
 from .config import RunConfig
 from .engine import MacroStepConfig, ModelParameters, run_simulation
 from .errors import ConvergenceError, InputError
+from .files import number
 from .ipf import MigrationTensor, ipf_3d, read_marginals_csv
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer, derive_params_from_census)
@@ -116,7 +117,10 @@ def cmd_ipf(args) -> int:
 
 
 def cmd_apportion(args) -> int:
-    weights = [float(w) for w in args.weights.split(",")]
+    try:
+        weights = [number(w) for w in args.weights.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--weights {args.weights!r}: {exc}") from None
     alloc = apportion_integer(args.total, weights)
     line = ",".join(str(n) for n in alloc)
     if args.out:

@@ -12,11 +12,7 @@ from datetime import date
 from pathlib import Path
 
 from .errors import InputError
-from .scenario import parse_value, read_key_values
-
-_PATH_KEYS = ("params_death", "params_emigration", "params_birth",
-              "params_internal_migration", "migration_tensor", "immigration",
-              "initial_population", "reference_census")
+from .files import parse_value, read_key_values, write_key_values
 
 IM_MODES = ("none", "full-regional")
 
@@ -31,7 +27,6 @@ class RunConfig:
     runs: int = 9
     workers: int = 1
     internal_migration: str = "none"
-    max_age: int = 100
     male_fraction: float = 0.5
     params_death: str | None = None
     params_emigration: str | None = None
@@ -84,7 +79,7 @@ class RunConfig:
         for key, raw in pairs.items():
             if key not in valid:
                 raise InputError(f"{path}: unknown config key {key!r}")
-            if key in ("step_multiplier", "seed", "runs", "workers", "max_age"):
+            if key in ("step_multiplier", "seed", "runs", "workers"):
                 kwargs[key] = parse_value(path, key, raw, int)
             elif key == "male_fraction":
                 kwargs[key] = parse_value(path, key, raw, float)
@@ -93,14 +88,8 @@ class RunConfig:
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            for f in fields(self):
-                if f.name == "base_dir":
-                    continue
-                value = getattr(self, f.name)
-                if value is None:
-                    continue
-                fh.write(f"{f.name} = {value}\n")
+        write_key_values(path, [(f.name, getattr(self, f.name)) for f in fields(self)
+                                if f.name != "base_dir" and getattr(self, f.name) is not None])
 
 
 def _parse_date(text: str) -> date:

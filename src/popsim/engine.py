@@ -161,6 +161,8 @@ class World:
             raise InputError("male_fraction must be in [0, 1]")
         if workers < 1:
             raise InputError("workers must be >= 1")
+        if seed < 0:
+            raise InputError(f"seed must be non-negative, got {seed}")
         self.step = step
         self.params = params
         self.seed = seed

@@ -15,14 +15,19 @@ real numbers: a distribution, not a person count.
 
 from __future__ import annotations
 
-import csv
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
+from .files import number, read_table, write_table
 
 SWEEP_ORDER = ("od", "emig_by_age", "imm_by_age")
+
+TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
+OD_CSV_HEADER = ("origin", "destination", "value")
+AGE_MARGINAL_CSV_HEADER = ("region", "age", "value")
 
 
 @dataclass
@@ -85,38 +90,35 @@ class MigrationTensor:
         return self.values[o, :, self.ages.index(a)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["origin", "destination", "age", "value"])
-            for i, o in enumerate(self.regions):
-                for j, d in enumerate(self.regions):
-                    for k, a in enumerate(self.ages):
-                        writer.writerow([o, d, a, repr(float(self.values[i, j, k]))])
+        write_table(path, TENSOR_CSV_HEADER, (
+            [o, d, a, repr(float(self.values[i, j, k]))]
+            for i, o in enumerate(self.regions)
+            for j, d in enumerate(self.regions)
+            for k, a in enumerate(self.ages)))
 
     @classmethod
     def from_csv(cls, path) -> "MigrationTensor":
-        rows = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["origin", "destination", "age", "value"]:
-                raise InputError(f"{path}: expected header origin,destination,age,value")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    o, d, a, v = row[0], row[1], int(row[2]), float(row[3])
-                except (ValueError, IndexError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-                rows.append((o, d, a, v))
-        region_list = tuple(sorted({o for o, _, _, _ in rows} | {d for _, d, _, _ in rows}))
-        age_list = tuple(sorted({a for _, _, a, _ in rows}))
-        tensor = cls(region_list, age_list, np.zeros((len(region_list), len(region_list), len(age_list))))
-        for o, d, a, v in rows:
-            tensor.values[region_list.index(o), region_list.index(d), age_list.index(a)] = v
-        idx = np.arange(len(region_list))
-        tensor.values[idx, idx, :] = 0.0
-        return tensor
+        def parse(row):
+            origin, destination, age, value = row
+            value = number(value)
+            if value < 0:
+                raise ValueError("negative weight")
+            # every code repeats on many rows: one string per code keeps the table small
+            return (sys.intern(origin), sys.intern(destination), int(age)), value
+
+        cells = read_table(path, TENSOR_CSV_HEADER, parse)
+        regions = sorted({o for o, _, _ in cells} | {d for _, d, _ in cells})
+        ages = sorted({a for _, _, a in cells})
+        return cls(regions, ages, _dense(cells, (regions, regions, ages)))
+
+
+def _dense(cells: dict, axes) -> np.ndarray:
+    """Array over the label ``axes`` holding each cell at its key's labels; 0 elsewhere."""
+    out = np.zeros([len(axis) for axis in axes])
+    positions = [{label: i for i, label in enumerate(axis)} for axis in axes]
+    for key, value in cells.items():
+        out[tuple(map(dict.__getitem__, positions, key))] = value
+    return out
 
 
 def marginal_residual(values: np.ndarray, marginals: MarginalSet) -> float:
@@ -169,57 +171,34 @@ def ipf_3d(init: MigrationTensor, marginals: MarginalSet,
 
 
 def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) -> None:
-    with open(od_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "destination", "value"])
-        for i, o in enumerate(marginals.regions):
-            for j, d in enumerate(marginals.regions):
-                writer.writerow([o, d, repr(float(marginals.od[i, j]))])
-    for path, name, mat in ((emig_path, "emig", marginals.emig_by_age),
-                            (imm_path, "imm", marginals.imm_by_age)):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["region", "age", "value"])
-            for i, r in enumerate(marginals.regions):
-                for k, a in enumerate(marginals.ages):
-                    writer.writerow([r, a, repr(float(mat[i, k]))])
+    write_table(od_path, OD_CSV_HEADER, (
+        [o, d, repr(float(marginals.od[i, j]))]
+        for i, o in enumerate(marginals.regions)
+        for j, d in enumerate(marginals.regions)))
+    for path, mat in ((emig_path, marginals.emig_by_age), (imm_path, marginals.imm_by_age)):
+        write_table(path, AGE_MARGINAL_CSV_HEADER, (
+            [r, a, repr(float(mat[i, k]))]
+            for i, r in enumerate(marginals.regions)
+            for k, a in enumerate(marginals.ages)))
 
 
-def _read_value_rows(path, header: tuple[str, str, str], parse_key) -> list[tuple]:
-    """(first column, parse_key(second column), float value) per data row."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != list(header):
-            raise InputError(f"{path}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                first, second, value = row
-                rows.append((first, parse_key(second), float(value)))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-    return rows
+def _parse_od_row(row):
+    origin, destination, value = row
+    return (origin, destination), number(value)
+
+
+def _parse_age_row(row):
+    region, age, value = row
+    return (region, int(age)), number(value)
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
-    od_rows = _read_value_rows(od_path, ("origin", "destination", "value"), str)
-    emig_rows = _read_value_rows(emig_path, ("region", "age", "value"), int)
-    imm_rows = _read_value_rows(imm_path, ("region", "age", "value"), int)
-    region_list = tuple(sorted({o for o, _, _ in od_rows} | {d for _, d, _ in od_rows}
-                               | {r for r, _, _ in emig_rows} | {r for r, _, _ in imm_rows}))
-    age_list = tuple(sorted({a for _, a, _ in emig_rows} | {a for _, a, _ in imm_rows}))
-    n, m = len(region_list), len(age_list)
-    od = np.zeros((n, n))
-    emig = np.zeros((n, m))
-    imm = np.zeros((n, m))
-    for o, d, v in od_rows:
-        od[region_list.index(o), region_list.index(d)] = v
-    for r, a, v in emig_rows:
-        emig[region_list.index(r), age_list.index(a)] = v
-    for r, a, v in imm_rows:
-        imm[region_list.index(r), age_list.index(a)] = v
-    return MarginalSet(regions=region_list, ages=age_list, od=od,
-                       emig_by_age=emig, imm_by_age=imm)
+    od_cells = read_table(od_path, OD_CSV_HEADER, _parse_od_row)
+    emig_cells = read_table(emig_path, AGE_MARGINAL_CSV_HEADER, _parse_age_row)
+    imm_cells = read_table(imm_path, AGE_MARGINAL_CSV_HEADER, _parse_age_row)
+    regions = tuple(sorted({r for pair in od_cells for r in pair}
+                           | {r for r, _ in emig_cells} | {r for r, _ in imm_cells}))
+    ages = tuple(sorted({a for _, a in emig_cells} | {a for _, a in imm_cells}))
+    return MarginalSet(regions=regions, ages=ages, od=_dense(od_cells, (regions, regions)),
+                       emig_by_age=_dense(emig_cells, (regions, ages)),
+                       imm_by_age=_dense(imm_cells, (regions, ages)))

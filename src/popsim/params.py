@@ -16,7 +16,6 @@ apportioning parliament seats.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from typing import Iterable
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import regions
 from .errors import CoverageError, InputError
+from .files import line_of, number, read_table, write_table
 
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
@@ -119,6 +119,8 @@ class ParameterTable:
     def __init__(self, kind: str, max_age: int):
         if kind not in PROBABILITY_KINDS and kind != IMMIGRATION_KIND:
             raise InputError(f"unknown parameter kind {kind!r}")
+        if max_age < 0:
+            raise InputError(f"max_age {max_age} is negative")
         self.kind = kind
         self.max_age = int(max_age)
         self._rows: dict[tuple[int, str, str], np.ndarray] = {}
@@ -129,12 +131,13 @@ class ParameterTable:
         self._resolved: dict[tuple[int, str, str], np.ndarray] = {}
 
     def set_row(self, year: int, region: str, sex: str, values) -> None:
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float)
         if arr.shape != (self.max_age + 1,):
             raise InputError(
                 f"row for ({year},{region},{sex}) must cover ages 0..{self.max_age}"
             )
-        if np.any(arr < 0) or (self.kind != IMMIGRATION_KIND and np.any(arr > 1)):
+        # written as an in-range test so that NaN fails it
+        if not (np.all(arr >= 0) and (self.kind == IMMIGRATION_KIND or np.all(arr <= 1))):
             raise InputError(f"values out of range for kind {self.kind!r}")
         lvl = regions.level_of(region)
         if self.level is None:
@@ -198,25 +201,26 @@ class ParameterTable:
         return gaps
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PARAM_CSV_HEADER)
-            for (year, region, sex) in sorted(self._rows):
-                row = self._rows[(year, region, sex)]
-                for age, value in enumerate(row):
-                    writer.writerow([self.kind, year, region, sex, age, repr(float(value))])
+        write_table(path, PARAM_CSV_HEADER, (
+            [self.kind, *key, age, repr(float(value))]
+            for key in sorted(self._rows) for age, value in enumerate(self._rows[key])))
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
-        cells, kind, max_age, first_line = _read_param_csv(path)
+        cells, kind = _read_param_csv(path)
         if kind == IMMIGRATION_KIND:
             raise InputError(f"{path}: use ImmigrationTable.from_csv for immigration counts")
+        groups: dict[tuple[int, str, str], dict[int, float]] = {}
+        for (year, region, sex, age), value in cells.items():
+            groups.setdefault((year, region, sex), {})[age] = value
+        max_age = max(age for (_, _, _, age) in cells)
         table = cls(kind, max_age)
-        for (year, region, sex), by_age in cells.items():
+        for (year, region, sex), by_age in groups.items():
             if len(by_age) != max_age + 1:
                 missing = sorted(set(range(max_age + 1)) - set(by_age))
-                raise InputError(f"{path}:{first_line[(year, region, sex)]}: row "
-                                 f"({year},{region},{sex}) lacks ages {missing} of 0..{max_age}")
+                first = next(i for i, key in enumerate(cells) if key[:3] == (year, region, sex))
+                raise InputError(f"{path}:{line_of(path, first)}: row ({year},{region},{sex}) "
+                                 f"lacks ages {missing} of 0..{max_age}")
             table.set_row(year, region, sex, [by_age[a] for a in range(max_age + 1)])
         return table
 
@@ -249,65 +253,46 @@ class ImmigrationTable:
         return {y for (y, _, _, _) in self.counts}
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(PARAM_CSV_HEADER)
-            for (year, region, sex, age) in sorted(self.counts):
-                writer.writerow([IMMIGRATION_KIND, year, region, sex, age,
-                                 self.counts[(year, region, sex, age)]])
+        write_table(path, PARAM_CSV_HEADER, (
+            [IMMIGRATION_KIND, *key, self.counts[key]] for key in sorted(self.counts)))
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":
-        cells, kind, _, _ = _read_param_csv(path)
+        cells, kind = _read_param_csv(path)
         if kind != IMMIGRATION_KIND:
             raise InputError(f"{path}: expected immigration counts, found kind {kind!r}")
         table = cls()
-        for (year, region, sex), by_age in cells.items():
-            for age, v in by_age.items():
-                if v != int(v):
-                    raise InputError(f"{path}: non-integer immigration count {v}")
-                table.add(year, region, sex, age, int(v))
+        for (year, region, sex, age), count in cells.items():
+            table.add(year, region, sex, age, int(count))
         return table
 
 
 def _read_param_csv(path):
-    """Cells by (year, region, sex) then age, the kind, the largest age, and the
-    line of each (year, region, sex) group's first row."""
-    cells: dict[tuple[int, str, str], dict[int, float]] = {}
-    first_line: dict[tuple[int, str, str], int] = {}
-    kind = None
-    max_age = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(PARAM_CSV_HEADER):
-            raise InputError(f"{path}: expected header {','.join(PARAM_CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                k, year, region, sex, age, value = row
-                year, age, value = int(year), int(age), float(value)
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-            if kind is None:
-                kind = k
-            elif k != kind:
-                raise InputError(f"{path}:{lineno}: mixed kinds {kind!r} and {k!r}")
-            if sex not in ("m", "f", "all"):
-                raise InputError(f"{path}:{lineno}: sex must be m, f or all")
-            if age < 0:
-                raise InputError(f"{path}:{lineno}: negative age")
-            by_age = cells.setdefault((year, region, sex), {})
-            if age in by_age:
-                raise InputError(f"{path}:{lineno}: duplicate row for "
-                                 f"({year},{region},{sex},{age})")
-            by_age[age] = value
-            first_line.setdefault((year, region, sex), lineno)
-            max_age = max(max_age, age)
-    if kind is None:
+    """Values by (year, region, sex, age) in file order, and the file's one kind."""
+    kinds = []
+
+    def parse(row):
+        kind, year, region, sex, age, value = row
+        if not kinds:
+            kinds.append(kind)
+        elif kind != kinds[0]:
+            raise ValueError(f"mixed kinds {kinds[0]!r} and {kind!r}")
+        if sex not in ("m", "f", "all"):
+            raise ValueError("sex must be m, f or all")
+        age, value = int(age), number(value)
+        if age < 0:
+            raise ValueError("negative age")
+        if kind == IMMIGRATION_KIND:
+            if value < 0 or value != int(value):
+                raise ValueError("an immigration count must be a non-negative integer")
+        elif not 0 <= value <= 1:
+            raise ValueError("a probability must lie in [0, 1]")
+        return (int(year), region, sex, age), value
+
+    cells = read_table(path, PARAM_CSV_HEADER, parse)
+    if not cells:
         raise InputError(f"{path}: no data rows")
-    return cells, kind, max_age, first_line
+    return cells, kinds[0]
 
 
 def derive_params_from_census(census, kind: str, max_age: int | None = None) -> ParameterTable:
@@ -323,6 +308,11 @@ def derive_params_from_census(census, kind: str, max_age: int | None = None) -> 
     snap_years = set(census.years("P"))
     if not snap_years:
         raise InputError("census holds no population snapshots")
+    for m in ("P", metric):
+        for year, region, sex, age in census.keys(m):
+            if not isinstance(age, int):
+                raise InputError(f"census cell {m}({year},{region},{sex},{age}) has a non-integer "
+                                 "age; parameters derive from single-year ages")
     event_years = {y for (y, _, _, _) in census.keys(metric)}
     derive_years = sorted({y for y in snap_years if y + 1 in snap_years}
                           | (event_years & snap_years))

@@ -51,12 +51,17 @@ from pathlib import Path
 import numpy as np
 
 from .census import SyntheticCensus
+from .config import RunConfig
 from .errors import InputError
+from .files import (number, parse_value, read_key_values, read_table, write_key_values,
+                    write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
 
 MASS_EPSILON = 1e-12
+
+POPULATION_CSV_HEADER = ("region", "sex", "age", "count")
 
 
 @dataclass
@@ -96,7 +101,7 @@ class ScenarioSpec:
             raise InputError("ensemble_runs must be >= 1")
         for name in ("p_death", "p_emigration", "p_birth", "p_internal_migration"):
             arr = profile_to_array(getattr(self, name), self.max_age)
-            if np.any(arr < 0) or np.any(arr > 1):
+            if not np.all((arr >= 0) & (arr <= 1)):
                 raise InputError(f"{name} leaves [0, 1]")
 
     @property
@@ -108,15 +113,14 @@ class ScenarioSpec:
             profile_to_array(self.p_internal_migration, self.max_age) > 0))
 
     def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"regions = {', '.join(self.regions)}\n")
-            for f_ in fields(self):
-                if f_.name == "regions":
-                    continue
-                value = getattr(self, f_.name)
-                if f_.name.startswith("p_"):
-                    value = format_profile(value)
-                fh.write(f"{f_.name} = {value}\n")
+        pairs = [("regions", ", ".join(self.regions))]
+        for f_ in fields(self):
+            value = getattr(self, f_.name)
+            if f_.name.startswith("p_"):
+                pairs.append((f_.name, format_profile(value)))
+            elif f_.name != "regions":
+                pairs.append((f_.name, value))
+        write_key_values(path, pairs)
 
     @classmethod
     def from_file(cls, path) -> "ScenarioSpec":
@@ -135,30 +139,6 @@ class ScenarioSpec:
             else:
                 kwargs[key] = parse_value(path, key, raw, int)
         return cls(**kwargs)
-
-
-def read_key_values(path) -> dict[str, str]:
-    """Flat ``key = value`` text; '#' starts a comment."""
-    pairs: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
-    return pairs
-
-
-def parse_value(path, key: str, raw: str, convert):
-    """``convert(raw)`` for a key of a ``key = value`` file; a malformed value
-    is an InputError naming the file and the key."""
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise InputError(f"{path}: bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 def profile_to_array(profile, max_age: int) -> np.ndarray:
@@ -181,11 +161,11 @@ def profile_to_array(profile, max_age: int) -> np.ndarray:
 def parse_profile(text: str):
     text = text.strip()
     if ":" not in text:
-        return float(text)
+        return number(text)
     points = []
     for part in text.split(","):
         age, _, value = part.partition(":")
-        points.append((int(age.strip()), float(value.strip())))
+        points.append((int(age.strip()), number(value.strip())))
     return points
 
 
@@ -514,8 +494,6 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
     migration tensor where applicable, the oracle reference census and a
     ready-to-run config. Returns the paths keyed by role.
     """
-    from .config import RunConfig  # local import: config depends on this module
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -554,22 +532,22 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
     spec.to_file(spec_path)
     paths["scenario"] = spec_path
 
+    names = {role: path.name for role, path in paths.items()}
     config = RunConfig(
         start=f"{spec.start_year}-01-01",
         end=f"{spec.end_year}-01-01",
         seed=seed,
         runs=spec.ensemble_runs,
-        max_age=spec.max_age,
         male_fraction=spec.male_fraction,
         internal_migration="full-regional" if tensor is not None else "none",
-        params_death=_rel(paths.get("death"), out),
-        params_emigration=_rel(paths.get("emigration"), out),
-        params_birth=_rel(paths.get("birth"), out),
-        params_internal_migration=_rel(paths.get("internal_migration"), out),
-        migration_tensor=_rel(paths.get("migration_tensor"), out),
-        immigration=_rel(paths.get("immigration"), out),
-        initial_population=_rel(initial_path, out),
-        reference_census=_rel(reference_path, out),
+        params_death=names.get("death"),
+        params_emigration=names.get("emigration"),
+        params_birth=names.get("birth"),
+        params_internal_migration=names.get("internal_migration"),
+        migration_tensor=names.get("migration_tensor"),
+        immigration=names.get("immigration"),
+        initial_population=names["initial_population"],
+        reference_census=names["reference_census"],
     )
     config_path = out / "run.conf"
     config.to_file(config_path)
@@ -577,39 +555,21 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
     return paths
 
 
-def _rel(path: Path | None, base: Path) -> str | None:
-    return None if path is None else path.name
-
-
 def write_population_csv(cells, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "sex", "age", "count"])
-        for region, sex, age, count in sorted(cells):
-            writer.writerow([region, sex, age, count])
+    write_table(path, POPULATION_CSV_HEADER, sorted(cells))
 
 
 def read_population_csv(path) -> list[tuple[str, str, int, int]]:
-    import csv
+    def parse(row):
+        region, sex, age, count = row
+        age, count = int(age), int(count)
+        if sex not in ("m", "f"):
+            raise ValueError("sex must be m or f")
+        if age < 0:
+            raise ValueError("negative age")
+        if count < 0:
+            raise ValueError("negative count")
+        return (region, sex, age), count
 
-    cells = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["region", "sex", "age", "count"]:
-            raise InputError(f"{path}: expected header region,sex,age,count")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                region, sex, age, count = row[0], row[1], int(row[2]), int(row[3])
-            except (ValueError, IndexError) as exc:
-                raise InputError(f"{path}:{lineno}: bad row {row!r}: {exc}") from None
-            if sex not in ("m", "f"):
-                raise InputError(f"{path}:{lineno}: sex must be m or f")
-            if count < 0:
-                raise InputError(f"{path}:{lineno}: negative count")
-            cells.append((region, sex, age, count))
-    return cells
+    cells = read_table(path, POPULATION_CSV_HEADER, parse)
+    return [(region, sex, age, count) for (region, sex, age), count in cells.items()]

@@ -15,13 +15,13 @@ the resulting pair is reported sorted ascending.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import METRICS, AgeClassScheme, SyntheticCensus
+from .census import AgeClassScheme, SyntheticCensus
 from .errors import InputError
+from .files import write_table
 
 REPORT_CSV_HEADER = ("region", "sex", "age_class", "e_min", "e_min_ci_lo",
                      "e_min_ci_hi", "e_max", "e_max_ci_lo", "e_max_ci_hi")
@@ -35,25 +35,6 @@ def ensemble_mean(ensemble: list[SyntheticCensus]) -> SyntheticCensus:
     for run in ensemble[1:]:
         total = total.add(run)
     return total.scaled(1.0 / len(ensemble))
-
-
-def quantile_band(ensemble: list[SyntheticCensus], q_lo: float = 0.05,
-                  q_hi: float = 0.95) -> tuple[SyntheticCensus, SyntheticCensus]:
-    """Cell-wise empirical quantiles (linear interpolation between order stats)."""
-    n = len(ensemble)
-    if n < 2:
-        raise InputError("quantile band needs at least 2 runs")
-    lower, upper = SyntheticCensus(), SyntheticCensus()
-    for metric in METRICS:
-        keys = set()
-        for run in ensemble:
-            keys.update(run.keys(metric))
-        for key in keys:
-            values = [run.get(metric, *key) for run in ensemble]
-            lo, hi = np.quantile(values, [q_lo, q_hi])
-            lower.record_event(metric, *key, n=float(lo))
-            upper.record_event(metric, *key, n=float(hi))
-    return lower, upper
 
 
 def deviation_extrema(sim_series, data_series, years) -> tuple[float, float]:
@@ -90,16 +71,12 @@ class DeviationReport:
     coverage_gaps: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([
-                    r.region or "-", r.sex or "-",
-                    "-" if r.age_class is None else r.age_class,
-                    repr(r.e_min), repr(r.e_min_ci[0]), repr(r.e_min_ci[1]),
-                    repr(r.e_max), repr(r.e_max_ci[0]), repr(r.e_max_ci[1]),
-                ])
+        write_table(path, REPORT_CSV_HEADER, ([
+            r.region or "-", r.sex or "-",
+            "-" if r.age_class is None else r.age_class,
+            repr(r.e_min), repr(r.e_min_ci[0]), repr(r.e_min_ci[1]),
+            repr(r.e_max), repr(r.e_max_ci[0]), repr(r.e_max_ci[1]),
+        ] for r in self.rows))
 
 
 def _series(census: SyntheticCensus, metric: str, years, region, sex, age_class):

@@ -101,3 +101,25 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(InputError):
         SyntheticCensus.from_csv(path)
+
+
+def test_csv_rejects_duplicate_row(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("metric,year,region,sex,age,count\n"
+                    "P,2020,AT-1,m,5,3\nD,2020,AT-1,m,5,1\nP,2020,AT-1,m,5,4\n")
+    with pytest.raises(InputError, match=r"dup\.csv:4: duplicate row for \(P,2020,AT-1,m,5\)"):
+        SyntheticCensus.from_csv(path)
+
+
+def test_csv_rejects_nan_count(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("metric,year,region,sex,age,count\nP,2020,AT-1,m,5,nan\n")
+    with pytest.raises(InputError, match=r"nan\.csv:2: "):
+        SyntheticCensus.from_csv(path)
+
+
+def test_csv_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"metric,year,region,sex,age,count\nP,2020,AT-1,m,5,3\xe9\n")
+    with pytest.raises(InputError, match=r"latin1\.csv: unreadable"):
+        SyntheticCensus.from_csv(path)

@@ -195,3 +195,77 @@ def test_malformed_number_exits_1_without_traceback(tmp_path, make):
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert where in done.stderr
+
+
+@pytest.mark.parametrize("weights", ["1,x", "1,nan", "1,inf"])
+def test_apportion_rejects_bad_weight(weights, capsys):
+    assert main(["--quiet", "apportion", "--total", "3", "--weights", weights]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--weights" in captured.err
+
+
+def _tiny_scenario(tmp_path):
+    spec_path = write_small_spec(tmp_path / "scenario.conf", ensemble_runs=1,
+                                 initial_total=100, years=1)
+    out = tmp_path / "scen"
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec_path), "--seed", "2",
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
+def _simulate(scen, tmp_path, *extra):
+    return main(["--quiet", "simulate", "--config", str(scen / "run.conf"),
+                 "--out-dir", str(tmp_path / "runs"), *extra])
+
+
+def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    path = scen / "initial_population.csv"
+    lines = path.read_text().splitlines()
+    region, sex, _, count = lines[1].split(",")
+    lines[1] = f"{region},{sex},-1,{count}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert "initial_population.csv:2: " in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    assert _simulate(scen, tmp_path, "--seed", "-3") == 1
+    assert "seed" in capsys.readouterr().err
+    with open(scen / "run.conf", "a") as fh:
+        fh.write("seed = -1\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+def test_config_later_key_overrides(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("initial_population = init.csv\nstep_unit = year\nstep_unit = month\n")
+    assert RunConfig.from_file(path).step_unit == "month"
+
+
+def test_config_has_no_max_age(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    assert "max_age" not in (scen / "run.conf").read_text()
+    with open(scen / "run.conf", "a") as fh:
+        fh.write("max_age = 100\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert "unknown config key 'max_age'" in capsys.readouterr().err
+
+
+def test_derive_params_names_non_integer_age(tmp_path, capsys):
+    census = tmp_path / "census.csv"
+    census.write_text("metric,year,region,sex,age,count\n"
+                      "P,2020,AT-1,m,5,10\nP,2020,AT-1,m,x,3\nP,2021,AT-1,m,5,10\n")
+    assert main(["--quiet", "derive-params", "--census", str(census), "--kind", "death",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert "P(2020,AT-1,m,x)" in capsys.readouterr().err
+
+
+def test_config_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_bytes(b"initial_population = init\xe9.csv\n")
+    with pytest.raises(InputError, match=r"run\.conf: unreadable"):
+        RunConfig.from_file(path)

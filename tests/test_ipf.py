@@ -118,3 +118,32 @@ def test_destination_weights_clamp_age():
     w_top = truth.destination_weights("AT-1", AGES[-1])
     assert np.allclose(w_hi, w_top)
     assert w_hi[0] == 0.0  # own region excluded
+
+
+def _write_tensor(path, *rows):
+    path.write_text("origin,destination,age,value\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+def test_tensor_csv_rejects_negative_weight(tmp_path):
+    path = _write_tensor(tmp_path / "t.csv", "AT-1,AT-2,0,1.0", "AT-2,AT-1,0,-0.5")
+    with pytest.raises(InputError, match=r"t\.csv:3: .*negative weight"):
+        MigrationTensor.from_csv(path)
+
+
+def test_tensor_csv_rejects_duplicate_and_extra_column(tmp_path):
+    path = _write_tensor(tmp_path / "dup.csv", "AT-1,AT-2,0,1.0", "AT-1,AT-2,0,2.0")
+    with pytest.raises(InputError, match=r"dup\.csv:3: duplicate row for \(AT-1,AT-2,0\)"):
+        MigrationTensor.from_csv(path)
+    path = _write_tensor(tmp_path / "wide.csv", "AT-1,AT-2,0,1.0,9")
+    with pytest.raises(InputError, match=r"wide\.csv:2: .*too many values to unpack"):
+        MigrationTensor.from_csv(path)
+
+
+def test_marginals_csv_rejects_duplicate_row(tmp_path):
+    paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
+    paths[0].write_text("origin,destination,value\nAT-1,AT-2,1.0\nAT-2,AT-1,1.0\n")
+    paths[1].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\nAT-1,0,1.0\n")
+    paths[2].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\n")
+    with pytest.raises(InputError, match=r"emig\.csv:4: duplicate row for \(AT-1,0\)"):
+        read_marginals_csv(*paths)

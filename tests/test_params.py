@@ -417,3 +417,47 @@ def test_derive_params_empty_cell_with_events_fails():
     census.record_event("D", 2020, "AT-1", "m", 33, 2)
     with pytest.raises(InputError):
         derive_params_from_census(census, "death", max_age=40)
+
+
+def test_set_row_keeps_a_copy_of_the_values():
+    values = np.full(4, 0.5)
+    table = ParameterTable("death", 3)
+    table.set_constant([2020], ["AT-1"], ["all"], values)
+    values[:] = 0.9
+    assert table.lookup(2020, "AT-1", "m", 2) == 0.5
+
+
+def test_set_row_rejects_nan():
+    table = ParameterTable("death", 3)
+    with pytest.raises(InputError, match="out of range"):
+        table.set_row(2020, "AT-1", "all", [0.1, math.nan, 0.1, 0.1])
+
+
+def test_param_csv_rejects_nan_probability(tmp_path):
+    rows = [("death", 2020, "AT-1", "all", a, 0.01) for a in range(3)]
+    rows[1] = ("death", 2020, "AT-1", "all", 1, "nan")
+    path = _write_param_rows(tmp_path / "nan.csv", rows)
+    with pytest.raises(InputError, match=r"nan\.csv:3: .*not a finite number"):
+        ParameterTable.from_csv(path)
+
+
+def test_immigration_csv_rejects_inf(tmp_path):
+    path = _write_param_rows(tmp_path / "imm.csv",
+                             [("immigration", 2020, "AT-1", "m", 30, "inf")])
+    with pytest.raises(InputError, match=r"imm\.csv:2: .*not a finite number"):
+        ImmigrationTable.from_csv(path)
+
+
+def test_param_csv_rejects_extra_column(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("kind,year,region,sex,age,value\ndeath,2020,AT-1,all,0,0.1,7\n")
+    with pytest.raises(InputError, match=r"wide\.csv:2: .*too many values to unpack"):
+        ParameterTable.from_csv(path)
+
+
+def test_derive_params_names_non_integer_census_age():
+    census = SyntheticCensus()
+    census.record_population(2020, {("AT-1", "m", 5): 10, ("AT-1", "m", "x"): 3})
+    census.record_population(2021, {("AT-1", "m", 5): 10})
+    with pytest.raises(InputError, match=r"P\(2020,AT-1,m,x\)"):
+        derive_params_from_census(census, "death")

@@ -18,7 +18,7 @@ from popsim.scenario import (ScenarioSpec, build_immigration_table,
                              build_initial_population, build_migration_tensor,
                              build_parameter_tables, format_profile,
                              parse_profile, profile_to_array,
-                             reference_census_for)
+                             read_population_csv, reference_census_for)
 
 
 def test_spec_file_round_trip(tmp_path):
@@ -270,3 +270,19 @@ def test_oracle_zero_probabilities_constant_population():
     for year in range(2020, 2026):
         assert reference.total("P", year) == pytest.approx(777, abs=1e-9)
         assert reference.total("D", year) == 0
+
+
+def _write_population(path, *rows):
+    path.write_text("region,sex,age,count\n" + "".join(r + "\n" for r in rows))
+    return path
+
+
+@pytest.mark.parametrize("rows, message", [
+    (("AT-1,f,3,10", "AT-1,f,3,5"), r"pop\.csv:3: duplicate row for \(AT-1,f,3\)"),
+    (("AT-1,f,3,10,1",), r"pop\.csv:2: .*too many values to unpack"),
+    (("AT-1,f,-1,10",), r"pop\.csv:2: .*negative age"),
+])
+def test_population_csv_rejects(tmp_path, rows, message):
+    path = _write_population(tmp_path / "pop.csv", *rows)
+    with pytest.raises(InputError, match=message):
+        read_population_csv(path)

@@ -5,7 +5,7 @@ import pytest
 from popsim.census import AgeClassScheme, SyntheticCensus
 from popsim.errors import InputError
 from popsim.validation import (deviation_extrema, deviation_report,
-                               ensemble_mean, quantile_band)
+                               ensemble_mean)
 
 
 def census_from(cells):
@@ -36,30 +36,6 @@ def test_ensemble_mean_commutes_with_aggregation():
     lhs = ensemble_mean([a, b]).aggregate(scheme)
     rhs = ensemble_mean([a.aggregate(scheme), b.aggregate(scheme)])
     assert dict(lhs.items("P")) == dict(rhs.items("P"))
-
-
-def test_quantile_band_identical_runs():
-    runs = [census_from({("P", 2020, "AT-1", "f", 3): 42}) for _ in range(5)]
-    lo, hi = quantile_band(runs)
-    assert lo.get("P", 2020, "AT-1", "f", 3) == 42
-    assert hi.get("P", 2020, "AT-1", "f", 3) == 42
-
-
-def test_quantile_band_order_statistics():
-    # independent oracle: position (n-1)q between order statistics
-    values = list(range(1, 10))
-    runs = [census_from({("P", 2020, "AT-1", "m", 0): v}) for v in values]
-    lo, hi = quantile_band(runs)
-    pos_lo = (9 - 1) * 0.05  # 0.4 -> 1 + 0.4*(2-1) = 1.4
-    pos_hi = (9 - 1) * 0.95  # 7.6 -> 8 + 0.6*(9-8) = 8.6
-    assert lo.get("P", 2020, "AT-1", "m", 0) == pytest.approx(1.4)
-    assert hi.get("P", 2020, "AT-1", "m", 0) == pytest.approx(8.6)
-    assert pos_lo == pytest.approx(0.4) and pos_hi == pytest.approx(7.6)
-
-
-def test_quantile_band_needs_two_runs():
-    with pytest.raises(InputError):
-        quantile_band([census_from({})])
 
 
 def test_deviation_extrema_identical():
