@@ -5,22 +5,40 @@ inclusive); ``B``, ``D``, ``E``, ``I``, ``IM_IN`` and ``IM_OUT`` count events
 per calendar year. Cells are keyed by (year, region, sex, age) at single-age
 resolution and aggregated on demand into age classes or coarser regions.
 
-Storage is sparse: absent cells read as zero.
+A census holds one float64 array per metric, stacked as ``values[metric,
+year, region, sex, age]``, and a boolean ``present`` array of the same shape.
+``axes`` holds each axis's labels in CSV row order (years, regions and sexes
+sorted, ages as zero-padded numbers, class labels as text), so C order is row
+order; ``index`` maps labels to positions. A cell is present once recorded,
+even with a zero count; only present cells are written, and an absent cell
+reads as 0. Sums add their terms one at a time in row order, as a scan over a
+file's rows would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import number, read_table, write_table
+from .files import csv_field, number, read_table, write_lines
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
-EVENT_METRICS = ("B", "D", "E", "I", "IM_IN", "IM_OUT")
+METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
+AXES = ("year", "region", "sex", "age")
 
 CENSUS_CSV_HEADER = ("metric", "year", "region", "sex", "age", "count")
+
+
+def _age_key(age) -> str:
+    return f"{age:05d}" if isinstance(age, int) else str(age)
+
+
+# how each axis sorts its labels: year, region, sex, age
+_AXIS_KEYS = (None, None, None, _age_key)
 
 
 class AgeClassScheme:
@@ -61,101 +79,164 @@ class AgeClassScheme:
 class SyntheticCensus:
     """Accumulated population snapshots and per-year event counts."""
 
-    def __init__(self):
-        self._data: dict[str, dict[tuple, float]] = {m: {} for m in METRICS}
+    def __init__(self, axes=((), (), (), ())):
+        """An empty census over ``axes``: year, region, sex and age labels, each
+        in sorted order."""
+        self.axes = tuple(list(labels) for labels in axes)
+        for labels, key in zip(self.axes, _AXIS_KEYS):
+            if labels != sorted(labels, key=key):
+                raise ValueError(f"census axis labels out of order: {labels!r}")
+        self.index = tuple({label: i for i, label in enumerate(labels)} for labels in self.axes)
+        shape = (len(METRICS), *map(len, self.axes))
+        self.values = np.zeros(shape)
+        self.present = np.zeros(shape, dtype=bool)
+
+    # ----- recording ---------------------------------------------------------
 
     def record_event(self, metric: str, year: int, region: str, sex: str,
                      age, n: float = 1) -> None:
-        if metric not in METRICS:
-            raise InputError(f"unknown census metric {metric!r}")
-        cells = self._data[metric]
-        key = (year, region, sex, age)
-        cells[key] = cells.get(key, 0) + n
+        self.record_cells({(metric, year, region, sex, age): n})
+
+    def record_cells(self, cells) -> None:
+        """Add each count of ``cells``, a mapping (metric, year, region, sex, age) -> n."""
+        if not cells:
+            return
+        metrics, *labels = zip(*cells)
+        unknown = set(metrics) - METRIC_INDEX.keys()
+        if unknown:
+            raise InputError(f"unknown census metric {min(unknown)!r}")
+        self.extend(*labels)
+        at = tuple(np.fromiter(map(index.__getitem__, column), np.intp, len(cells))
+                   for index, column in zip((METRIC_INDEX, *self.index), (metrics, *labels)))
+        self.values[at] += np.fromiter(cells.values(), float, len(cells))
+        self.present[at] = True
 
     def record_population(self, year: int, counts: dict) -> None:
         """Store a Jan-1 snapshot; ``counts`` maps (region, sex, age) to count."""
-        cells = self._data["P"]
-        for (region, sex, age), n in counts.items():
-            key = (year, region, sex, age)
-            cells[key] = cells.get(key, 0) + n
+        self.record_cells({("P", year, *key): n for key, n in counts.items()})
+
+    def extend(self, years=(), regions=(), sexes=(), ages=()) -> None:
+        """Add the missing labels to the axes; no cell becomes present. Growing
+        copies the arrays, so a caller that knows its labels can add them first."""
+        new = [sorted(set(got) - index.keys(), key=key)
+               for got, index, key in zip((years, regions, sexes, ages), self.index, _AXIS_KEYS)]
+        if any(new):
+            vars(self).update(vars(self.add(SyntheticCensus(new))))
+
+    # ----- reading -----------------------------------------------------------
 
     def get(self, metric: str, year: int, region: str, sex: str, age) -> float:
-        return self._data[metric].get((year, region, sex, age), 0)
+        try:
+            at = (METRIC_INDEX[metric], *(index[label] for index, label
+                                          in zip(self.index, (year, region, sex, age))))
+        except KeyError:
+            return 0.0
+        return float(self.values[at])
 
-    def keys(self, metric: str) -> Iterator[tuple]:
-        return iter(self._data[metric])
+    def _cells(self, metric: str, axes):
+        """(year, region, sex, age, count) of each present cell in row order, the
+        labels taken from ``axes``."""
+        m = METRIC_INDEX[metric]
+        at = np.nonzero(self.present[m])
+        return zip(*([axis[i] for i in idx.tolist()] for axis, idx in zip(axes, at)),
+                   self.values[m][at].tolist())
 
     def items(self, metric: str):
-        return self._data[metric].items()
+        """((year, region, sex, age), count) of each present cell, in row order."""
+        return (((y, r, s, a), n) for y, r, s, a, n in self._cells(metric, self.axes))
 
-    def years(self, metric: str) -> set[int]:
-        return {y for (y, _, _, _) in self._data[metric]}
+    def keys(self, metric: str):
+        return (cell for cell, _ in self.items(metric))
 
-    def regions(self) -> set[str]:
-        out = set()
-        for cells in self._data.values():
-            out.update(r for (_, r, _, _) in cells)
+    def labels(self, axis: str, metric: str | None = None) -> set:
+        """Labels of ``axis`` (one of AXES) holding a present cell of ``metric``,
+        or of any metric."""
+        k = AXES.index(axis)
+        present = self.present if metric is None else self.present[METRIC_INDEX[metric]][None]
+        hit = present.any(axis=tuple(i for i in range(5) if i != k + 1))
+        return {self.axes[k][i] for i in np.flatnonzero(hit)}
+
+    def table(self, metric: str, years, regions, sexes, n_ages: int) -> np.ndarray:
+        """``metric`` as a [year, region, sex, age] array over the given labels and
+        the integer ages 0..n_ages-1; absent cells and labels read as 0."""
+        out = np.zeros((len(years), len(regions), len(sexes), n_ages))
+        found = [[(j, index[label]) for j, label in enumerate(labels) if label in index]
+                 for labels, index in zip((years, regions, sexes, range(n_ages)), self.index)]
+        dst, src = ([[pair[k] for pair in axis] for axis in found] for k in (0, 1))
+        out[np.ix_(*dst)] = self.values[METRIC_INDEX[metric]][np.ix_(*src)]
         return out
 
     def total(self, metric: str, year: int, region: str | None = None,
               sex: str | None = None) -> float:
         """Sum over cells of one year, optionally filtered by region prefix and sex."""
-        acc = 0
-        for (y, r, s, _), n in self._data[metric].items():
-            if y != year:
-                continue
-            if region is not None and r != region and not r.startswith(region + "-"):
-                continue
-            if sex is not None and s != sex:
-                continue
-            acc += n
-        return acc
+        if year not in self.index[0]:
+            return 0.0
+        cells = self.values[METRIC_INDEX[metric], self.index[0][year]]
+        if region is not None:
+            cells = cells[[r == region or r.startswith(region + "-") for r in self.axes[1]]]
+        if sex is not None:
+            cells = cells[:, [s == sex for s in self.axes[2]]]
+        return float(cells.sum())
+
+    # ----- arithmetic ----------------------------------------------------------
 
     def aggregate(self, scheme: AgeClassScheme | None = None,
                   region_level: int | None = None) -> "SyntheticCensus":
-        """Sum cells into (year, region-at-level, sex, age-class); totals preserved."""
-        out = SyntheticCensus()
-        for metric, cells in self._data.items():
-            acc = out._data[metric]
-            for (year, region, sex, age), n in cells.items():
-                if region_level is not None:
-                    region = regions_mod.region_at_level(region, region_level)
-                label = scheme.label_for(age) if scheme is not None else age
-                key = (year, region, sex, label)
-                acc[key] = acc.get(key, 0) + n
+        """Sum cells into (year, region-at-level, sex, age-class); totals preserved.
+
+        Each coarser cell adds its cells one at a time in row order (region,
+        then age).
+        """
+        years, regions, sexes, ages = self.axes
+        to_region = regions if region_level is None else \
+            [regions_mod.region_at_level(r, region_level) for r in regions]
+        to_age = ages if scheme is None else [scheme.label_for(a) for a in ages]
+        out = SyntheticCensus((years, sorted(set(to_region)), sexes,
+                               sorted(set(to_age), key=_age_key)))
+        # ufunc.at visits the (region, age) pairs in row order, adding one at a time
+        at = (slice(None), slice(None),
+              np.array([out.index[1][r] for r in to_region], dtype=np.intp)[:, None],
+              slice(None), np.array([out.index[3][a] for a in to_age], dtype=np.intp))
+        np.add.at(out.values, at, np.moveaxis(self.values, (2, 4), (0, 1)))
+        np.logical_or.at(out.present, at, np.moveaxis(self.present, (2, 4), (0, 1)))
         return out
 
     def scaled(self, factor: float) -> "SyntheticCensus":
-        out = SyntheticCensus()
-        for metric, cells in self._data.items():
-            out._data[metric] = {k: v * factor for k, v in cells.items()}
+        out = SyntheticCensus(self.axes)
+        out.values, out.present = self.values * factor, self.present.copy()
         return out
 
-    def add(self, other: "SyntheticCensus") -> "SyntheticCensus":
-        out = SyntheticCensus()
-        for metric in METRICS:
-            cells = dict(self._data[metric])
-            for k, v in other._data[metric].items():
-                cells[k] = cells.get(k, 0) + v
-            out._data[metric] = cells
+    def add(self, *others: "SyntheticCensus") -> "SyntheticCensus":
+        """Cell-wise sum of this census and ``others``, added in that order; a cell
+        is present where any term has it."""
+        terms = (self, *others)
+        out = SyntheticCensus([sorted(set().union(*(t.axes[k] for t in terms)), key=key)
+                               for k, key in enumerate(_AXIS_KEYS)])
+        for term in terms:
+            if term.axes == out.axes:
+                # written only where the term has cells: np.zeros leaves a page unmapped
+                # until it is written, so the pages no term has a cell on cost no memory
+                np.add(out.values, term.values, out=out.values, where=term.present)
+                out.present[term.present] = True
+            else:
+                at = (slice(None),) + np.ix_(*([pos[label] for label in labels]
+                                               for pos, labels in zip(out.index, term.axes)))
+                out.values[at] += term.values
+                out.present[at] |= term.present
         return out
+
+    # ----- files ---------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        write_table(path, CENSUS_CSV_HEADER, self._csv_rows())
-
-    def _csv_rows(self):
-        for metric in METRICS:
-            cells = self._data[metric]
-            for key in sorted(cells, key=_cell_sort_key):
-                n = cells[key]
-                yield [metric, *key, int(n) if float(n).is_integer() else repr(float(n))]
+        fields = [[csv_field(label) for label in labels] for labels in self.axes]
+        write_lines(path, CENSUS_CSV_HEADER, (
+            f"{metric},{y},{r},{s},{a},{int(n) if n.is_integer() else repr(n)}\r\n"
+            for metric in METRICS for y, r, s, a, n in self._cells(metric, fields)))
 
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
         census = cls()
-        data = census._data
-        for (metric, cell), n in read_table(path, CENSUS_CSV_HEADER, _parse_census_row).items():
-            data[metric][cell] = n
+        census.record_cells(read_table(path, CENSUS_CSV_HEADER, _parse_census_row))
         return census
 
 
@@ -163,13 +244,11 @@ def _parse_census_row(row):
     metric, year, region, sex, age, count = row
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    count = number(count)
+    if count < 0:
+        raise ValueError("negative count")
     age = int(age) if age.lstrip("-").isdigit() else age
-    return (metric, (int(year), region, sex, age)), number(count)
-
-
-def _cell_sort_key(key):
-    year, region, sex, age = key
-    return (year, region, sex, str(age) if not isinstance(age, int) else f"{age:05d}")
+    return (metric, int(year), region, sex, age), count
 
 
 def count_population(agents) -> dict[tuple[str, str, int], int]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -312,8 +313,8 @@ class World:
                     self._pending_msgs, self.listeners)
 
     def _flush_records(self) -> None:
-        for metric, when, region, sex, age in self._pending_records:
-            self.census.record_event(metric, when.year, region, sex, age)
+        self.census.record_cells(Counter((metric, when.year, region, sex, age) for
+                                         metric, when, region, sex, age in self._pending_records))
         self._pending_records.clear()
 
     def _sync(self, to: date) -> None:
@@ -355,6 +356,12 @@ class World:
             region_universe.update(self.params.migration_tensor.regions)
         if region_universe:
             self.params.validate_coverage(horizon_years, sorted(region_universe))
+        # the labels the census will meet, so that its arrays are sized once
+        years = range(self.step.start.year, self.step.end.year + 1)
+        immigration = self.params.immigration
+        oldest = max([0, *(a.age for a in self.agents.values()),
+                      *(a for (_, _, _, a) in (immigration.counts if immigration else ()))])
+        self.census.extend(years, region_universe, ("f", "m"), range(oldest + len(years)))
 
         queue: list[tuple[date, int]] = []
         d = date(self.step.start.year, 1, 1)

@@ -11,6 +11,7 @@ the readers that know the domain.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 
@@ -78,6 +79,21 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_lines(path, header, lines) -> None:
+    """``write_table`` for rows already rendered: ``csv_field`` of each field,
+    joined by commas and ended by csv's "\\r\\n"."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
+def csv_field(value) -> str:
+    """``value`` as ``write_table`` renders it within a row, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([value, ""])
+    return buf.getvalue()[:-1]
 
 
 def read_key_values(path) -> dict[str, str]:

@@ -17,6 +17,7 @@ apportioning parliament seats.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Iterable
 
@@ -270,15 +271,24 @@ class ImmigrationTable:
 def _read_param_csv(path):
     """Values by (year, region, sex, age) in file order, and the file's one kind."""
     kinds = []
+    checked = set()  # region codes found well-formed
 
     def parse(row):
         kind, year, region, sex, age, value = row
         if not kinds:
+            if kind not in PROBABILITY_KINDS and kind != IMMIGRATION_KIND:
+                raise ValueError(f"unknown parameter kind {kind!r}")
             kinds.append(kind)
         elif kind != kinds[0]:
             raise ValueError(f"mixed kinds {kinds[0]!r} and {kind!r}")
         if sex not in ("m", "f", "all"):
             raise ValueError("sex must be m, f or all")
+        if region not in checked:
+            try:
+                regions.level_of(region)
+            except InputError as exc:
+                raise ValueError(str(exc)) from None
+            checked.add(region)
         age, value = int(age), number(value)
         if age < 0:
             raise ValueError("negative age")
@@ -305,42 +315,39 @@ def derive_params_from_census(census, kind: str, max_age: int | None = None) -> 
     if kind not in PROBABILITY_KINDS:
         raise InputError(f"cannot derive parameters of kind {kind!r}")
     metric = EVENT_METRIC[kind]
-    snap_years = set(census.years("P"))
+    snap_years = census.labels("year", "P")
     if not snap_years:
         raise InputError("census holds no population snapshots")
-    for m in ("P", metric):
-        for year, region, sex, age in census.keys(m):
-            if not isinstance(age, int):
-                raise InputError(f"census cell {m}({year},{region},{sex},{age}) has a non-integer "
-                                 "age; parameters derive from single-year ages")
-    event_years = {y for (y, _, _, _) in census.keys(metric)}
+    if not all(isinstance(age, int) for age in census.axes[3]):
+        for m in ("P", metric):
+            for (year, region, sex, age), _ in census.items(m):
+                if not isinstance(age, int):
+                    raise InputError(f"census cell {m}({year},{region},{sex},{age}) has a "
+                                     "non-integer age; parameters derive from single-year ages")
     derive_years = sorted({y for y in snap_years if y + 1 in snap_years}
-                          | (event_years & snap_years))
-    region_list = sorted(census.regions())
+                          | (census.labels("year", metric) & snap_years))
+    region_list = sorted(census.labels("region"))
     sexes = ("f",) if kind == "birth" else ("m", "f")
     if max_age is None:
-        max_age = max((a for (_, _, _, a) in census.keys("P")), default=0)
+        max_age = max(census.labels("age", "P"), default=0)
 
     table = ParameterTable(kind, max_age)
+    years = sorted(snap_years)  # a year's successor, when a snapshot year, is next
+    pop = census.table("P", years, region_list, sexes, max_age + 1)
+    events = census.table(metric, years, region_list, sexes, max_age + 1)
     for year in derive_years:
-        for region in region_list:
-            for sex in sexes:
-                values = np.zeros(max_age + 1)
-                for age in range(max_age + 1):
-                    pop0 = census.get("P", year, region, sex, age)
-                    if year + 1 in snap_years:
-                        pop1 = census.get("P", year + 1, region, sex, age)
-                        pop_avg = (pop0 + pop1) / 2.0
-                    else:
-                        pop_avg = pop0
-                    events = census.get(metric, year, region, sex, age)
-                    if pop_avg <= 0:
-                        if events > 0:
-                            raise InputError(
-                                f"empty cell: {metric}({year},{region},{sex},{age})={events} "
-                                "with no population"
-                            )
-                        continue
-                    values[age] = farr_probability(events, pop_avg)
-                table.set_row(year, region, sex, values)
+        y = years.index(year)
+        pop_avg = (pop[y] + pop[y + 1]) / 2.0 if year + 1 in snap_years else pop[y]
+        x, empty = events[y], pop_avg <= 0
+        # the first (region, sex, age) cell that farr_probability rejects
+        bad = np.argwhere(np.where(empty, x > 0, (x < 0) | (x >= 2 * pop_avg)))
+        if len(bad):
+            r, s, age = bad[0].tolist()
+            if empty[r, s, age]:
+                raise InputError(f"empty cell: {metric}({year},{region_list[r]},{sexes[s]},{age})"
+                                 f"={float(x[r, s, age])} with no population")
+            farr_probability(float(x[r, s, age]), float(pop_avg[r, s, age]))
+        values = np.divide(x, pop_avg + x / 2.0, out=np.zeros(x.shape), where=~empty)
+        for (r, region), (s, sex) in itertools.product(enumerate(region_list), enumerate(sexes)):
+            table.set_row(year, region, sex, values[r, s])
     return table

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .census import SyntheticCensus
+from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .errors import InputError
 from .files import (number, parse_value, read_key_values, read_table, write_key_values,
@@ -251,9 +251,10 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
     """Expected-value reference census (real-valued counts).
 
     Independent of the event-driven engine: pure ledger arithmetic over
-    life-year cohorts as derived in the module docstring.
+    life-year cohorts as derived in the module docstring. Each (metric, year,
+    region, sex) row of the census adds the cells of a cohort vector above
+    MASS_EPSILON in one masked vector add, in the order the ledger produces them.
     """
-    census = SyntheticCensus()
     max_age = max((t.max_age for t in tables.values()), default=0)
     max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
     if immigration is not None:
@@ -269,6 +270,14 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         region_set |= set(migration_tensor.regions)
     regions = sorted(region_set)
     sexes = ("f", "m")
+    census = SyntheticCensus((range(start_year, end_year + 1), regions, sexes, range(track + 1)))
+    values, present = census.values, census.present
+    _, at_region, at_sex, _ = census.index
+
+    def record(metric: str, year: int, region: str, sex: str, age: int, n: float):
+        cell = (METRIC_INDEX[metric], year - start_year, at_region[region], at_sex[sex], age)
+        values[cell] += n
+        present[cell] = True
 
     rate_cache: dict[tuple[int, str, str], tuple] = {}
 
@@ -302,8 +311,10 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         return got
 
     def record_vec(metric: str, year: int, region: str, sex: str, per_age: np.ndarray):
-        for a in np.nonzero(per_age > MASS_EPSILON)[0]:
-            census.record_event(metric, year, region, sex, int(a), float(per_age[a]))
+        row = (METRIC_INDEX[metric], year - start_year, at_region[region], at_sex[sex])
+        mask = per_age > MASS_EPSILON
+        values[row] += np.where(mask, per_age, 0.0)
+        present[row] |= mask
 
     # ledger[(region, sex)][a]: expected mass entering its age-a life-year
     # during the year currently being processed
@@ -321,12 +332,9 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
 
     # --- initial population: alive on Jan 1 of start_year --------------------
     initial = {(r, s): np.zeros(track + 1) for r in regions for s in sexes}
-    jan1_start: dict[tuple, float] = {}
     for region, sex, age, count in initial_cells:
         initial[(region, sex)][age] += count
-        key = (region, sex, int(age))
-        jan1_start[key] = jan1_start.get(key, 0.0) + count
-    census.record_population(start_year, jan1_start)
+        record("P", start_year, region, sex, int(age), count)
 
     for (region, sex), n0 in initial.items():
         if not np.any(n0):
@@ -358,17 +366,11 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
     # --- year loop ------------------------------------------------------------
     for year in range(start_year, end_year):
         next_ledger = {key: np.zeros(track + 1) for key in ledger}
-        jan1: dict[tuple, float] = {}
-
-        def credit_population(region, sex, per_age):
-            for a in np.nonzero(per_age > MASS_EPSILON)[0]:
-                key = (region, sex, int(a))
-                jan1[key] = jan1.get(key, 0.0) + float(per_age[a])
 
         # immigrants of this year (first-order bookkeeping)
         if immigration is not None:
             for region, sex, age, count in immigration.cells_for_year(year):
-                census.record_event("I", year, region, sex, age, count)
+                record("I", year, region, sex, age, count)
                 d_v, e_v, b_v, m_v = rates(year, region, sex)
                 d, e, b, m = (float(v[age]) for v in (d_v, e_v, b_v, m_v))
                 if m > 0 and float(dest_matrix(region)[:, age].sum()) <= 0:
@@ -377,10 +379,9 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                 for metric, p in (("D", d), ("E", e), ("B", b), ("IM_OUT", m)):
                     if p <= 0:
                         continue
-                    census.record_event(metric, year, region, sex, age, count * p / 3)
+                    record(metric, year, region, sex, age, count * p / 3)
                     if year + 1 < end_year:
-                        census.record_event(metric, year + 1, region, sex, age,
-                                            count * p / 6)
+                        record(metric, year + 1, region, sex, age, count * p / 6)
                 if b > 0:
                     add_newborns(year, region, count * b / 3)
                     add_newborns(year + 1, region, count * b / 6)
@@ -394,21 +395,17 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                         frac = float(shares[j])
                         if frac <= 0:
                             continue
-                        census.record_event("IM_IN", year, dest, sex, age,
-                                            count * m / 3 * frac)
+                        record("IM_IN", year, dest, sex, age, count * m / 3 * frac)
                         if year + 1 < end_year:
-                            census.record_event("IM_IN", year + 1, dest, sex, age,
-                                                count * m / 6 * frac)
+                            record("IM_IN", year + 1, dest, sex, age, count * m / 6 * frac)
                         ledger[(dest, sex)][age + 1] += moved * frac
-                        jan1_key = (dest, sex, age)
-                        jan1[jan1_key] = jan1.get(jan1_key, 0.0) + moved * frac
+                        record("P", year + 1, dest, sex, age, moved * frac)
                         next_ledger[(dest, sex)][age + 1] += moved * frac
                     half_a -= moved
                     half_b_alive -= moved
                     half_b_next -= moved
                 ledger[(region, sex)][age + 1] += half_a
-                jan1_key = (region, sex, age)
-                jan1[jan1_key] = jan1.get(jan1_key, 0.0) + half_b_alive
+                record("P", year + 1, region, sex, age, half_b_alive)
                 next_ledger[(region, sex)][age + 1] += half_b_next
 
         def process_cohort(region, sex, vec):
@@ -451,11 +448,11 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                     record_vec("IM_IN", year, dest, sex, move0 * share)
                     if year + 1 < end_year:
                         record_vec("IM_IN", year + 1, dest, sex, move1 * share)
-                    credit_population(dest, sex, move0 * share)
+                    record_vec("P", year + 1, dest, sex, move0 * share)
                     next_ledger[(dest, sex)][1:] += (movers_surviving * share)[:-1]
                 alive = alive - move0
                 survivors = survivors - movers_surviving
-            credit_population(region, sex, alive)
+            record_vec("P", year + 1, region, sex, alive)
             next_ledger[(region, sex)][1:] += survivors[:-1]
 
         for (region, sex), vec in ledger.items():
@@ -472,7 +469,6 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                     vec[0] = mass
                     process_cohort(region, sex, vec)
 
-        census.record_population(year + 1, jan1)
         ledger = next_ledger
 
     return census

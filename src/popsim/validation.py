@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import AgeClassScheme, SyntheticCensus
+from .census import METRIC_INDEX, AgeClassScheme, SyntheticCensus
 from .errors import InputError
 from .files import write_table
 
@@ -31,10 +31,9 @@ def ensemble_mean(ensemble: list[SyntheticCensus]) -> SyntheticCensus:
     """Cell-wise arithmetic mean of the runs (absent cells count as zero)."""
     if not ensemble:
         raise InputError("ensemble is empty")
-    total = ensemble[0]
-    for run in ensemble[1:]:
-        total = total.add(run)
-    return total.scaled(1.0 / len(ensemble))
+    mean = ensemble[0].add(*ensemble[1:])
+    np.multiply(mean.values, 1.0 / len(ensemble), out=mean.values, where=mean.present)
+    return mean
 
 
 def deviation_extrema(sim_series, data_series, years) -> tuple[float, float]:
@@ -79,18 +78,22 @@ class DeviationReport:
         ] for r in self.rows))
 
 
-def _series(census: SyntheticCensus, metric: str, years, region, sex, age_class):
-    out = {y: 0.0 for y in years}
-    for (y, r, s, a), n in census.items(metric):
-        if y not in out:
-            continue
-        if region is not None and r != region:
-            continue
-        if sex is not None and s != sex:
-            continue
-        if age_class is not None and a != age_class:
-            continue
-        out[y] += n
+def _series(census: SyntheticCensus, metric: str, years, blocks) -> np.ndarray:
+    """[block, year] sums of ``metric`` over each (region, sex, age class) block,
+    None standing for every label; a block's cells are added one at a time in
+    row order, as a file-order scan over the cells would."""
+    index = census.index
+    cells = census.values[METRIC_INDEX[metric]][[index[0][y] for y in years]]
+    out = np.zeros((len(blocks), len(years)))
+    for b, block in enumerate(blocks):
+        picked = cells
+        for axis, label in enumerate(block, start=1):
+            if label is not None:
+                picked = picked.take([index[axis][label]] if label in index[axis] else [],
+                                     axis=axis)
+        flat = picked.reshape(len(years), -1)
+        if flat.size:
+            out[b] = np.cumsum(flat, axis=1)[:, -1]
     return out
 
 
@@ -113,16 +116,16 @@ def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus
         scheme = AgeClassScheme.twenty_year()
     runs = [census.aggregate(scheme, region_level) for census in ensemble]
     # a reference with integer ages is single-age resolution: bin it the same way
-    ref_single_age = all(isinstance(a, int) for (_, _, _, a) in reference.keys(metric))
+    ref_single_age = all(isinstance(a, int) for a in reference.labels("age", metric))
     ref = reference.aggregate(scheme if ref_single_age else None, region_level)
 
-    year_sets = [set(run.years(metric)) for run in runs]
-    years = sorted(set.intersection(*year_sets) & set(ref.years(metric)))
+    years = sorted(set.intersection(*(run.labels("year", metric) for run in runs))
+                   & ref.labels("year", metric))
     if not years:
         raise InputError(f"no overlapping years between ensemble and reference for {metric}")
 
-    region_list = sorted({r for (_, r, _, _) in ref.keys(metric)})
-    sexes = sorted({s for (_, _, s, _) in ref.keys(metric)})
+    region_list = sorted(ref.labels("region", metric))
+    sexes = sorted(ref.labels("sex", metric))
     classes = [label for label in scheme.labels]
 
     blocks: list[tuple] = [(None, None, None)]
@@ -131,16 +134,16 @@ def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus
     blocks += [(r, None, None) for r in region_list]
     blocks += [(r, None, c) for r in region_list for c in classes]
 
+    ref_rows = _series(ref, metric, years, blocks)
+    run_rows = np.stack([_series(run, metric, years, blocks) for run in runs], axis=1)
     report = DeviationReport()
-    for region, sex, age_class in blocks:
-        ref_series = _series(ref, metric, years, region, sex, age_class)
-        if all(v == 0 for v in ref_series.values()):
+    for (region, sex, age_class), ref_row, matrix in zip(blocks, ref_rows, run_rows):
+        if not ref_row.any():
             report.coverage_gaps.append(
                 f"reference empty for region={region or '-'} sex={sex or '-'} "
                 f"age_class={age_class or '-'}")
             continue
-        matrix = np.array([[_series(run, metric, years, region, sex, age_class)[y]
-                            for y in years] for run in runs])
+        ref_series = dict(zip(years, ref_row))
         mean_series = dict(zip(years, matrix.mean(axis=0)))
         e_min, e_max = deviation_extrema(mean_series, ref_series, years)
         if len(runs) >= 2:

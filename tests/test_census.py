@@ -1,9 +1,15 @@
 """Census bookkeeping: recording, aggregation, CSV round trips."""
 
-import pytest
+import csv
 
-from popsim.census import AgeClassScheme, SyntheticCensus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from popsim.census import METRICS, AgeClassScheme, SyntheticCensus
 from popsim.errors import InputError
+from popsim.regions import region_at_level
+from popsim.validation import _series, ensemble_mean
 
 
 def toy_census():
@@ -123,3 +129,172 @@ def test_csv_rejects_undecodable_bytes(tmp_path):
     path.write_bytes(b"metric,year,region,sex,age,count\nP,2020,AT-1,m,5,3\xe9\n")
     with pytest.raises(InputError, match=r"latin1\.csv: unreadable"):
         SyntheticCensus.from_csv(path)
+
+
+def test_csv_rejects_negative_count(tmp_path):
+    path = tmp_path / "neg.csv"
+    path.write_text("metric,year,region,sex,age,count\nP,2020,AT-1,m,5,3\nP,2021,AT-1,m,5,-10\n")
+    with pytest.raises(InputError, match=r"neg\.csv:3: .*negative count"):
+        SyntheticCensus.from_csv(path)
+
+
+def test_to_csv_quotes_labels_as_csv_writer_does(tmp_path):
+    census = SyntheticCensus()
+    for region in ("a,b", 'q"r', "", "AT-1"):
+        census.record_event("P", 2020, region, "f", "x y", 2.5)
+        census.record_event("D", 2020, region, "m", 7)
+    path = tmp_path / "census.csv"
+    census.to_csv(path)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "year", "region", "sex", "age", "count"])
+        for metric in METRICS:
+            writer.writerows([metric, *cell, int(n) if n.is_integer() else repr(n)]
+                             for cell, n in census.items(metric))
+    assert path.read_bytes() == expected.read_bytes()
+    assert as_dict(SyntheticCensus.from_csv(path)) == as_dict(census)
+
+
+def big_then_ones():
+    """1e16 followed by ones: in row order each 1.0 is lost when added to 1e16,
+    so any other order of the terms gives a larger float."""
+    census = SyntheticCensus()
+    census.record_event("P", 2020, "AT-1", "f", 0, 1e16)
+    for region in ("AT-1", "AT-2"):
+        for age in range(1, 19):
+            census.record_event("P", 2020, region, "f", age, 1.0)
+    return census
+
+
+def test_aggregate_adds_cells_in_row_order():
+    agg = big_then_ones().aggregate(AgeClassScheme.twenty_year(), region_level=0)
+    assert agg.get("P", 2020, "AT", "f", "0-19") == 1e16
+    assert 1e16 + 36 > 1e16
+
+
+def test_report_series_add_cells_in_row_order():
+    blocks = [(None, None, None), ("AT-1", None, None), (None, "f", 0), ("AT-2", None, None)]
+    series = _series(big_then_ones(), "P", [2020], blocks)
+    assert series.tolist() == [[1e16], [1e16], [1e16], [18.0]]
+
+
+# ----- properties of the array census against per-cell dict arithmetic --------------
+
+REGIONS = ("AT-1", "AT-1-01", "AT-1-02", "AT-10", "AT-2")
+CLASS_LABELS = ("0-19", "20-39", "80+", "100+")
+
+int_ages = st.integers(0, 110)
+# zeros, whole counts, any reals, and reals whose sums round (thirds have no
+# finite binary expansion), so that a change in the order of the terms shows
+counts = st.one_of(st.just(0.0), st.integers(0, 10**6).map(float),
+                   st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
+                   st.integers(1, 10**9).map(lambda k: k / 3000.0))
+
+
+def cells(ages, metrics=METRICS, years=(2019, 2020, 2021, 2022, 2023), sexes="fm",
+          max_size=40):
+    """Sparse {(metric, year, region, sex, age): count} maps, zero counts included."""
+    return st.dictionaries(
+        st.tuples(st.sampled_from(metrics), st.sampled_from(years), st.sampled_from(REGIONS),
+                  st.sampled_from(sexes), ages),
+        counts, max_size=max_size)
+
+
+# few coarse cells, so that each sums several cells and the order of the terms shows
+dense_cells = cells(int_ages, metrics=("P", "D"), years=(2020,), sexes="f", max_size=80)
+
+
+mixed_ages = st.one_of(int_ages, st.sampled_from(CLASS_LABELS))
+any_ages = st.one_of(int_ages, st.sampled_from(CLASS_LABELS), mixed_ages)
+
+
+def census_of(cell_map):
+    census = SyntheticCensus()
+    for (metric, *cell), n in cell_map.items():
+        census.record_event(metric, *cell, n)
+    return census
+
+
+def as_dict(census):
+    return {(metric, *cell): n for metric in METRICS for cell, n in census.items(metric)}
+
+
+def row_order(cell_map):
+    """The cells in CSV row order: metric, then year, region, sex, age (ages as
+    zero-padded numbers, labels as text)."""
+    def key(item):
+        (metric, year, region, sex, age), _ = item
+        return (METRICS.index(metric), year, region, sex,
+                f"{age:05d}" if isinstance(age, int) else str(age))
+    return sorted(cell_map.items(), key=key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_map=st.one_of(cells(int_ages), cells(st.sampled_from(CLASS_LABELS)),
+                          cells(mixed_ages)))
+def test_csv_round_trip_is_byte_identical(tmp_path_factory, cell_map):
+    first = tmp_path_factory.mktemp("rt") / "census.csv"
+    census = census_of(cell_map)
+    census.to_csv(first)
+    loaded = SyntheticCensus.from_csv(first)
+    second = first.with_name("again.csv")
+    loaded.to_csv(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert as_dict(loaded) == cell_map
+    rows = first.read_text().splitlines()[1:]
+    assert [tuple(row.split(",")[:5]) for row in rows] == \
+        [tuple(map(str, key)) for key, _ in row_order(cell_map)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_map=st.one_of(cells(int_ages), dense_cells), level=st.sampled_from([None, 1]),
+       scheme=st.sampled_from([None, AgeClassScheme.twenty_year()]))
+def test_aggregate_keeps_totals_and_adds_in_row_order(cell_map, level, scheme):
+    census = census_of(cell_map)
+    agg = census.aggregate(scheme, level)
+    expected = {}
+    for (metric, year, region, sex, age), n in row_order(cell_map):
+        key = (metric, year, region if level is None else region_at_level(region, level), sex,
+               age if scheme is None else scheme.label_for(age))
+        expected[key] = expected.get(key, 0) + n
+    assert as_dict(agg) == expected
+    for metric in METRICS:
+        for year in range(2019, 2024):
+            assert agg.total(metric, year) == pytest.approx(census.total(metric, year))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_map=cells(mixed_ages), level=st.sampled_from([1, 2]))
+def test_aggregate_by_region_keeps_age_labels(cell_map, level):
+    cell_map = {k: v for k, v in cell_map.items() if k[2].count("-") >= level}
+    agg = census_of(cell_map).aggregate(None, level)
+    expected = {}
+    for (metric, year, region, sex, age), n in row_order(cell_map):
+        key = (metric, year, region_at_level(region, level), sex, age)
+        expected[key] = expected.get(key, 0) + n
+    assert as_dict(agg) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(maps=st.lists(cells(any_ages), min_size=1, max_size=4))
+def test_ensemble_mean_is_the_cell_wise_mean(maps):
+    mean = ensemble_mean([census_of(m) for m in maps])
+    expected = {}
+    for cell_map in maps:
+        for key, n in cell_map.items():
+            expected[key] = expected.get(key, 0) + n
+    assert as_dict(mean) == {key: n * (1.0 / len(maps)) for key, n in expected.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=cells(any_ages), b=cells(any_ages),
+       factor=st.floats(0, 10, allow_nan=False, allow_infinity=False))
+def test_add_and_scaled_match_per_cell_arithmetic(a, b, factor):
+    left, right = census_of(a), census_of(b)
+    summed = dict(a)
+    for key, n in b.items():
+        summed[key] = summed.get(key, 0) + n
+    assert as_dict(left.add(right)) == summed
+    assert as_dict(left.scaled(factor)) == {key: n * factor for key, n in a.items()}
+    assert as_dict(left) == a  # the operands are left as they were

@@ -269,3 +269,30 @@ def test_config_rejects_undecodable_bytes(tmp_path):
     path.write_bytes(b"initial_population = init\xe9.csv\n")
     with pytest.raises(InputError, match=r"run\.conf: unreadable"):
         RunConfig.from_file(path)
+
+
+def _census_with_negative_count(tmp_path):
+    census = tmp_path / "census.csv"
+    census.write_text("metric,year,region,sex,age,count\n"
+                      "P,2020,AT-1,m,5,10\nP,2021,AT-1,m,5,-10\nD,2020,AT-1,m,5,1\n")
+    return census
+
+
+def test_derive_params_rejects_negative_census_count(tmp_path, capsys):
+    census = _census_with_negative_count(tmp_path)
+    assert main(["--quiet", "derive-params", "--census", str(census), "--kind", "death",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert "census.csv:3: " in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_validate_rejects_negative_census_count(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "run_001.csv").write_text("metric,year,region,sex,age,count\n"
+                                      "P,2020,AT-1,m,5,10\nP,2021,AT-1,m,5,10\n")
+    reference = _census_with_negative_count(tmp_path)
+    assert main(["--quiet", "validate", "--runs-dir", str(runs), "--reference",
+                 str(reference), "--out", str(tmp_path / "report.csv")]) == 1
+    assert "census.csv:3: " in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()

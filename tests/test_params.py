@@ -461,3 +461,26 @@ def test_derive_params_names_non_integer_census_age():
     census.record_population(2021, {("AT-1", "m", 5): 10})
     with pytest.raises(InputError, match=r"P\(2020,AT-1,m,x\)"):
         derive_params_from_census(census, "death")
+
+
+def test_param_csv_names_line_of_unknown_kind(tmp_path):
+    rows = [("dearth", 2020, "AT-1", "all", a, 0.01) for a in range(3)]
+    path = _write_param_rows(tmp_path / "kind.csv", rows)
+    with pytest.raises(InputError, match=r"kind\.csv:2: .*unknown parameter kind 'dearth'"):
+        ParameterTable.from_csv(path)
+
+
+def test_param_csv_names_line_of_malformed_region(tmp_path):
+    rows = [("death", 2020, "AT-1", "all", a, 0.01) for a in range(3)]
+    rows += [("death", 2020, "AT--1", "all", a, 0.01) for a in range(3)]
+    path = _write_param_rows(tmp_path / "region.csv", rows)
+    with pytest.raises(InputError, match=r"region\.csv:5: .*malformed region code 'AT--1'"):
+        ParameterTable.from_csv(path)
+
+
+def test_immigration_csv_names_line_of_malformed_region(tmp_path):
+    path = _write_param_rows(tmp_path / "imm.csv",
+                             [("immigration", 2020, "AT-1", "m", 30, 2),
+                              ("immigration", 2020, "-AT", "m", 30, 2)])
+    with pytest.raises(InputError, match=r"imm\.csv:3: .*malformed region code '-AT'"):
+        ImmigrationTable.from_csv(path)
