@@ -31,7 +31,8 @@ def read_table(path, header, parse_row) -> dict:
 
     ``parse_row`` is called once per data row with the row's cells, unpacks
     them all at once (so a row of the wrong width fails) and returns
-    ``(key, value)``; a ValueError it raises becomes an InputError for the row.
+    ``(key, value)``; a ValueError or InputError it raises becomes an
+    InputError naming the row.
     """
     header = list(header)
     table: dict = {}
@@ -46,7 +47,7 @@ def read_table(path, header, parse_row) -> dict:
                     continue
                 try:
                     key, value = parse_row(row)
-                except ValueError as exc:
+                except (ValueError, InputError) as exc:
                     raise InputError(f"{path}:{reader.line_num}: bad row {row!r}: {exc}") from None
                 if key in table:
                     raise InputError(f"{path}:{reader.line_num}: duplicate row for {_show(key)}")

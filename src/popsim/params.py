@@ -271,7 +271,7 @@ class ImmigrationTable:
 def _read_param_csv(path):
     """Values by (year, region, sex, age) in file order, and the file's one kind."""
     kinds = []
-    checked = set()  # region codes found well-formed
+    levels = {}  # level of each region code seen, in file order
 
     def parse(row):
         kind, year, region, sex, age, value = row
@@ -283,12 +283,14 @@ def _read_param_csv(path):
             raise ValueError(f"mixed kinds {kinds[0]!r} and {kind!r}")
         if sex not in ("m", "f", "all"):
             raise ValueError("sex must be m, f or all")
-        if region not in checked:
-            try:
-                regions.level_of(region)
-            except InputError as exc:
-                raise ValueError(str(exc)) from None
-            checked.add(region)
+        if region not in levels:
+            level = regions.level_of(region)
+            first = next(iter(levels), None)
+            if first is not None and kind != IMMIGRATION_KIND and level != levels[first]:
+                raise ValueError(f"mixed region levels: {region!r} is "
+                                 f"{regions.level_name(level)}, {first!r} above is "
+                                 f"{regions.level_name(levels[first])}")
+            levels[region] = level
         age, value = int(age), number(value)
         if age < 0:
             raise ValueError("negative age")

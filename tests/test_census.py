@@ -138,11 +138,16 @@ def test_csv_rejects_negative_count(tmp_path):
         SyntheticCensus.from_csv(path)
 
 
-def test_to_csv_quotes_labels_as_csv_writer_does(tmp_path):
+def _census_over(regions):
     census = SyntheticCensus()
-    for region in ("a,b", 'q"r', "", "AT-1"):
+    for region in regions:
         census.record_event("P", 2020, region, "f", "x y", 2.5)
         census.record_event("D", 2020, region, "m", 7)
+    return census
+
+
+def test_to_csv_quotes_labels_as_csv_writer_does(tmp_path):
+    census = _census_over(("a,b", 'q"r', "", "AT-1"))
     path = tmp_path / "census.csv"
     census.to_csv(path)
     expected = tmp_path / "expected.csv"
@@ -153,6 +158,11 @@ def test_to_csv_quotes_labels_as_csv_writer_does(tmp_path):
             writer.writerows([metric, *cell, int(n) if n.is_integer() else repr(n)]
                              for cell, n in census.items(metric))
     assert path.read_bytes() == expected.read_bytes()
+    # the reader checks region codes, and the empty code is malformed
+    with pytest.raises(InputError, match=r"census\.csv:2: .*malformed region code ''"):
+        SyntheticCensus.from_csv(path)
+    census = _census_over(("a,b", 'q"r', "AT-1"))
+    census.to_csv(path)
     assert as_dict(SyntheticCensus.from_csv(path)) == as_dict(census)
 
 

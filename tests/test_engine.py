@@ -15,7 +15,7 @@ from popsim.rng import agent_stream
 from popsim.scenario import (ScenarioSpec, build_initial_population,
                              build_parameter_tables)
 
-from conftest import constant_parameters
+from conftest import constant_parameters, seed_sequence_stream
 
 START, END = date(2020, 1, 1), date(2030, 1, 1)
 
@@ -365,6 +365,28 @@ def test_month_steps_identical_across_workers_and_listener(tmp_path, monkeypatch
         outputs.append(path.read_bytes())
     assert world.counters["births"] and world.counters["immigrants"]
     assert outputs[1:] == outputs[:1] * 3
+
+
+@pytest.mark.parametrize("seed", [31, 2**32 + 3])
+def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
+    # more than one block of agent ids, with births and migration between two regions
+    regions = ("AT-1", "AT-2")
+    params = constant_parameters(regions=regions, death=0.02, emigration=0.02,
+                                 internal_migration=0.05)
+    params.tables["birth"] = _birth_table(0.2, regions=regions)
+    initial = [(r, s, a, 12) for r in regions for s in "mf" for a in range(0, 70, 2)]
+    step = MacroStepConfig(START, date(2023, 1, 1), "year", 1)
+    outputs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(engine, "agent_stream", seed_sequence_stream)
+        world = World(step, params, seed=seed)
+        world.add_initial_population(initial)
+        path = tmp_path / f"census_{reference}.csv"
+        world.run().to_csv(path)
+        outputs.append(path.read_bytes())
+    assert world.counters["births"] and world.counters["initial"] > 1024
+    assert outputs[0] == outputs[1]
 
 
 def test_macro_step_requires_forward_target():

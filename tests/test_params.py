@@ -478,6 +478,22 @@ def test_param_csv_names_line_of_malformed_region(tmp_path):
         ParameterTable.from_csv(path)
 
 
+def test_param_csv_names_line_of_mixed_region_levels(tmp_path):
+    path = _write_param_rows(tmp_path / "mixed.csv", [("death", 2020, "AT-1", "all", 0, 0.01),
+                                                      ("death", 2020, "AT-1-01", "all", 0, 0.01)])
+    with pytest.raises(InputError, match=r"mixed\.csv:3: .*mixed region levels: 'AT-1-01' "
+                                         r"is district, 'AT-1' above is federal-state"):
+        ParameterTable.from_csv(path)
+
+
+def test_immigration_csv_keeps_mixed_region_levels(tmp_path):
+    path = _write_param_rows(tmp_path / "imm.csv",
+                             [("immigration", 2020, "AT-1", "m", 30, 2),
+                              ("immigration", 2020, "AT-1-01", "m", 30, 1)])
+    table = ImmigrationTable.from_csv(path)
+    assert table.cells_for_year(2020) == [("AT-1", "m", 30, 2), ("AT-1-01", "m", 30, 1)]
+
+
 def test_immigration_csv_names_line_of_malformed_region(tmp_path):
     path = _write_param_rows(tmp_path / "imm.csv",
                              [("immigration", 2020, "AT-1", "m", 30, 2),
