@@ -8,11 +8,10 @@ deviation report compares the ensemble against the reference.
 
 from datetime import date
 
-from popsim import (MacroStepConfig, ModelParameters, ScenarioSpec,
-                    cohort_projection, derive_params_from_census,
-                    deviation_report, ensemble_mean, run_simulation)
-from popsim.scenario import (build_immigration_table, build_initial_population,
-                             build_migration_tensor, build_parameter_tables)
+from popsim import (MacroStepConfig, ScenarioSpec, cohort_projection,
+                    derive_params_from_census, deviation_report, ensemble_mean,
+                    run_simulation)
+from popsim.scenario import build_initial_population, build_model_parameters
 
 spec = ScenarioSpec(
     regions=["AT-1", "AT-2"],
@@ -25,20 +24,14 @@ spec = ScenarioSpec(
     immigration_per_year=300,
 )
 
-tables = build_parameter_tables(spec)
+# one bundle of inputs feeds both the oracle and the engine
+params = build_model_parameters(spec)
 initial = build_initial_population(spec)
-immigration = build_immigration_table(spec)
-tensor = build_migration_tensor(spec)
 
-reference = cohort_projection(tables, initial, spec.start_year, spec.years,
-                              immigration=immigration, migration_tensor=tensor)
+reference = cohort_projection(params, initial, spec.start_year, spec.years)
 
 step = MacroStepConfig(date(2020, 1, 1), date(2025, 1, 1))
-runs = []
-for seed in range(3):
-    params = ModelParameters(tables, immigration=immigration,
-                             migration_tensor=tensor)
-    runs.append(run_simulation(step, params, initial, seed=seed))
+runs = [run_simulation(step, params, initial, seed=seed) for seed in range(3)]
 
 print("year   engine-mean population   reference")
 mean = ensemble_mean(runs)

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .dates import completed_age, days_since_birthday, next_birthday
 from .errors import InputError
+from .params import KIND_SEXES
 
 
 class EventKind(IntEnum):
@@ -48,13 +49,12 @@ class EventKind(IntEnum):
 
 TERMINAL_KINDS = (EventKind.DEATH, EventKind.EMIGRATION)
 
-# per sex, the accept/reject draws of a life-year in draw order, with their table names
-DRAW_ORDER = {
-    "f": ((EventKind.DEATH, "death"), (EventKind.EMIGRATION, "emigration"),
-          (EventKind.BIRTH, "birth"), (EventKind.INTERNAL_MIGRATION, "internal_migration")),
-    "m": ((EventKind.DEATH, "death"), (EventKind.EMIGRATION, "emigration"),
-          (EventKind.INTERNAL_MIGRATION, "internal_migration")),
-}
+# per sex, the accept/reject draws of a life-year in draw order, with their table
+# names: the kinds that apply to that sex
+DRAW_ORDER = {sex: tuple((kind, name) for kind, name in (
+    (EventKind.DEATH, "death"), (EventKind.EMIGRATION, "emigration"),
+    (EventKind.BIRTH, "birth"), (EventKind.INTERNAL_MIGRATION, "internal_migration"))
+    if sex in KIND_SEXES[name]) for sex in ("f", "m")}
 
 # census metric per demographic event kind
 RECORD_METRIC = {
@@ -153,7 +153,7 @@ def init_agent(agent_id: int, birthdate: date, sex: str, region: str, t: date,
     days_elapsed = days_since_birthday(t, birthdate)
     agent.schedule(first_birthday, EventKind.BIRTHDAY)
 
-    scale = days_ahead / (days_ahead + days_elapsed)
+    scale = scale_partial_year(1.0, days_ahead, days_elapsed)
     lookup_year = (t - timedelta(days=days_elapsed)).year
     _draw_life_year_events(agent, t, days_ahead, lookup_year, scale, params)
     return agent

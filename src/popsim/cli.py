@@ -39,7 +39,9 @@ def load_model_parameters(cfg: RunConfig) -> ModelParameters:
         immigration = ImmigrationTable.from_csv(cfg.resolve("immigration"))
     tensor = None
     if cfg.internal_migration == "full-regional":
-        tensor = MigrationTensor.from_csv(cfg.resolve("migration_tensor"))
+        path = cfg.resolve("migration_tensor")
+        tensor = MigrationTensor.from_csv(path)
+        tensor.check_single_ages(path)
     return ModelParameters(tables, immigration=immigration, migration_tensor=tensor)
 
 

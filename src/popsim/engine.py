@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import time
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from .agents import (DRAW_ORDER, Agent, AgentEvent, EventKind, OutboxMessage, ad
 from .census import SyntheticCensus, count_population
 from .errors import CoverageError, InputError
 from .ipf import MigrationTensor
-from .params import ImmigrationTable, ParameterTable, PROBABILITY_KINDS
+from .params import KIND_SEXES, PROBABILITY_KINDS, ImmigrationTable, ParameterTable
 from .rng import agent_stream, world_stream
 
 log = logging.getLogger(__name__)
@@ -88,8 +89,10 @@ class MacroStepConfig:
 class ModelParameters:
     """Bundle of event-probability tables plus optional immigration inputs.
 
-    Internal migration destinations are sampled from the migration tensor's
-    (origin, age) rows; origins whose row sums to zero never move.
+    The engine and the cohort-projection oracle both read their inputs
+    through it: the age rows a life-year draws, the destination rule of
+    internal migration (the migration tensor's (origin, age) rows; origins
+    whose row sums to zero never move) and the regions a run can meet.
     """
 
     def __init__(self, tables: dict[str, ParameterTable] | None = None,
@@ -104,9 +107,10 @@ class ModelParameters:
             self.tables[kind] = table
         self.immigration = immigration
         self.migration_tensor = migration_tensor
-        self._dest_cache: dict[tuple[str, int], tuple] = {}
         if "internal_migration" in self.tables and migration_tensor is None:
             raise InputError("internal_migration table requires a migration tensor")
+        if migration_tensor is not None:
+            migration_tensor.check_single_ages()
 
     def life_year_rates(self, year: int, region: str, sex: str) -> list:
         """(EventKind, age row) of every kind with a table, in draw order.
@@ -120,33 +124,38 @@ class ModelParameters:
                 if name in tables]
 
     def sample_destination(self, origin: str, age: int, u: float) -> str | None:
+        """The first destination whose cumulative share exceeds ``u`` (the last
+        one if none does), or None when nobody of ``age`` leaves ``origin``."""
         tensor = self.migration_tensor
-        ages = tensor.ages
-        key = (origin, min(max(age, ages[0]), ages[-1]))
-        entry = self._dest_cache.get(key)
-        if entry is None:
-            weights = tensor.destination_weights(origin, key[1])
-            total = float(weights.sum())
-            if total <= 0:
-                entry = (None, None)
-            else:
-                cum = (weights / total).cumsum()
-                entry = (cum, tensor.regions)
-            self._dest_cache[key] = entry
-        cum, dests = entry
-        if cum is None:
+        try:
+            o = tensor.position[origin]
+        except KeyError:
+            raise CoverageError(f"migration tensor: no row for region={origin}") from None
+        cum = tensor.cumulative_shares[o, tensor.age_position(age)]
+        if cum[-1] <= 0:
             return None
-        for i, c in enumerate(cum):
-            if u < c:
-                return dests[i]
-        return dests[-1]
+        return tensor.regions[min(bisect_right(cum, u), len(cum) - 1)]
+
+    def run_regions(self, population_regions) -> list[str]:
+        """Sorted regions a run can meet: its population's, the immigrants' and
+        the migration tensor's."""
+        found = set(population_regions)
+        if self.immigration is not None:
+            found.update(r for (_, r, _, _) in self.immigration.counts)
+        if self.migration_tensor is not None:
+            found.update(self.migration_tensor.regions)
+        return sorted(found)
 
     def validate_coverage(self, years, region_list) -> None:
-        """Raise CoverageError naming every (kind, year, region, sex) gap."""
+        """Raise CoverageError naming every (kind, year, region, sex) gap, and
+        every region without a migration tensor row when people migrate."""
         gaps: list[str] = []
         for kind, table in self.tables.items():
-            sexes = ("f",) if kind == "birth" else ("m", "f")
-            gaps.extend(table.covers(years, region_list, sexes))
+            gaps.extend(table.covers(years, region_list, KIND_SEXES[kind]))
+        if "internal_migration" in self.tables:
+            gaps.extend(f"migration tensor: no row for region={region}"
+                        for region in region_list
+                        if region not in self.migration_tensor.position)
         if gaps:
             shown = "; ".join(gaps[:8])
             more = f" (+{len(gaps) - 8} more)" if len(gaps) > 8 else ""
@@ -348,20 +357,15 @@ class World:
 
     def run(self) -> SyntheticCensus:
         """Drive macro steps and Jan-1 snapshots from start to end."""
-        horizon_years = range(self.step.start.year - 1, self.step.end.year + 1)
-        region_universe = {a.region for a in self.agents.values()}
-        if self.params.immigration is not None:
-            region_universe.update(r for (_, r, _, _) in self.params.immigration.counts)
-        if self.params.migration_tensor is not None:
-            region_universe.update(self.params.migration_tensor.regions)
-        if region_universe:
-            self.params.validate_coverage(horizon_years, sorted(region_universe))
+        regions = self.params.run_regions(a.region for a in self.agents.values())
+        self.params.validate_coverage(range(self.step.start.year - 1, self.step.end.year + 1),
+                                      regions)
         # the labels the census will meet, so that its arrays are sized once
         years = range(self.step.start.year, self.step.end.year + 1)
         immigration = self.params.immigration
         oldest = max([0, *(a.age for a in self.agents.values()),
                       *(a for (_, _, _, a) in (immigration.counts if immigration else ()))])
-        self.census.extend(years, region_universe, ("f", "m"), range(oldest + len(years)))
+        self.census.extend(years, regions, ("f", "m"), range(oldest + len(years)))
 
         queue: list[tuple[date, int]] = []
         d = date(self.step.start.year, 1, 1)

@@ -15,15 +15,15 @@ real numbers: a distribution, not a person count.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
 from .files import number, read_table, write_table
-
-SWEEP_ORDER = ("od", "emig_by_age", "imm_by_age")
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
 OD_CSV_HEADER = ("origin", "destination", "value")
@@ -58,11 +58,16 @@ class MarginalSet:
 
 
 class MigrationTensor:
-    """Non-negative (origin, destination, age) tensor with a zero diagonal."""
+    """Non-negative (origin, destination, age) tensor with a zero diagonal.
+
+    Its (origin, age) rows share out the movers of that age leaving that
+    origin; ages outside the tensor's range use the row of the nearest end.
+    """
 
     def __init__(self, regions, ages, values=None):
         self.regions = tuple(regions)
         self.ages = tuple(int(a) for a in ages)
+        self.position = {region: i for i, region in enumerate(self.regions)}
         n, m = len(self.regions), len(self.ages)
         if values is None:
             values = np.ones((n, n, m))
@@ -83,11 +88,33 @@ class MigrationTensor:
             imm_by_age=self.values.sum(axis=0),
         )
 
-    def destination_weights(self, origin: str, age: int) -> np.ndarray:
-        """Unnormalised destination weights for movers of ``age`` from ``origin``."""
-        o = self.regions.index(origin)
-        a = min(max(age, self.ages[0]), self.ages[-1])
-        return self.values[o, :, self.ages.index(a)]
+    def check_single_ages(self, source="migration tensor") -> None:
+        """Raise InputError unless the ages run 1 apart, as ``age_position`` assumes."""
+        if not self.ages:
+            raise InputError(f"{source}: no ages")
+        for expected, age in zip(itertools.count(self.ages[0]), self.ages):
+            if age != expected:
+                raise InputError(f"{source}: no age {expected}; tensor ages must run "
+                                 f"consecutively from {self.ages[0]}")
+
+    def age_position(self, age: int) -> int:
+        """Index on the age axis of the row for movers of ``age``."""
+        return min(max(age, self.ages[0]), self.ages[-1]) - self.ages[0]
+
+    def shares(self) -> np.ndarray:
+        """(origin, age, destination) share of each destination in its row."""
+        # a copy, as the shares overwrite it. Each row is contiguous, so its sum
+        # adds in the order of the row summed on its own
+        rows = self.values.transpose(0, 2, 1).copy()
+        totals = rows.sum(axis=2, keepdims=True)
+        return np.divide(rows, totals, out=rows, where=totals > 0)
+
+    @cached_property
+    def cumulative_shares(self) -> np.ndarray:
+        """``shares`` summed along each row, computed on first use: ``values``
+        must not change after that."""
+        shares = self.shares()
+        return np.cumsum(shares, axis=2, out=shares)
 
     def to_csv(self, path) -> None:
         write_table(path, TENSOR_CSV_HEADER, (

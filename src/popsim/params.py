@@ -30,6 +30,10 @@ from .files import line_of, number, read_table, write_table
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
 
+# the sexes whose life-years draw each kind: only women give birth
+KIND_SEXES = {"death": ("m", "f"), "emigration": ("m", "f"), "birth": ("f",),
+              "internal_migration": ("m", "f")}
+
 # census metric holding the per-year event counts for each probability kind
 EVENT_METRIC = {
     "death": "D",
@@ -127,7 +131,6 @@ class ParameterTable:
         self._rows: dict[tuple[int, str, str], np.ndarray] = {}
         self.level: int | None = None
         self.years: set[int] = set()
-        self.regions: set[str] = set()
         self.sexes: set[str] = set()
         self._resolved: dict[tuple[int, str, str], np.ndarray] = {}
 
@@ -150,7 +153,6 @@ class ParameterTable:
             )
         self._rows[(year, region, sex)] = arr
         self.years.add(year)
-        self.regions.add(region)
         self.sexes.add(sex)
         self._resolved.clear()
 
@@ -250,9 +252,6 @@ class ImmigrationTable:
         out.sort()
         return out
 
-    def years(self) -> set[int]:
-        return {y for (y, _, _, _) in self.counts}
-
     def to_csv(self, path) -> None:
         write_table(path, PARAM_CSV_HEADER, (
             [IMMIGRATION_KIND, *key, self.counts[key]] for key in sorted(self.counts)))
@@ -329,7 +328,7 @@ def derive_params_from_census(census, kind: str, max_age: int | None = None) -> 
     derive_years = sorted({y for y in snap_years if y + 1 in snap_years}
                           | (census.labels("year", metric) & snap_years))
     region_list = sorted(census.labels("region"))
-    sexes = ("f",) if kind == "birth" else ("m", "f")
+    sexes = KIND_SEXES[kind]
     if max_age is None:
         max_age = max(census.labels("age", "P"), default=0)
 

@@ -17,8 +17,6 @@ from .errors import InputError
 
 LEVEL_NAMES = ("country", "federal-state", "district", "municipality")
 
-COUNTRY, FEDERAL_STATE, DISTRICT, MUNICIPALITY = range(4)
-
 
 def level_of(code: str) -> int:
     if not code or code.startswith("-") or code.endswith("-") or "--" in code:
@@ -31,12 +29,6 @@ def level_of(code: str) -> int:
 
 def level_name(level: int) -> str:
     return LEVEL_NAMES[level]
-
-
-def parent(code: str) -> str:
-    if level_of(code) == COUNTRY:
-        raise InputError(f"country code {code!r} has no parent")
-    return code.rsplit("-", 1)[0]
 
 
 def region_at_level(code: str, level: int) -> str:

@@ -5,7 +5,10 @@ constant or age-profiled event probabilities, an initial population and
 yearly immigration counts. From it we generate the complete input set for a
 run (parameter tables, initial population, immigration counts, migration
 tensor) plus a reference census computed by an independent cohort-projection
-oracle, so the whole pipeline can be validated without external data.
+oracle, so the whole pipeline can be validated without external data. The
+oracle reads the same ``ModelParameters`` as the engine (each life-year's
+probability rows, the migration tensor's destination shares, the regions of
+a run and the coverage rule) and keeps only its own cohort arithmetic.
 
 The oracle tracks expected *life-year cohorts*: the mass of people having
 their age-a birthday during calendar year c. Each such person draws events
@@ -50,8 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .agents import EventKind
 from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
+from .engine import ModelParameters
 from .errors import InputError
 from .files import (number, parse_value, read_key_values, read_table, write_key_values,
                     write_table)
@@ -177,14 +182,6 @@ def format_profile(profile) -> str:
 
 # ----- input-set builders -----------------------------------------------------
 
-_PROFILE_FIELD = {
-    "death": "p_death",
-    "emigration": "p_emigration",
-    "birth": "p_birth",
-    "internal_migration": "p_internal_migration",
-}
-
-
 def build_parameter_tables(spec: ScenarioSpec) -> dict[str, ParameterTable]:
     """One table per event kind with a nonzero profile.
 
@@ -194,7 +191,7 @@ def build_parameter_tables(spec: ScenarioSpec) -> dict[str, ParameterTable]:
     years = range(spec.start_year - 1, spec.end_year + 1)
     tables = {}
     for kind in PROBABILITY_KINDS:
-        values = profile_to_array(getattr(spec, _PROFILE_FIELD[kind]), spec.max_age)
+        values = profile_to_array(getattr(spec, f"p_{kind}"), spec.max_age)
         if not np.any(values > 0):
             continue
         if kind == "internal_migration" and len(spec.regions) < 2:
@@ -243,32 +240,29 @@ def build_migration_tensor(spec: ScenarioSpec) -> MigrationTensor | None:
 
 # ----- cohort-projection oracle -------------------------------------------------
 
-def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
-                      start_year: int, years: int, *,
-                      immigration: ImmigrationTable | None = None,
-                      migration_tensor: MigrationTensor | None = None,
-                      male_fraction: float = 0.5) -> SyntheticCensus:
+def cohort_projection(params: ModelParameters, initial_cells, start_year: int, years: int,
+                      *, male_fraction: float = 0.5) -> SyntheticCensus:
     """Expected-value reference census (real-valued counts).
 
     Independent of the event-driven engine: pure ledger arithmetic over
-    life-year cohorts as derived in the module docstring. Each (metric, year,
-    region, sex) row of the census adds the cells of a cohort vector above
-    MASS_EPSILON in one masked vector add, in the order the ledger produces them.
+    life-year cohorts as derived in the module docstring. It reads the same
+    ``ModelParameters`` as the engine, under the same coverage rule: the rows
+    of each life-year, the migration tensor's destination shares and the
+    regions of the run. Each (metric, year, region, sex) row of the census
+    adds the cells of a cohort vector above MASS_EPSILON in one masked vector
+    add, in the order the ledger produces them.
     """
-    max_age = max((t.max_age for t in tables.values()), default=0)
+    max_age = max((t.max_age for t in params.tables.values()), default=0)
     max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
+    immigration = params.immigration
     if immigration is not None:
         max_age = max(max_age, max((a for (_, _, _, a) in immigration.counts), default=0))
     track = max_age + years + 2
     ages = np.arange(track + 1)
     end_year = start_year + years
 
-    region_set = {r for r, _, _, _ in initial_cells}
-    if immigration is not None:
-        region_set |= {r for (_, r, _, _) in immigration.counts}
-    if migration_tensor is not None:
-        region_set |= set(migration_tensor.regions)
-    regions = sorted(region_set)
+    regions = params.run_regions(r for r, _, _, _ in initial_cells)
+    params.validate_coverage(range(start_year - 1, end_year + 1), regions)
     sexes = ("f", "m")
     census = SyntheticCensus((range(start_year, end_year + 1), regions, sexes, range(track + 1)))
     values, present = census.values, census.present
@@ -279,35 +273,28 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         values[cell] += n
         present[cell] = True
 
+    tensor = params.migration_tensor
+    if tensor is not None:
+        # (origin, destination, tracked age) shares of moving mass
+        shares = tensor.shares()[:, [tensor.age_position(age) for age in range(track + 1)]]
+        shares = shares.transpose(0, 2, 1)
+        movable = shares.any(axis=1)
+
     rate_cache: dict[tuple[int, str, str], tuple] = {}
 
     def rates(year: int, region: str, sex: str):
+        """Death, emigration, birth and internal migration probability per age."""
         key = (year, region, sex)
         got = rate_cache.get(key)
         if got is None:
-            def vec(kind):
-                table = tables.get(kind)
-                if table is None or (kind == "birth" and sex != "f"):
-                    return np.zeros(track + 1)
-                return table.row(year, region, sex)[np.minimum(ages, table.max_age)]
-            got = (vec("death"), vec("emigration"), vec("birth"),
-                   vec("internal_migration"))
-            rate_cache[key] = got
-        return got
-
-    weight_cache: dict[str, np.ndarray] = {}
-
-    def dest_matrix(origin: str) -> np.ndarray:
-        """(destination, age) shares of moving mass; columns sum to 1 or 0."""
-        got = weight_cache.get(origin)
-        if got is None:
-            got = np.zeros((len(migration_tensor.regions), track + 1))
-            for k, age in enumerate(ages):
-                row = migration_tensor.destination_weights(origin, int(age))
-                total = row.sum()
-                if total > 0:
-                    got[:, k] = row / total
-            weight_cache[origin] = got
+            rows = dict(params.life_year_rates(year, region, sex))
+            d, e, b, m = (rows[kind][np.minimum(ages, len(rows[kind]) - 1)] if kind in rows
+                          else np.zeros(track + 1) for kind in (
+                              EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
+                              EventKind.INTERNAL_MIGRATION))
+            if EventKind.INTERNAL_MIGRATION in rows:  # like the engine: no weight, no movers
+                m = m * movable[tensor.position[region]]
+            got = rate_cache[key] = (d, e, b, m)
         return got
 
     def record_vec(metric: str, year: int, region: str, sex: str, per_age: np.ndarray):
@@ -340,8 +327,6 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         if not np.any(n0):
             continue
         d, e, b, m = rates(start_year - 1, region, sex)
-        if np.any(m > 0):
-            m = m * (dest_matrix(region).sum(axis=0) > 0)
         de = d * e
         death_rec = n0 * (d / 2 - de / 6)
         emig_rec = n0 * (e / 2 - de / 6)
@@ -356,10 +341,10 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         movers = n0 * m * (0.5 - (d + e) / 3 + de / 4)
         if np.any(move_rec > MASS_EPSILON):
             record_vec("IM_OUT", start_year, region, sex, move_rec)
-            shares = dest_matrix(region)
-            for j, dest in enumerate(migration_tensor.regions):
-                record_vec("IM_IN", start_year, dest, sex, move_rec * shares[j])
-                ledger[(dest, sex)][1:] += (movers * shares[j])[:-1]
+            out = shares[tensor.position[region]]
+            for j, dest in enumerate(tensor.regions):
+                record_vec("IM_IN", start_year, dest, sex, move_rec * out[j])
+                ledger[(dest, sex)][1:] += (movers * out[j])[:-1]
             survivors = survivors - movers
         ledger[(region, sex)][1:] += survivors[:-1]
 
@@ -373,8 +358,6 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                 record("I", year, region, sex, age, count)
                 d_v, e_v, b_v, m_v = rates(year, region, sex)
                 d, e, b, m = (float(v[age]) for v in (d_v, e_v, b_v, m_v))
-                if m > 0 and float(dest_matrix(region)[:, age].sum()) <= 0:
-                    m = 0.0  # nobody to move to: the engine skips the event
                 z = d + e
                 for metric, p in (("D", d), ("E", e), ("B", b), ("IM_OUT", m)):
                     if p <= 0:
@@ -390,9 +373,9 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                 half_b_next = count * (0.5 - z / 3)
                 moved = count * m / 6  # per segment: pre-birthday, pre-Jan-1, after
                 if m > 0:
-                    shares = dest_matrix(region)[:, age]
-                    for j, dest in enumerate(migration_tensor.regions):
-                        frac = float(shares[j])
+                    out = shares[tensor.position[region], :, age]
+                    for j, dest in enumerate(tensor.regions):
+                        frac = float(out[j])
                         if frac <= 0:
                             continue
                         record("IM_IN", year, dest, sex, age, count * m / 3 * frac)
@@ -411,8 +394,6 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
         def process_cohort(region, sex, vec):
             """One year's life-year cohorts of (region, sex): exact formulas."""
             d, e, b, m = rates(year, region, sex)
-            if np.any(m > 0):
-                m = m * (dest_matrix(region).sum(axis=0) > 0)
             de = d * e
             death0 = vec * (d * (1 - e) / 2 + de / 3)
             death1 = vec * (d * (1 - e) / 2 + de / 6)
@@ -442,9 +423,9 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
                 record_vec("IM_OUT", year, region, sex, move0)
                 if year + 1 < end_year:
                     record_vec("IM_OUT", year + 1, region, sex, move1)
-                shares = dest_matrix(region)
-                for j, dest in enumerate(migration_tensor.regions):
-                    share = shares[j]
+                out = shares[tensor.position[region]]
+                for j, dest in enumerate(tensor.regions):
+                    share = out[j]
                     record_vec("IM_IN", year, dest, sex, move0 * share)
                     if year + 1 < end_year:
                         record_vec("IM_IN", year + 1, dest, sex, move1 * share)
@@ -474,13 +455,16 @@ def cohort_projection(tables: dict[str, ParameterTable], initial_cells,
     return census
 
 
+def build_model_parameters(spec: ScenarioSpec) -> ModelParameters:
+    """The parameter tables, immigration counts and migration tensor of ``spec``."""
+    return ModelParameters(build_parameter_tables(spec),
+                           immigration=build_immigration_table(spec),
+                           migration_tensor=build_migration_tensor(spec))
+
+
 def reference_census_for(spec: ScenarioSpec) -> SyntheticCensus:
-    return cohort_projection(
-        build_parameter_tables(spec), build_initial_population(spec),
-        spec.start_year, spec.years,
-        immigration=build_immigration_table(spec),
-        migration_tensor=build_migration_tensor(spec),
-        male_fraction=spec.male_fraction)
+    return cohort_projection(build_model_parameters(spec), build_initial_population(spec),
+                             spec.start_year, spec.years, male_fraction=spec.male_fraction)
 
 
 def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str, Path]:
@@ -494,39 +478,26 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
-    tables = build_parameter_tables(spec)
-    for kind, table in tables.items():
-        path = out / f"params_{kind}.csv"
-        table.to_csv(path)
-        paths[kind] = path
+    params = build_model_parameters(spec)
+    for role, name, source in (
+            *((kind, f"params_{kind}.csv", table) for kind, table in params.tables.items()),
+            ("immigration", "immigration.csv", params.immigration),
+            ("migration_tensor", "migration_tensor.csv", params.migration_tensor)):
+        if source is not None:
+            paths[role] = out / name
+            source.to_csv(paths[role])
 
     initial = build_initial_population(spec)
-    initial_path = out / "initial_population.csv"
-    write_population_csv(initial, initial_path)
-    paths["initial_population"] = initial_path
+    paths["initial_population"] = out / "initial_population.csv"
+    write_population_csv(initial, paths["initial_population"])
 
-    immigration = build_immigration_table(spec)
-    if immigration is not None:
-        path = out / "immigration.csv"
-        immigration.to_csv(path)
-        paths["immigration"] = path
+    reference = cohort_projection(params, initial, spec.start_year, spec.years,
+                                  male_fraction=spec.male_fraction)
+    paths["reference_census"] = out / "reference_census.csv"
+    reference.to_csv(paths["reference_census"])
 
-    tensor = build_migration_tensor(spec)
-    if tensor is not None:
-        path = out / "migration_tensor.csv"
-        tensor.to_csv(path)
-        paths["migration_tensor"] = path
-
-    reference = cohort_projection(
-        tables, initial, spec.start_year, spec.years, immigration=immigration,
-        migration_tensor=tensor, male_fraction=spec.male_fraction)
-    reference_path = out / "reference_census.csv"
-    reference.to_csv(reference_path)
-    paths["reference_census"] = reference_path
-
-    spec_path = out / "scenario.conf"
-    spec.to_file(spec_path)
-    paths["scenario"] = spec_path
+    paths["scenario"] = out / "scenario.conf"
+    spec.to_file(paths["scenario"])
 
     names = {role: path.name for role, path in paths.items()}
     config = RunConfig(
@@ -535,7 +506,7 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
         seed=seed,
         runs=spec.ensemble_runs,
         male_fraction=spec.male_fraction,
-        internal_migration="full-regional" if tensor is not None else "none",
+        internal_migration="full-regional" if params.migration_tensor is not None else "none",
         params_death=names.get("death"),
         params_emigration=names.get("emigration"),
         params_birth=names.get("birth"),

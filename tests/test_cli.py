@@ -114,6 +114,39 @@ def test_simulate_missing_parameter_year_names_gap(tmp_path, capsys):
     assert "2023" in captured.err and "death" in captured.err
 
 
+def _generate_and_edit_tensor(tmp_path, keep_row, **spec):
+    """A generated input set whose tensor file keeps only the rows ``keep_row``
+    accepts, as (origin, destination, age) strings."""
+    spec_path = write_small_spec(tmp_path / "scenario.conf", ensemble_runs=1, **spec)
+    out = tmp_path / "scen"
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec_path), "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    tensor_csv = out / "migration_tensor.csv"
+    header, *rows = tensor_csv.read_text().splitlines()
+    tensor_csv.write_text("\n".join([header] + [r for r in rows
+                                                if keep_row(*r.split(",")[:3])]) + "\n")
+    return out / "run.conf"
+
+
+def test_simulate_rejects_tensor_with_age_gap(tmp_path, capsys):
+    config = _generate_and_edit_tensor(tmp_path, lambda origin, dest, age: age != "37")
+    code = main(["--quiet", "simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "migration_tensor.csv: no age 37" in err
+
+
+def test_simulate_rejects_region_without_tensor_row(tmp_path, capsys):
+    config = _generate_and_edit_tensor(tmp_path, lambda origin, dest, age: "AT-3" not in
+                                       (origin, dest), regions=["AT-1", "AT-2", "AT-3"])
+    code = main(["--quiet", "simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "migration tensor: no row for region=AT-3" in err
+
+
 def test_validate_requires_runs(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code = main(["--quiet", "validate", "--runs-dir", str(tmp_path / "empty"),

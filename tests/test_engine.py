@@ -4,16 +4,19 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsim import engine
 from popsim.agents import EventKind
 from popsim.dates import anniversary_in_year
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import CoverageError, InputError
+from popsim.ipf import MigrationTensor
 from popsim.params import ImmigrationTable, ParameterTable
 from popsim.rng import agent_stream
 from popsim.scenario import (ScenarioSpec, build_initial_population,
-                             build_parameter_tables)
+                             build_parameter_tables, cohort_projection)
 
 from conftest import constant_parameters, seed_sequence_stream
 
@@ -404,6 +407,17 @@ def test_coverage_gap_detected_upfront():
         run_simulation(year_step(), params, [("AT-1", "m", 30, 1)], seed=1)
 
 
+@pytest.mark.parametrize("p_move", [0.0, 1.0])
+def test_region_without_tensor_row_is_a_coverage_gap(p_move):
+    # with nobody moving the upfront check finds the gap, else the first mover does
+    tables = constant_parameters(regions=("AT-1", "AT-2", "AT-3"),
+                                 internal_migration=p_move).tables
+    params = ModelParameters(tables, migration_tensor=MigrationTensor(("AT-1", "AT-2"),
+                                                                      range(101)))
+    with pytest.raises(CoverageError, match="migration tensor: no row for region=AT-3"):
+        run_simulation(year_step(), params, [("AT-3", "m", 30, 1)], seed=1)
+
+
 def test_agent_count_identity_at_boundaries():
     params = constant_parameters(death=0.02, emigration=0.01)
     params.tables["birth"] = _birth_table(0.2)
@@ -474,3 +488,75 @@ def test_step_units_align_to_calendar():
         MacroStepConfig(START, START)
     with pytest.raises(InputError):
         MacroStepConfig(START, END, "week", 1)
+
+
+# ----- the destination rule the engine and the oracle share ------------------------
+
+def scanned_destination(weights, u):
+    """Index of the first destination whose cumulative share exceeds ``u`` (the
+    last one if none does), None for a row without weight: the rule written out."""
+    total = float(weights.sum())
+    if total <= 0:
+        return None
+    for i, c in enumerate((weights / total).cumsum()):
+        if u < c:
+            return i
+    return len(weights) - 1
+
+
+@st.composite
+def migration_tensors(draw):
+    """Non-integer weights spanning orders of magnitude over 8 to 12 regions and
+    ages that need not start at 0, with empty cells and empty (origin, age) rows."""
+    n = draw(st.integers(8, 12))
+    first, span = draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    empty = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    values = rng.random((n, n, span)) * 10.0 ** rng.integers(-3, 7, size=(n, n, span))
+    values[rng.random((n, n, span)) < empty] = 0.0
+    values.transpose(0, 2, 1)[rng.random((n, span)) < empty / 2] = 0.0
+    return MigrationTensor([f"AT-{i}" for i in range(1, n + 1)],
+                           range(first, first + span), values)
+
+
+@given(tensor=migration_tensors(), u=st.floats(0, 1, exclude_max=True),
+       age_shift=st.integers(-50, 50))
+@settings(max_examples=60, deadline=None)
+def test_sample_destination_is_the_first_cumulative_share_above_u(tensor, u, age_shift):
+    params = ModelParameters(migration_tensor=tensor)
+    first, last = tensor.ages[0], tensor.ages[-1]
+    for age in {0, first, last, first + age_shift, last + 7, 150}:
+        row = tensor.values[:, :, min(max(age, first), last) - first]
+        for o, origin in enumerate(tensor.regions):
+            weights = row[o]
+            cum = (weights / float(weights.sum() or 1.0)).cumsum()
+            # ties with a cumulative value, the last one and just above it
+            for x in (u, *cum[::3], cum[-1], np.nextafter(cum[-1], 2.0)):
+                got = params.sample_destination(origin, age, x)
+                want = scanned_destination(weights, x)
+                assert got == (None if want is None else tensor.regions[want]), (origin, age, x)
+
+
+@given(tensor=migration_tensors(), age_shift=st.integers(-50, 50))
+@settings(max_examples=30, deadline=None)
+def test_oracle_moves_mass_by_the_destination_shares(tensor, age_shift):
+    # no deaths or emigration: a start-year cohort of 1000 moves 1000 * q / 2
+    # people, split exactly by the shares of its (origin, clamped age) row
+    q, count, age = 0.4, 1000, max(0, tensor.ages[0] + age_shift)
+    table = ParameterTable("internal_migration", 100)
+    table.set_constant(range(2019, 2022), tensor.regions, ("all",), np.full(101, q))
+    params = ModelParameters({"internal_migration": table}, migration_tensor=tensor)
+    initial = [(region, "f", age, count) for region in tensor.regions]
+    oracle = cohort_projection(params, initial, 2020, 1)
+    row = tensor.values[:, :, tensor.age_position(age)]
+    for o, origin in enumerate(tensor.regions):
+        weights = row[o]
+        total = float(weights.sum())
+        shares = weights / total if total > 0 else np.zeros_like(weights)
+        assert np.array_equal(tensor.shares()[o, tensor.age_position(age)], shares)
+        moving = count * q * 0.5 if total > 0 else 0.0
+        assert oracle.get("IM_OUT", 2020, origin, "f", age) == moving
+    for d, dest in enumerate(tensor.regions):
+        arrived = sum(count * q * 0.5 * float(row[o, d]) / float(row[o].sum())
+                      for o in range(len(tensor.regions)) if row[o].sum() > 0)
+        assert oracle.get("IM_IN", 2020, dest, "f", age) == pytest.approx(arrived, rel=1e-12)

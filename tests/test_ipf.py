@@ -112,12 +112,32 @@ def test_tensor_and_marginals_csv_round_trip(tmp_path):
     assert np.allclose(loaded_marginals.imm_by_age, marginals.imm_by_age)
 
 
-def test_destination_weights_clamp_age():
+def test_destination_shares_clamp_age():
     truth, _ = random_feasible_instance(np.random.default_rng(10))
-    w_hi = truth.destination_weights("AT-1", 99)
-    w_top = truth.destination_weights("AT-1", AGES[-1])
-    assert np.allclose(w_hi, w_top)
-    assert w_hi[0] == 0.0  # own region excluded
+    assert truth.age_position(99) == truth.age_position(AGES[-1]) == len(AGES) - 1
+    assert truth.age_position(-3) == truth.age_position(AGES[0]) == 0
+    top = truth.shares()[truth.position["AT-1"], truth.age_position(99)]
+    assert top[0] == 0.0  # own region excluded
+    assert top.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("ages", [(7,), AGES])
+def test_shares_leave_the_weights_unchanged(ages):
+    # with one age the (origin, age, destination) transpose is itself contiguous
+    values = np.random.default_rng(11).random((len(REGIONS), len(REGIONS), len(ages)))
+    tensor = MigrationTensor(REGIONS, ages, values)
+    before = tensor.values.copy()
+    shares, cumulative = tensor.shares(), tensor.cumulative_shares
+    assert np.array_equal(tensor.values, before)
+    assert np.array_equal(cumulative, shares.cumsum(axis=2))
+
+
+def test_single_ages_check_names_missing_age():
+    MigrationTensor(REGIONS, range(3, 8)).check_single_ages()
+    with pytest.raises(InputError, match=r"t\.csv: no age 5;"):
+        MigrationTensor(REGIONS, (3, 4, 6, 7)).check_single_ages("t.csv")
+    with pytest.raises(InputError, match="no ages"):
+        MigrationTensor(REGIONS, ()).check_single_ages()
 
 
 def _write_tensor(path, *rows):
