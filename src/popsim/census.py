@@ -44,28 +44,22 @@ _AXIS_KEYS = (None, None, None, _age_key)
 class AgeClassScheme:
     """Ordered, contiguous age intervals; the last one is open-ended."""
 
-    def __init__(self, lower_bounds: Iterable[int], _identity: bool = False):
+    def __init__(self, lower_bounds: Iterable[int]):
         bounds = sorted(set(int(b) for b in lower_bounds))
         if not bounds or bounds[0] != 0:
             raise InputError("age class scheme must start at age 0")
         self.lower_bounds = bounds
-        self._identity = _identity
         self.labels: list = []
         for i, lo in enumerate(bounds):
             if i + 1 < len(bounds):
                 hi = bounds[i + 1] - 1
                 self.labels.append(lo if hi == lo else f"{lo}-{hi}")
             else:
-                self.labels.append(lo if _identity else f"{lo}+")
+                self.labels.append(f"{lo}+")
 
     @classmethod
     def twenty_year(cls) -> "AgeClassScheme":
         return cls([0, 20, 40, 60, 80])
-
-    @classmethod
-    def single_age(cls, max_age: int) -> "AgeClassScheme":
-        """Width-1 classes labelled by the age itself (aggregation is an identity)."""
-        return cls(range(max_age + 1), _identity=True)
 
     def label_for(self, age: int):
         try:
@@ -145,9 +139,6 @@ class SyntheticCensus:
         """((year, region, sex, age), count) of each present cell, in row order."""
         return (((y, r, s, a), n) for y, r, s, a, n in self._cells(metric, self.axes))
 
-    def keys(self, metric: str):
-        return (cell for cell, _ in self.items(metric))
-
     def labels(self, axis: str, metric: str | None = None) -> set:
         """Labels of ``axis`` (one of AXES) holding a present cell of ``metric``,
         or of any metric."""
@@ -199,11 +190,6 @@ class SyntheticCensus:
               slice(None), np.array([out.index[3][a] for a in to_age], dtype=np.intp))
         np.add.at(out.values, at, np.moveaxis(self.values, (2, 4), (0, 1)))
         np.logical_or.at(out.present, at, np.moveaxis(self.present, (2, 4), (0, 1)))
-        return out
-
-    def scaled(self, factor: float) -> "SyntheticCensus":
-        out = SyntheticCensus(self.axes)
-        out.values, out.present = self.values * factor, self.present.copy()
         return out
 
     def add(self, *others: "SyntheticCensus") -> "SyntheticCensus":

@@ -78,7 +78,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_derive_params(args) -> int:
     census = SyntheticCensus.from_csv(args.census)
-    table = derive_params_from_census(census, args.kind, max_age=args.max_age)
+    try:
+        table = derive_params_from_census(census, args.kind, max_age=args.max_age)
+    except InputError as exc:
+        raise InputError(f"{args.census}: {exc}") from None
     table.to_csv(args.out)
     print(f"wrote {args.kind} parameters to {args.out}")
     return 0

@@ -193,6 +193,7 @@ class World:
         self._immigrant_cursor = 0
         self._plans_through: int | None = None
         self._window_cache: dict[tuple[date, int], tuple] = {}
+        self._covered: set[str] = set()
         self._executor: ThreadPoolExecutor | None = None
 
     # ----- construction ---------------------------------------------------
@@ -200,17 +201,29 @@ class World:
     def add_initial_population(self, cells) -> None:
         """Create agents from (region, sex, age, count) cells at the start date.
 
-        Birthdates are sampled uniformly over each age's valid window.
+        Birthdates are sampled uniformly over each age's valid window, once the
+        parameters are known to cover the run.
         """
         if self.date != self.step.start:
             raise InputError("initial population must precede the first step")
-        for region, sex, age, count in sorted(cells):
+        cells = sorted(cells)
+        self._check_coverage(self.params.run_regions(
+            [a.region for a in self.agents.values()] + [c[0] for c in cells if c[3] > 0]))
+        for region, sex, age, count in cells:
             if count < 0:
                 raise InputError(f"negative population count for ({region},{sex},{age})")
             for _ in range(count):
                 birthdate = self.sample_birthdate(self.step.start, age)
                 self._create_agent(birthdate, sex, region, self.step.start)
                 self.counters["initial"] += 1
+
+    def _check_coverage(self, regions: list[str]) -> None:
+        """Raise CoverageError naming every gap of the horizon's parameters for
+        ``regions``, unless they were all checked before."""
+        if not self._covered.issuperset(regions):
+            self.params.validate_coverage(
+                range(self.step.start.year - 1, self.step.end.year + 1), regions)
+            self._covered.update(regions)
 
     def sample_birthdate(self, ref: date, age: int) -> date:
         key = (ref, age)
@@ -358,8 +371,7 @@ class World:
     def run(self) -> SyntheticCensus:
         """Drive macro steps and Jan-1 snapshots from start to end."""
         regions = self.params.run_regions(a.region for a in self.agents.values())
-        self.params.validate_coverage(range(self.step.start.year - 1, self.step.end.year + 1),
-                                      regions)
+        self._check_coverage(regions)
         # the labels the census will meet, so that its arrays are sized once
         years = range(self.step.start.year, self.step.end.year + 1)
         immigration = self.params.immigration

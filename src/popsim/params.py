@@ -130,7 +130,6 @@ class ParameterTable:
         self.max_age = int(max_age)
         self._rows: dict[tuple[int, str, str], np.ndarray] = {}
         self.level: int | None = None
-        self.years: set[int] = set()
         self.sexes: set[str] = set()
         self._resolved: dict[tuple[int, str, str], np.ndarray] = {}
 
@@ -152,7 +151,6 @@ class ParameterTable:
                 f"{regions.level_name(self.level)}"
             )
         self._rows[(year, region, sex)] = arr
-        self.years.add(year)
         self.sexes.add(sex)
         self._resolved.clear()
 
@@ -344,10 +342,13 @@ def derive_params_from_census(census, kind: str, max_age: int | None = None) -> 
         bad = np.argwhere(np.where(empty, x > 0, (x < 0) | (x >= 2 * pop_avg)))
         if len(bad):
             r, s, age = bad[0].tolist()
+            cell = f"{metric}({year},{region_list[r]},{sexes[s]},{age})"
             if empty[r, s, age]:
-                raise InputError(f"empty cell: {metric}({year},{region_list[r]},{sexes[s]},{age})"
-                                 f"={float(x[r, s, age])} with no population")
-            farr_probability(float(x[r, s, age]), float(pop_avg[r, s, age]))
+                raise InputError(f"empty cell: {cell}={float(x[r, s, age])} with no population")
+            try:
+                farr_probability(float(x[r, s, age]), float(pop_avg[r, s, age]))
+            except InputError as exc:
+                raise InputError(f"cell {cell}: {exc}") from None
         values = np.divide(x, pop_avg + x / 2.0, out=np.zeros(x.shape), where=~empty)
         for (r, region), (s, sex) in itertools.product(enumerate(region_list), enumerate(sexes)):
             table.set_row(year, region, sex, values[r, s])

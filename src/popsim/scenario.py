@@ -44,10 +44,18 @@ synthetic scenarios use.
 
 The bookkeeping is Farr-consistent: deriving probabilities from the oracle
 census via Farr's formula recovers the generating probabilities.
+
+The ledger is arrays laid out like a census year, ``values[metric, year]``:
+a year's life-year cohorts are one [region, sex, age] array and its newborns
+one [region, sex] pool. Movers are spread over their destinations one origin
+at a time, in region order, with the mass that stays added at its origin, so
+a census cell adds its terms in origin order. A (region, sex) row with no
+cell above MASS_EPSILON is dropped, and no mass at or below it is recorded.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -240,6 +248,12 @@ def build_migration_tensor(spec: ScenarioSpec) -> MigrationTensor | None:
 
 # ----- cohort-projection oracle -------------------------------------------------
 
+SEXES = ("f", "m")
+# the kinds along the first axis of the oracle's rate arrays
+RATE_KINDS = (EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
+              EventKind.INTERNAL_MIGRATION)
+
+
 def cohort_projection(params: ModelParameters, initial_cells, start_year: int, years: int,
                       *, male_fraction: float = 0.5) -> SyntheticCensus:
     """Expected-value reference census (real-valued counts).
@@ -248,9 +262,9 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
     life-year cohorts as derived in the module docstring. It reads the same
     ``ModelParameters`` as the engine, under the same coverage rule: the rows
     of each life-year, the migration tensor's destination shares and the
-    regions of the run. Each (metric, year, region, sex) row of the census
-    adds the cells of a cohort vector above MASS_EPSILON in one masked vector
-    add, in the order the ledger produces them.
+    regions of the run. Cohorts are [region, sex, age] blocks laid out like a
+    census year; each census cell adds the terms above MASS_EPSILON that
+    reach it, in the order the ledger produces them.
     """
     max_age = max((t.max_age for t in params.tables.values()), default=0)
     max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
@@ -263,194 +277,169 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
 
     regions = params.run_regions(r for r, _, _, _ in initial_cells)
     params.validate_coverage(range(start_year - 1, end_year + 1), regions)
-    sexes = ("f", "m")
-    census = SyntheticCensus((range(start_year, end_year + 1), regions, sexes, range(track + 1)))
+    census = SyntheticCensus((range(start_year, end_year + 1), regions, SEXES, range(track + 1)))
     values, present = census.values, census.present
     _, at_region, at_sex, _ = census.index
+    shape = (len(regions), len(SEXES), track + 1)
 
-    def record(metric: str, year: int, region: str, sex: str, age: int, n: float):
-        cell = (METRIC_INDEX[metric], year - start_year, at_region[region], at_sex[sex], age)
+    def record(metric: str, year: int, block: np.ndarray):
+        """Add the cells of ``block`` above MASS_EPSILON to ``metric`` in ``year``."""
+        at = (METRIC_INDEX[metric], year - start_year)
+        mask = block > MASS_EPSILON
+        values[at] += np.where(mask, block, 0.0)
+        present[at] |= mask
+
+    def record_cell(metric: str, year: int, r: int, s: int, age: int, n: float):
+        """Add ``n`` to one cell, which becomes present even when ``n`` is 0."""
+        cell = (METRIC_INDEX[metric], year - start_year, r, s, age)
         values[cell] += n
         present[cell] = True
 
-    tensor = params.migration_tensor
-    if tensor is not None:
-        # (origin, destination, tracked age) shares of moving mass
-        shares = tensor.shares()[:, [tensor.age_position(age) for age in range(track + 1)]]
+    shares = None
+    if "internal_migration" in params.tables:
+        # [origin, destination, tracked age] shares of moving mass over the run's
+        # regions; the tensor keeps its caller's region order
+        tensor = params.migration_tensor
+        order = [tensor.position[region] for region in regions]
+        shares = tensor.shares()[np.ix_(order, [tensor.age_position(a) for a in ages], order)]
         shares = shares.transpose(0, 2, 1)
-        movable = shares.any(axis=1)
 
-    rate_cache: dict[tuple[int, str, str], tuple] = {}
+    def year_rates(year: int) -> np.ndarray:
+        """[kind, region, sex, age] probabilities of the life-years starting in
+        ``year``, kinds in RATE_KINDS order."""
+        rates = np.zeros((len(RATE_KINDS), *shape))
+        for (r, region), (s, sex) in itertools.product(enumerate(regions), enumerate(SEXES)):
+            for kind, row in params.life_year_rates(year, region, sex):
+                rates[RATE_KINDS.index(kind), r, s] = row[np.minimum(ages, len(row) - 1)]
+        if shares is not None:  # internal migration, like the engine: no weight, no movers
+            rates[-1] *= shares.any(axis=1)[:, None, :]
+        return rates
 
-    def rates(year: int, region: str, sex: str):
-        """Death, emigration, birth and internal migration probability per age."""
-        key = (year, region, sex)
-        got = rate_cache.get(key)
-        if got is None:
-            rows = dict(params.life_year_rates(year, region, sex))
-            d, e, b, m = (rows[kind][np.minimum(ages, len(rows[kind]) - 1)] if kind in rows
-                          else np.zeros(track + 1) for kind in (
-                              EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
-                              EventKind.INTERNAL_MIGRATION))
-            if EventKind.INTERNAL_MIGRATION in rows:  # like the engine: no weight, no movers
-                m = m * movable[tensor.position[region]]
-            got = rate_cache[key] = (d, e, b, m)
-        return got
-
-    def record_vec(metric: str, year: int, region: str, sex: str, per_age: np.ndarray):
-        row = (METRIC_INDEX[metric], year - start_year, at_region[region], at_sex[sex])
-        mask = per_age > MASS_EPSILON
-        values[row] += np.where(mask, per_age, 0.0)
-        present[row] |= mask
-
-    # ledger[(region, sex)][a]: expected mass entering its age-a life-year
-    # during the year currently being processed
-    ledger = {(r, s): np.zeros(track + 1) for r in regions for s in sexes}
-    newborn_pool: dict[int, dict[tuple[str, str], float]] = {}
-
-    def add_newborns(year: int, region: str, mass: float):
-        if mass <= MASS_EPSILON or year >= end_year:
+    def spread(moving: np.ndarray, own: np.ndarray | None = None):
+        """The [region, sex, age] blocks that share ``moving`` out over its
+        destinations, one per origin in region order, each holding ``own`` (the
+        mass that stays) at its origin: a destination cell adds its terms in
+        origin order. Without internal migration ``own`` is the only block."""
+        if shares is None:
+            if own is not None:
+                yield own
             return
-        pool = newborn_pool.setdefault(year, {})
-        for sex, frac in (("f", 1.0 - male_fraction), ("m", male_fraction)):
-            if frac > 0:
-                key = (region, sex)
-                pool[key] = pool.get(key, 0.0) + mass * frac
+        for o in range(len(regions)):
+            block = moving[o] * shares[o][:, None, :]
+            if own is not None:
+                block[o] = own[o]
+            yield block
+
+    split = np.array([1.0 - male_fraction, male_fraction])
+
+    def bear(pool: np.ndarray, births: np.ndarray):
+        """Add the newborns of a block of births to ``pool``, a [region, sex]
+        array; a (region, sex) row bearing no more than MASS_EPSILON adds none."""
+        mass = births.sum(axis=-1)
+        pool += np.where(mass > MASS_EPSILON, mass, 0.0).sum(axis=1)[:, None] * split
+
+    # cohort[r, s, a]: expected mass entering its age-a life-year during the year
+    # being processed; pool[r, s]: the newborns of that year, next_pool the next's
+    cohort, pool, next_pool = np.zeros(shape), np.zeros(shape[:2]), np.zeros(shape[:2])
 
     # --- initial population: alive on Jan 1 of start_year --------------------
-    initial = {(r, s): np.zeros(track + 1) for r in regions for s in sexes}
+    n0 = np.zeros(shape)
     for region, sex, age, count in initial_cells:
-        initial[(region, sex)][age] += count
-        record("P", start_year, region, sex, int(age), count)
+        n0[at_region[region], at_sex[sex], age] += count
+        present[METRIC_INDEX["P"], 0, at_region[region], at_sex[sex], age] = True
+    values[METRIC_INDEX["P"], 0] += n0
 
-    for (region, sex), n0 in initial.items():
-        if not np.any(n0):
-            continue
-        d, e, b, m = rates(start_year - 1, region, sex)
-        de = d * e
-        death_rec = n0 * (d / 2 - de / 6)
-        emig_rec = n0 * (e / 2 - de / 6)
-        occ_init = 0.5 - (d + e) / 6 + de / 12
-        birth_rec = n0 * b * occ_init
-        move_rec = n0 * m * occ_init
-        record_vec("D", start_year, region, sex, death_rec)
-        record_vec("E", start_year, region, sex, emig_rec)
-        record_vec("B", start_year, region, sex, birth_rec)
-        add_newborns(start_year, region, float(birth_rec.sum()))
-        survivors = n0 - death_rec - emig_rec
-        movers = n0 * m * (0.5 - (d + e) / 3 + de / 4)
-        if np.any(move_rec > MASS_EPSILON):
-            record_vec("IM_OUT", start_year, region, sex, move_rec)
-            out = shares[tensor.position[region]]
-            for j, dest in enumerate(tensor.regions):
-                record_vec("IM_IN", start_year, dest, sex, move_rec * out[j])
-                ledger[(dest, sex)][1:] += (movers * out[j])[:-1]
-            survivors = survivors - movers
-        ledger[(region, sex)][1:] += survivors[:-1]
+    d, e, b, m = year_rates(start_year - 1)
+    de = d * e
+    death = n0 * (d / 2 - de / 6)
+    emigration = n0 * (e / 2 - de / 6)
+    occ_init = 0.5 - (d + e) / 6 + de / 12
+    births = n0 * b * occ_init
+    moving = n0 * m * occ_init
+    for metric, block in (("D", death), ("E", emigration), ("B", births), ("IM_OUT", moving)):
+        record(metric, start_year, block)
+    bear(pool, births)
+    for block in spread(moving):
+        record("IM_IN", start_year, block)
+    # a (region, sex) whose moves all stay below MASS_EPSILON keeps its movers
+    movers = np.where((moving > MASS_EPSILON).any(axis=-1, keepdims=True),
+                      n0 * m * (0.5 - (d + e) / 3 + de / 4), 0.0)
+    for block in spread(movers, n0 - death - emigration - movers):
+        cohort[..., 1:] += block[..., :-1]
 
     # --- year loop ------------------------------------------------------------
     for year in range(start_year, end_year):
-        next_ledger = {key: np.zeros(track + 1) for key in ledger}
+        rates = year_rates(year)
+        next_cohort = np.zeros(shape)
 
-        # immigrants of this year (first-order bookkeeping)
-        if immigration is not None:
-            for region, sex, age, count in immigration.cells_for_year(year):
-                record("I", year, region, sex, age, count)
-                d_v, e_v, b_v, m_v = rates(year, region, sex)
-                d, e, b, m = (float(v[age]) for v in (d_v, e_v, b_v, m_v))
-                z = d + e
+        # immigrants of this year (first-order bookkeeping): their events split
+        # 1/3 : 1/6 between this year and the next
+        parts = ((year, 3), (year + 1, 6)) if year + 1 < end_year else ((year, 3),)
+        for region, sex, age, count in (immigration.cells_for_year(year)
+                                        if immigration is not None else ()):
+            r, s = at_region[region], at_sex[sex]
+            record_cell("I", year, r, s, age, count)
+            d, e, b, m = rates[:, r, s, age].tolist()
+            for y, part in parts:
                 for metric, p in (("D", d), ("E", e), ("B", b), ("IM_OUT", m)):
-                    if p <= 0:
-                        continue
-                    record(metric, year, region, sex, age, count * p / 3)
-                    if year + 1 < end_year:
-                        record(metric, year + 1, region, sex, age, count * p / 6)
-                if b > 0:
-                    add_newborns(year, region, count * b / 3)
-                    add_newborns(year + 1, region, count * b / 6)
-                half_a = count * (0.5 - z / 6)      # first birthday this year
-                half_b_alive = count * (0.5 - z / 6)  # alive Jan 1, birthday next year
-                half_b_next = count * (0.5 - z / 3)
-                moved = count * m / 6  # per segment: pre-birthday, pre-Jan-1, after
-                if m > 0:
-                    out = shares[tensor.position[region], :, age]
-                    for j, dest in enumerate(tensor.regions):
-                        frac = float(out[j])
-                        if frac <= 0:
-                            continue
-                        record("IM_IN", year, dest, sex, age, count * m / 3 * frac)
-                        if year + 1 < end_year:
-                            record("IM_IN", year + 1, dest, sex, age, count * m / 6 * frac)
-                        ledger[(dest, sex)][age + 1] += moved * frac
-                        record("P", year + 1, dest, sex, age, moved * frac)
-                        next_ledger[(dest, sex)][age + 1] += moved * frac
-                    half_a -= moved
-                    half_b_alive -= moved
-                    half_b_next -= moved
-                ledger[(region, sex)][age + 1] += half_a
-                record("P", year + 1, region, sex, age, half_b_alive)
-                next_ledger[(region, sex)][age + 1] += half_b_next
+                    if p > 0:
+                        record_cell(metric, y, r, s, age, count * p / part)
+            for target, mass in ((pool, count * b / 3), (next_pool, count * b / 6)):
+                if mass > MASS_EPSILON:
+                    target[r] += mass * split
+            moved = count * m / 6  # per segment: pre-birthday, pre-Jan-1, after
+            if m > 0:
+                for dest in np.flatnonzero(shares[r, :, age]).tolist():
+                    frac = float(shares[r, dest, age])
+                    for y, part in parts:
+                        record_cell("IM_IN", y, dest, s, age, count * m / part * frac)
+                    cohort[dest, s, age + 1] += moved * frac
+                    record_cell("P", year + 1, dest, s, age, moved * frac)
+                    next_cohort[dest, s, age + 1] += moved * frac
+            # half has its first birthday this year; half is alive on Jan 1 and has it next
+            half = count * (0.5 - (d + e) / 6) - moved
+            cohort[r, s, age + 1] += half
+            record_cell("P", year + 1, r, s, age, half)
+            next_cohort[r, s, age + 1] += count * (0.5 - (d + e) / 3) - moved
 
-        def process_cohort(region, sex, vec):
-            """One year's life-year cohorts of (region, sex): exact formulas."""
-            d, e, b, m = rates(year, region, sex)
-            de = d * e
-            death0 = vec * (d * (1 - e) / 2 + de / 3)
-            death1 = vec * (d * (1 - e) / 2 + de / 6)
-            emig0 = vec * (e * (1 - d) / 2 + de / 3)
-            emig1 = vec * (e * (1 - d) / 2 + de / 6)
-            occ = (1 - d) * (1 - e) + (d * (1 - e) + e * (1 - d)) / 2 + de / 3
-            occ0 = (1 - d) * (1 - e) / 2 + (d * (1 - e) + e * (1 - d)) / 3 + de / 4
-            record_vec("D", year, region, sex, death0)
-            record_vec("E", year, region, sex, emig0)
-            if year + 1 < end_year:
-                record_vec("D", year + 1, region, sex, death1)
-                record_vec("E", year + 1, region, sex, emig1)
-            if np.any(b > 0):
-                birth0 = vec * b * occ0
-                birth1 = vec * b * (occ - occ0)
-                record_vec("B", year, region, sex, birth0)
-                add_newborns(year, region, float(birth0.sum()))
-                if year + 1 < end_year:
-                    record_vec("B", year + 1, region, sex, birth1)
-                    add_newborns(year + 1, region, float(birth1.sum()))
-            alive = vec * (1 - (d + e) / 2 + de / 3)
-            survivors = vec * (1 - d) * (1 - e)
-            if np.any(m > 0):
-                move0 = vec * m * occ0
-                move1 = vec * m * (occ - occ0)
-                movers_surviving = vec * m * (1 - d) * (1 - e)
-                record_vec("IM_OUT", year, region, sex, move0)
-                if year + 1 < end_year:
-                    record_vec("IM_OUT", year + 1, region, sex, move1)
-                out = shares[tensor.position[region]]
-                for j, dest in enumerate(tensor.regions):
-                    share = out[j]
-                    record_vec("IM_IN", year, dest, sex, move0 * share)
-                    if year + 1 < end_year:
-                        record_vec("IM_IN", year + 1, dest, sex, move1 * share)
-                    record_vec("P", year + 1, dest, sex, move0 * share)
-                    next_ledger[(dest, sex)][1:] += (movers_surviving * share)[:-1]
-                alive = alive - move0
-                survivors = survivors - movers_surviving
-            record_vec("P", year + 1, region, sex, alive)
-            next_ledger[(region, sex)][1:] += survivors[:-1]
+        d, e, b, m = rates
+        de = d * e
+        occ = (1 - d) * (1 - e) + (d * (1 - e) + e * (1 - d)) / 2 + de / 3
+        occ0 = (1 - d) * (1 - e) / 2 + (d * (1 - e) + e * (1 - d)) / 3 + de / 4
 
-        for (region, sex), vec in ledger.items():
-            if np.any(vec > MASS_EPSILON):
-                process_cohort(region, sex, vec)
+        def project(vec):
+            """One year of the life-year cohorts in ``vec``: exact formulas."""
+            # a life-year's events fall in this calendar year and the next
+            for y, newborns, de_part, occ_y in ((year, pool, de / 3, occ0),
+                                                (year + 1, next_pool, de / 6, occ - occ0)):
+                births, moving = vec * b * occ_y, vec * m * occ_y
+                bear(newborns, births)
+                if y < end_year:
+                    record("D", y, vec * (d * (1 - e) / 2 + de_part))
+                    record("E", y, vec * (e * (1 - d) / 2 + de_part))
+                    record("B", y, births)
+                    record("IM_OUT", y, moving)
+                    for block in spread(moving):
+                        record("IM_IN", y, block)
+            move0 = vec * m * occ0
+            for block in spread(move0, vec * (1 - (d + e) / 2 + de / 3) - move0):
+                record("P", year + 1, block)
+            movers = vec * m * (1 - d) * (1 - e)
+            for block in spread(movers, vec * (1 - d) * (1 - e) - movers):
+                next_cohort[..., 1:] += block[..., :-1]
+
+        # a (region, sex) with no cohort above MASS_EPSILON is dropped
+        project(np.where((cohort > MASS_EPSILON).any(axis=-1, keepdims=True), cohort, 0.0))
         # newborn mass feeds back into this year's age-0 cohorts
         for _ in range(64):
-            batch = newborn_pool.pop(year, None)
-            if not batch:
+            if not pool.any():
                 break
-            for (region, sex), mass in sorted(batch.items()):
-                if mass > MASS_EPSILON:
-                    vec = np.zeros(track + 1)
-                    vec[0] = mass
-                    process_cohort(region, sex, vec)
+            newborns = np.zeros(shape)
+            newborns[..., 0] = np.where(pool > MASS_EPSILON, pool, 0.0)
+            pool[:] = 0.0
+            project(newborns)
 
-        ledger = next_ledger
+        cohort, pool, next_pool = next_cohort, next_pool, np.zeros(shape[:2])
 
     return census
 

@@ -297,6 +297,17 @@ def test_derive_params_names_non_integer_age(tmp_path, capsys):
     assert "P(2020,AT-1,m,x)" in capsys.readouterr().err
 
 
+def test_derive_params_names_census_and_cell_of_a_certain_event(tmp_path, capsys):
+    census = tmp_path / "census.csv"
+    census.write_text("metric,year,region,sex,age,count\n"
+                      "P,2020,AT-1,m,5,1\nP,2021,AT-1,m,6,1\nD,2020,AT-1,m,5,1\n")
+    assert main(["--quiet", "derive-params", "--census", str(census), "--kind", "death",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert (f"error: {census}: cell D(2020,AT-1,m,5): event count 1.0 >= 2*pop_avg (0.5); "
+            "probability would reach 1") in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_config_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "run.conf"
     path.write_bytes(b"initial_population = init\xe9.csv\n")

@@ -72,7 +72,7 @@ def test_ages_advance_in_snapshots():
     census = run_simulation(year_step(), params, [("AT-1", "f", 30, 5)], seed=3)
     assert census.total("P", 2020) == 5
     for y in range(2021, 2031):
-        ages = {a for (yy, _, _, a) in census.keys("P") if yy == y}
+        ages = {a for (yy, _, _, a), _ in census.items("P") if yy == y}
         assert ages <= {y - 2020 + 29, y - 2020 + 30}
 
 
@@ -409,13 +409,36 @@ def test_coverage_gap_detected_upfront():
 
 @pytest.mark.parametrize("p_move", [0.0, 1.0])
 def test_region_without_tensor_row_is_a_coverage_gap(p_move):
-    # with nobody moving the upfront check finds the gap, else the first mover does
+    # the upfront check finds the gap before any initial agent draws a move
     tables = constant_parameters(regions=("AT-1", "AT-2", "AT-3"),
                                  internal_migration=p_move).tables
     params = ModelParameters(tables, migration_tensor=MigrationTensor(("AT-1", "AT-2"),
                                                                       range(101)))
-    with pytest.raises(CoverageError, match="migration tensor: no row for region=AT-3"):
+    with pytest.raises(CoverageError, match="parameter coverage gaps: "
+                                            "migration tensor: no row for region=AT-3$"):
         run_simulation(year_step(), params, [("AT-3", "m", 30, 1)], seed=1)
+
+
+def test_coverage_gaps_are_listed_before_the_first_draw():
+    # every initial agent draws a move in its first life-year, which would meet the
+    # missing tensor row before the upfront check ran
+    regions = ("AT-1", "AT-2", "AT-3")
+    death = ParameterTable("death", 100)
+    death.set_constant(range(2019, 2025), regions, ("all",), np.zeros(101))
+    params = ModelParameters(
+        {**constant_parameters(regions=regions, internal_migration=1.0).tables, "death": death},
+        migration_tensor=MigrationTensor(("AT-1", "AT-2"), range(101)))
+    gaps = [f"death: year=2025 region={r} sex={s}" for r in regions for s in ("m", "f")]
+    expected = "parameter coverage gaps: " + "; ".join(
+        gaps + ["migration tensor: no row for region=AT-3"])
+    step = year_step(START, date(2025, 1, 1))
+    with pytest.raises(CoverageError) as raised:
+        run_simulation(step, params, [("AT-3", "m", 30, 100)], seed=1)
+    assert str(raised.value) == expected
+    world = World(step, params, seed=1)
+    with pytest.raises(CoverageError):
+        world.add_initial_population([("AT-3", "m", 30, 100)])
+    assert not world.agents
 
 
 def test_agent_count_identity_at_boundaries():

@@ -7,18 +7,22 @@ Running it at large probabilities makes the second-order ledger coefficients
 statistically visible, so a wrong 1/3-vs-1/6 style term would fail here.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from popsim.engine import ModelParameters
 from popsim.errors import InputError
-from popsim.params import derive_params_from_census
+from popsim.ipf import MigrationTensor
+from popsim.params import ImmigrationTable, ParameterTable, derive_params_from_census
 from popsim.scenario import (ScenarioSpec, build_immigration_table,
                              build_initial_population, build_migration_tensor,
-                             build_parameter_tables, format_profile,
-                             parse_profile, profile_to_array,
-                             read_population_csv, reference_census_for)
+                             build_model_parameters, build_parameter_tables,
+                             cohort_projection, format_profile, parse_profile,
+                             profile_to_array, read_population_csv,
+                             reference_census_for)
 
 
 def test_spec_file_round_trip(tmp_path):
@@ -68,7 +72,10 @@ def test_immigration_counts_exact_per_year():
 def test_tables_cover_pre_and_post_horizon_years():
     spec = ScenarioSpec(p_death=0.01, years=5)
     tables = build_parameter_tables(spec)
-    assert tables["death"].years == set(range(2019, 2026))
+    sexes = ("f", "m")
+    assert tables["death"].covers(range(2019, 2026), spec.regions, sexes) == []
+    assert tables["death"].covers((2018, 2026), spec.regions, sexes) == [
+        f"death: year={y} region=AT-1 sex={s}" for y in (2018, 2026) for s in sexes]
 
 
 def test_tensor_uniform_off_diagonal():
@@ -270,6 +277,89 @@ def test_oracle_zero_probabilities_constant_population():
     for year in range(2020, 2026):
         assert reference.total("P", year) == pytest.approx(777, abs=1e-9)
         assert reference.total("D", year) == 0
+
+
+def _golden_oracle_inputs(case):
+    """(ModelParameters, initial cells, start year, years, male fraction) of ``case``."""
+    specs = {
+        # perfbench's regional_ensemble: 15 districts, internal migration, births
+        "regional_ensemble": ScenarioSpec(
+            regions=[f"AT-{s}-{d:02d}" for s in (1, 2, 3) for d in range(1, 6)],
+            years=5, initial_total=1_500, initial_age_low=0, initial_age_high=79,
+            p_death=[(0, 0.002), (40, 0.005), (60, 0.02), (80, 0.08)], p_emigration=0.004,
+            p_birth=[(15, 0.06), (50, 0.0)], p_internal_migration=0.02, ensemble_runs=4),
+        # the tensor keeps the unsorted region order; every newborn is a boy
+        "unsorted_regions": ScenarioSpec(
+            regions=["AT-3", "AT-1", "AT-2"], years=4, max_age=60, initial_total=2_000,
+            initial_age_low=5, initial_age_high=55, male_fraction=1.0,
+            p_death=[(0, 0.01), (40, 0.05)], p_emigration=0.02,
+            p_birth=[(15, 0.08), (45, 0.0)], p_internal_migration=[(0, 0.05), (30, 0.1)],
+            immigration_per_year=150, immigration_age_low=18, immigration_age_high=40),
+        # newborns give birth in their first life-year: the newborn pool feeds back
+        "births_from_age_0": ScenarioSpec(
+            regions=["AT-2", "AT-1"], years=3, max_age=30, initial_total=500,
+            initial_age_high=30, male_fraction=0.3, p_death=0.1, p_emigration=0.05,
+            p_birth=[(0, 0.7), (20, 0.2)], p_internal_migration=0.2,
+            immigration_per_year=40, immigration_age_low=0, immigration_age_high=25),
+        # every mover stays below MASS_EPSILON: the start year keeps its movers at home,
+        # and AT-1's women are a cohort row of such movers only, which is dropped
+        "moves_below_mass_epsilon": ScenarioSpec(
+            regions=["AT-2", "AT-1"], years=4, max_age=90, initial_total=80,
+            initial_age_high=79, p_death=0.01, p_birth=[(15, 0.5), (50, 0.0)],
+            p_internal_migration=[(1, 1e-12)]),
+    }
+    if case in specs:
+        spec = specs[case]
+        params = build_model_parameters(spec)
+        if case == "unsorted_regions":
+            # unequal weights in the spec's region order; nobody aged 50+ leaves AT-1
+            weights = np.repeat([[0, 1, 2], [3, 0, 5], [6, 7, 0]], 61).reshape(3, 3, 61)
+            weights[1, :, 50:] = 0
+            params = ModelParameters(params.tables, immigration=params.immigration,
+                                     migration_tensor=MigrationTensor(spec.regions, range(61),
+                                                                      weights))
+        return (params, build_initial_population(spec), spec.start_year, spec.years,
+                spec.male_fraction)
+    # a tensor but no internal_migration table, and a population region outside it
+    regions = ("AT-1", "AT-2", "AT-3")
+    tables = {}
+    for kind, values in (("death", np.linspace(0.001, 0.3, 41)), ("emigration", 0.01),
+                         ("birth", [0.0] * 15 + [0.1] * 20 + [0.0] * 6)):
+        tables[kind] = ParameterTable(kind, 40)
+        tables[kind].set_constant(range(2009, 2016), regions,
+                                  ("f",) if kind == "birth" else ("m", "f"),
+                                  np.broadcast_to(values, 41))
+    immigration = ImmigrationTable()
+    immigration.add(2012, "AT-3", "m", 25, 30)
+    params = ModelParameters(tables, immigration=immigration,
+                             migration_tensor=MigrationTensor(("AT-2", "AT-1"), range(5, 20)))
+    # a duplicate cell adds up; a zero cell is present with count 0
+    cells = [("AT-3", "f", 20, 40), ("AT-1", "m", 12, 0), ("AT-3", "f", 20, 25),
+             ("AT-2", "f", 33, 18), ("AT-1", "f", 0, 9)]
+    return params, cells, 2010, 5, 0.5
+
+
+# SHA-256 of the oracle's reference census CSV, computed with the oracle that kept
+# its ledger as a dict of per-(region, sex) vectors. Every ensemble is validated
+# against this census, so a change to the oracle's bookkeeping must keep its bytes:
+# each cell adds the same terms in the same order.
+GOLDEN_ORACLE_SHA256 = {
+    "regional_ensemble": "0463de8eb65b2bac4929168c37a072914dc4456369d6a392b385309874ef4926",
+    "unsorted_regions": "3eef2d6fb4aff6d9aa57b41f694ed310affc16cebf807d50f8665d745fe250ad",
+    "births_from_age_0": "8ae2ce2c758525fea15edf8084b1c65d6e2485682060f8ee8261064b6e981b08",
+    "moves_below_mass_epsilon":
+        "65a1007fbcfba03c8cc6b638267674e87e4883c7982fc7797b73fdf59e576352",
+    "tensor_without_movers": "2bd8e12a285439fe536710773ab0aef05fa12ffe4f0a446e41c9e7a36c486055",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ORACLE_SHA256))
+def test_oracle_census_bytes_are_pinned(case, tmp_path):
+    params, cells, start_year, years, male_fraction = _golden_oracle_inputs(case)
+    path = tmp_path / "reference.csv"
+    cohort_projection(params, cells, start_year, years,
+                      male_fraction=male_fraction).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ORACLE_SHA256[case]
 
 
 def _write_population(path, *rows):
