@@ -1,4 +1,8 @@
-"""Per-agent discrete-event simulation.
+"""Per-agent discrete-event simulation: the single-agent reference.
+
+``popsim.engine`` applies these rules to all agents at once as array
+operations; this module states them for one agent, and the engine is tested
+against it event for event and draw for draw.
 
 Each agent runs its own event queue centred on its annual Birthday event:
 the Birthday reschedules itself one calendar year ahead (exact date

@@ -246,11 +246,11 @@ def _census_row_parser():
     return parse
 
 
-def count_population(agents) -> dict[tuple[str, str, int], int]:
-    """Tally alive agents per (region, sex, age)."""
-    counts: dict[tuple[str, str, int], int] = {}
-    for agent in agents:
-        if agent.alive:
-            key = (agent.region, agent.sex, agent.age)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def count_population(regions, region, sex, age) -> dict[tuple[str, str, int], int]:
+    """Tally agents per (region, sex, age), given as columns: positions in
+    ``regions``, sex positions in (``f``, ``m``) and ages."""
+    shape = (len(regions), 2, int(age.max(initial=0)) + 1)
+    counts = np.bincount(np.ravel_multi_index((region, sex, age), shape))
+    cells = np.flatnonzero(counts)
+    return {(regions[r], "fm"[s], a): n for r, s, a, n in zip(
+        *(c.tolist() for c in np.unravel_index(cells, shape)), counts[cells].tolist())}

@@ -6,12 +6,18 @@ the next observed anniversary, so leap years are handled exactly.
 
 A Feb-29 birthdate observes its anniversary on Feb 28 in non-leap years,
 so no life-year is ever longer than 366 days.
+
+The engine applies the same rules to numpy arrays of day ordinals
+(``date.toordinal()``), through ``ymd``, ``anniversaries`` and
+``birthdate_windows``.
 """
 
 from __future__ import annotations
 
 import calendar as _cal
 from datetime import date, timedelta
+
+import numpy as np
 
 __all__ = [
     "anniversary_in_year",
@@ -24,7 +30,12 @@ __all__ = [
     "shift_years",
     "add_months",
     "birthdate_window",
+    "ymd",
+    "anniversaries",
+    "birthdate_windows",
 ]
+
+_EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
 
 
 def anniversary_in_year(birthdate: date, year: int) -> date:
@@ -114,6 +125,58 @@ def birthdate_window(ref: date, age: int) -> tuple[date, date]:
     while completed_age(ref, lo - day) == age:
         lo -= day
     return lo, hi
+
+
+# ----- the same rules on arrays of day ordinals -----------------------------------
+
+def ymd(ordinals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month and day of each day ordinal."""
+    days = (np.asarray(ordinals, np.int64) - _EPOCH).astype("datetime64[D]")
+    months = days.astype("datetime64[M]")
+    month_count = months.astype(np.int64)  # months since January 1970
+    return (month_count // 12 + 1970, month_count % 12 + 1,
+            (days - months.astype("datetime64[D]")).astype(np.int64) + 1)
+
+
+def _ordinals(years, months, days) -> np.ndarray:
+    month_count = (years - 1970) * 12 + months - 1
+    return month_count.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) \
+        + (days - 1 + _EPOCH)
+
+
+def _is_leap(years) -> np.ndarray:
+    return (years % 4 == 0) & ((years % 100 != 0) | (years % 400 == 0))
+
+
+def anniversaries(months, days, years) -> np.ndarray:
+    """Ordinal of the observed anniversary of a (month, day) birthdate within
+    each year, as ``anniversary_in_year``."""
+    feb29 = (months == 2) & (days == 29) & ~_is_leap(years)
+    return _ordinals(years, months, days - feb29)
+
+
+def birthdate_windows(refs, ages) -> tuple[np.ndarray, np.ndarray]:
+    """First ordinal and length in days of each ``birthdate_window(ref, age)``.
+
+    The window holds the birthdates of years ``ref.year - age - 1`` and
+    ``ref.year - age`` whose anniversary in ``ref.year`` falls after ``ref``
+    and on or before it respectively, so it ends, in each of those years, on
+    the last day whose anniversary is on or before ``ref``: ``ref``'s month
+    and day, with Feb 28 and Feb 29 exchanged where the year lacks or adds the
+    leap day.
+    """
+    ages = np.asarray(ages, np.int64)
+    if np.any(ages < 0):
+        raise ValueError("age must be non-negative")
+    ref_year, month, day = ymd(refs)
+    feb28 = (month == 2) & (day == 28) & ~_is_leap(ref_year)
+
+    def last_day(years):
+        return anniversaries(month, day, years) + (feb28 & _is_leap(years))
+
+    hi = last_day(ref_year - ages)
+    lo = last_day(ref_year - ages - 1) + 1
+    return lo, hi - lo + 1
 
 
 def _check_order(t: date, birthdate: date) -> None:

@@ -18,6 +18,16 @@ give the state of every id of a block in one pass. Blocks are aligned to
 share their word count and their high words and differ only in the lowest
 word. ``PCG64`` reads its state through the ``ISeedSequence`` interface, which
 hands it an agent's four precomputed words.
+
+``StreamArray`` holds many agents' streams as columns and draws what their
+generators would draw. ``PCG64`` (O'Neill 2014) is a 128-bit linear
+congruential generator: each draw steps ``state = state * MULT + inc`` modulo
+2**128 and outputs the 64-bit xor of the state's halves, rotated right by the
+state's top six bits; ``random()`` keeps the output's top 53 bits. Seeding
+sets ``inc`` from the last two seed words and steps twice around adding the
+first two. The 128-bit words are kept as uint64 (high, low) pairs, and the
+high half of a 64 x 64-bit product is summed from 32-bit limbs, so every
+operand is uint64: mixed with a signed integer numpy would compute in float64.
 """
 
 from __future__ import annotations
@@ -40,6 +50,13 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
+
+# PCG64's multiplier and the uint64 constants of its arithmetic
+_MULT_HI = np.uint64(0x2360ED051FC65DA4)
+_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_LIMB = np.uint64(0xFFFFFFFF)
+_U0, _U1, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (0, 1, 11, 32, 58, 63))
+_DOUBLE_UNIT = 2.0 ** -53
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -80,6 +97,68 @@ def _seed_state_class():
             return np.frombuffer(self._words, np.uint64)
 
     return SeedState
+
+
+class StreamArray:
+    """The streams of agents ``0, 1, 2, ...`` of ``master_seed``, one lane per
+    id: lane ``i`` draws what ``agent_stream(master_seed, i)`` draws."""
+
+    def __init__(self, master_seed: int):
+        self.master_seed = master_seed
+        self.size = 0
+        # rows: PCG64 state (high, low) and increment (high, low); a column per lane
+        self._words = np.zeros((4, 0), np.uint64)
+
+    def grow(self, n: int) -> None:
+        """Add the lanes of the next ``n`` ids."""
+        size = self.size + n
+        if size > self._words.shape[1]:
+            words = np.zeros((4, max(size, 2 * self._words.shape[1])), np.uint64)
+            words[:, :self.size] = self._words[:, :self.size]
+            self._words = words
+        first, skip = divmod(self.size, _BLOCK)
+        seeds = np.concatenate([_block_state(self.master_seed, block) for block in
+                                range(first, (size - 1) // _BLOCK + 1)])[skip:skip + n].T
+        state_hi, state_lo, inc_hi, inc_lo = self._words[:, self.size:size]
+        # PCG64's seeding: inc = (seed words 2, 3) << 1 | 1; step from state 0,
+        # add seed words 0, 1 to the state and step again
+        inc_hi[:] = (seeds[2] << _U1) | (seeds[3] >> _U63)
+        inc_lo[:] = (seeds[3] << _U1) | _U1
+        hi, lo = _step(np.zeros(n, np.uint64), np.zeros(n, np.uint64), inc_hi, inc_lo)
+        lo = lo + seeds[1]
+        hi = hi + seeds[0] + (lo < seeds[1])
+        state_hi[:], state_lo[:] = _step(hi, lo, inc_hi, inc_lo)
+        self.size = size
+
+    def draw(self, lanes: np.ndarray) -> np.ndarray:
+        """The next ``random()`` double of each of ``lanes``, which must be
+        distinct; the other lanes do not move."""
+        state_hi, state_lo, inc_hi, inc_lo = self._words
+        hi, lo = _step(state_hi[lanes], state_lo[lanes], inc_hi[lanes], inc_lo[lanes])
+        state_hi[lanes] = hi
+        state_lo[lanes] = lo
+        out = hi ^ lo
+        rot = hi >> _U58
+        out = (out >> rot) | (out << ((_U0 - rot) & _U63))
+        return (out >> _U11) * _DOUBLE_UNIT
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's 128-bit LCG on (high, low) uint64 arrays."""
+    lo_mult = lo * _MULT_LO
+    new_lo = lo_mult + inc_lo
+    new_hi = (hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO) + inc_hi
+              + (new_lo < lo_mult))
+    return new_hi, new_lo
+
+
+def _mulhi(a, b):
+    """The high 64 bits of ``a * b``, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LIMB, a >> _U32, b & _LIMB, b >> _U32
+    low = a0 * b0
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (low >> _U32) + (cross0 & _LIMB) + (cross1 & _LIMB)
+    return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
 
 
 def _words32(n: int) -> list[int]:

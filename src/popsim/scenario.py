@@ -64,7 +64,7 @@ import numpy as np
 from .agents import EventKind
 from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
-from .engine import ModelParameters
+from .engine import ModelParameters, check_initial_cells
 from .errors import InputError
 from .files import (number, parse_value, read_key_values, read_table, write_key_values,
                     write_table)
@@ -266,6 +266,7 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
     census year; each census cell adds the terms above MASS_EPSILON that
     reach it, in the order the ledger produces them.
     """
+    check_initial_cells(initial_cells)
     max_age = max((t.max_age for t in params.tables.values()), default=0)
     max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
     immigration = params.immigration

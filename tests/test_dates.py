@@ -3,13 +3,14 @@
 from calendar import isleap
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsim.dates import (add_months, anniversary_in_year, birthdate_window,
-                          completed_age, days_since_birthday,
-                          days_until_birthday, life_year_length, shift_years)
+from popsim.dates import (add_months, anniversaries, anniversary_in_year, birthdate_window,
+                          birthdate_windows, completed_age, days_since_birthday,
+                          days_until_birthday, life_year_length, shift_years, ymd)
 
 
 def observes_anniversary(d: date, birthdate: date) -> bool:
@@ -138,3 +139,25 @@ def test_shift_and_add_months():
     assert shift_years(date(2020, 2, 29), 4) == date(2024, 2, 29)
     assert add_months(date(2020, 1, 31), 1) == date(2020, 2, 29)
     assert add_months(date(2020, 12, 15), 2) == date(2021, 2, 15)
+
+
+# the leap-day edges, on which the array forms must agree with the scalar ones
+LEAP_EDGES = [date(y, 2, d) for y in (1900, 1999, 2000, 2001, 2020, 2021, 2100)
+              for d in (27, 28, 29) if d < 29 or isleap(y)] + [date(2021, 3, 1), date(2020, 3, 1)]
+
+
+@given(refs=st.lists(st.one_of(dates_strategy, st.sampled_from(LEAP_EDGES)), min_size=1),
+       ages=st.lists(st.integers(0, 110), min_size=1), shift=st.integers(-150, 150))
+@settings(max_examples=200, deadline=None)
+def test_array_forms_match_the_scalar_rules(refs, ages, shift):
+    refs, ages = refs[:len(ages)], ages[:len(refs)]
+    ordinals = np.array([d.toordinal() for d in refs])
+    assert [tuple(v) for v in np.stack(ymd(ordinals), axis=1).tolist()] == \
+        [(d.year, d.month, d.day) for d in refs]
+    years = np.array([d.year + shift for d in refs])
+    assert anniversaries(*ymd(ordinals)[1:], years).tolist() == \
+        [anniversary_in_year(d, y).toordinal() for d, y in zip(refs, years.tolist())]
+    lo, length = birthdate_windows(ordinals, ages)
+    windows = [birthdate_window(ref, age) for ref, age in zip(refs, ages)]
+    assert lo.tolist() == [first.toordinal() for first, _ in windows]
+    assert length.tolist() == [(last - first).days + 1 for first, last in windows]

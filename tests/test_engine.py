@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsim import engine
+from popsim import engine, rng
 from popsim.agents import EventKind
 from popsim.dates import anniversary_in_year
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
@@ -18,7 +18,7 @@ from popsim.rng import agent_stream
 from popsim.scenario import (ScenarioSpec, build_initial_population,
                              build_parameter_tables, cohort_projection)
 
-from conftest import constant_parameters, seed_sequence_stream
+from conftest import constant_parameters
 
 START, END = date(2020, 1, 1), date(2030, 1, 1)
 
@@ -80,16 +80,20 @@ def test_birthday_on_snapshot_date_counted_at_new_age():
     # born Jan 1: age 39 through Dec 31, the Jan-1 birthday precedes the snapshot
     params = constant_parameters(death=0.0)
     world = World(year_step(START, date(2021, 1, 1)), params, seed=1)
-    world.agents[0] = _fixed_agent(params, 0, date(1981, 1, 1), "m", "AT-1")
+    _add_agents(world, (date(1981, 1, 1), "m", "AT-1"))
     census = world.run()
     assert census.get("P", 2021, "AT-1", "m", 40) == 1
     assert census.get("P", 2021, "AT-1", "m", 39) == 0
 
 
-def _fixed_agent(params, agent_id, birthdate, sex, region, t=START):
-    from popsim.agents import init_agent
-    return init_agent(agent_id, birthdate, sex, region, t, params,
-                      agent_stream(1, agent_id))
+def _add_agents(world, *agents, t=START):
+    """Create agents of the given (birthdate, sex, region) at ``t``, with the
+    next ids, as the initial population is created."""
+    birthdates, sexes, regions = zip(*agents)
+    world._prepare(world.date)
+    world._create(np.array([b.toordinal() for b in birthdates]),
+                  np.array([engine.SEXES.index(s) for s in sexes]), world._codes(regions),
+                  np.full(len(agents), t.toordinal()), engine._Outbox())
 
 
 def test_conservation_national_exact():
@@ -256,7 +260,7 @@ def test_immigrant_entry_dates_spread_within_year():
     params.immigration = immigration
     world = World(year_step(START, date(2021, 1, 1)), params, seed=17)
     world.run()
-    entries = [e[0] for e in world._immigrant_queue]
+    entries = [date.fromordinal(e) for e in world._immigrant_queue.entry.tolist()]
     months = {d.month for d in entries}
     assert len(months) >= 10  # uniform over the year, not clumped
 
@@ -264,11 +268,9 @@ def test_immigrant_entry_dates_spread_within_year():
 def test_dropped_message_for_removed_agent():
     params = constant_parameters(death=0.0)
     world = World(year_step(START, date(2022, 1, 1)), params, seed=41)
-    world.agents[0] = _fixed_agent(params, 0, date(1990, 5, 5), "m", "AT-1")
-    world.agents[1] = _fixed_agent(params, 1, date(1991, 6, 6), "f", "AT-1")
-    world._next_id = 2
+    _add_agents(world, (date(1990, 5, 5), "m", "AT-1"), (date(1991, 6, 6), "f", "AT-1"))
     # agent 1 dies mid-step; agent 0 addresses it in the same step
-    world.agents[1].schedule(date(2020, 3, 1), EventKind.DEATH)
+    world._due[engine._COLUMN[EventKind.DEATH], 1] = date(2020, 3, 1).toordinal()
     world.send_event(0, 1, date(2020, 7, 1), payload="ping")
     world.macro_step(date(2021, 1, 1))
     assert world.dropped_messages == 1
@@ -278,9 +280,7 @@ def test_dropped_message_for_removed_agent():
 def test_cross_agent_event_delivered_next_step():
     params = constant_parameters(death=0.0)
     world = World(year_step(START, date(2023, 1, 1)), params, seed=43)
-    world.agents[0] = _fixed_agent(params, 0, date(1990, 5, 5), "m", "AT-1")
-    world.agents[1] = _fixed_agent(params, 1, date(1991, 6, 6), "f", "AT-1")
-    world._next_id = 2
+    _add_agents(world, (date(1990, 5, 5), "m", "AT-1"), (date(1991, 6, 6), "f", "AT-1"))
     world.send_event(0, 1, date(2020, 7, 1), payload="ping")
     seen = []
     world.listeners.append(lambda a, ev: seen.append((a.id, ev))
@@ -370,9 +370,17 @@ def test_month_steps_identical_across_workers_and_listener(tmp_path, monkeypatch
     assert outputs[1:] == outputs[:1] * 3
 
 
+def seed_sequence_block_state(master_seed, block):
+    """The reference for ``rng._block_state``: numpy's own seeding of each id."""
+    first = block * rng._BLOCK
+    return np.array([np.random.SeedSequence((master_seed, 0, agent_id)).generate_state(
+        4, np.uint64) for agent_id in range(first, first + rng._BLOCK)])
+
+
 @pytest.mark.parametrize("seed", [31, 2**32 + 3])
 def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
-    # more than one block of agent ids, with births and migration between two regions
+    # more than one block of agent ids, with births and migration between two regions;
+    # the reference seeds every lane with numpy's SeedSequence
     regions = ("AT-1", "AT-2")
     params = constant_parameters(regions=regions, death=0.02, emigration=0.02,
                                  internal_migration=0.05)
@@ -382,7 +390,7 @@ def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
     outputs = []
     for reference in (False, True):
         if reference:
-            monkeypatch.setattr(engine, "agent_stream", seed_sequence_stream)
+            monkeypatch.setattr(rng, "_block_state", seed_sequence_block_state)
         world = World(step, params, seed=seed)
         world.add_initial_population(initial)
         path = tmp_path / f"census_{reference}.csv"
@@ -583,3 +591,14 @@ def test_oracle_moves_mass_by_the_destination_shares(tensor, age_shift):
         arrived = sum(count * q * 0.5 * float(row[o, d]) / float(row[o].sum())
                       for o in range(len(tensor.regions)) if row[o].sum() > 0)
         assert oracle.get("IM_IN", 2020, dest, "f", age) == pytest.approx(arrived, rel=1e-12)
+
+
+@pytest.mark.parametrize("cell, message", [
+    (("AT-1", "x", 30, 5), "sex must be 'm' or 'f', got 'x'"),
+    (("AT-1", "f", 30, -1), r"negative population count for \(AT-1,f,30\)")])
+def test_engine_and_oracle_reject_a_bad_initial_cell_alike(cell, message):
+    params = constant_parameters(death=0.01)
+    for run in (lambda: run_simulation(year_step(), params, [cell], seed=1),
+                lambda: cohort_projection(params, [cell], 2020, 2)):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            run()
