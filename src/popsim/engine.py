@@ -89,7 +89,6 @@ _NEVER = np.iinfo(np.int64).max  # the due date of no event
 
 # the demographic kinds in draw order; women draw every one, men all but Birth
 DRAWN = tuple(kind for kind, _ in DRAW_ORDER["f"])
-_DRAW_POSITION = {kind: k for k, kind in enumerate(DRAWN)}
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,10 @@ class ModelParameters:
     """Bundle of event-probability tables plus optional immigration inputs.
 
     The engine and the cohort-projection oracle both read their inputs
-    through it: the age rows a life-year draws, the destination rule of
-    internal migration (the migration tensor's (origin, age) rows; origins
-    whose row sums to zero never move) and the regions a run can meet.
+    through it: the age rows a life-year draws, as one dense array from
+    ``rate_array``, the destination rule of internal migration (the migration
+    tensor's (origin, age) rows; origins whose row sums to zero never move)
+    and the regions a run can meet.
     """
 
     def __init__(self, tables: dict[str, ParameterTable] | None = None,
@@ -157,6 +157,19 @@ class ModelParameters:
         tables = self.tables
         return [(kind, tables[name].row(year, region, sex)) for kind, name in DRAW_ORDER[sex]
                 if name in tables]
+
+    def rate_array(self, years, regions, n_ages: int) -> np.ndarray:
+        """[kind, year, region, sex, age] probabilities of the life-years starting
+        in ``years``, kinds in DRAWN and sexes in SEXES order, from one
+        ``life_year_rates`` call per (year, region, sex). Ages past a row's last
+        one repeat it; a kind without a row (no table, or Birth for men) is 0."""
+        ages = np.arange(n_ages)
+        rates = np.zeros((len(DRAWN), len(years), len(regions), len(SEXES), n_ages))
+        for (y, year), (r, region), (s, sex) in itertools.product(
+                enumerate(years), enumerate(regions), enumerate(SEXES)):
+            for kind, row in self.life_year_rates(year, region, sex):
+                rates[DRAWN.index(kind), y, r, s] = row[np.minimum(ages, len(row) - 1)]
+        return rates
 
     def sample_destination(self, origin: str, age: int, u: float) -> str | None:
         """The first destination whose cumulative share exceeds ``u`` (the last
@@ -202,6 +215,7 @@ class ModelParameters:
             gaps.extend(f"migration tensor: no row for region={region}"
                         for region in region_list
                         if region not in self.migration_tensor.position)
+        gaps = list(dict.fromkeys(gaps))  # a bad region code fails each (year, sex) alike
         if gaps:
             shown = "; ".join(gaps[:8])
             more = f" (+{len(gaps) - 8} more)" if len(gaps) > 8 else ""
@@ -432,23 +446,13 @@ class World:
         self._rates = None
 
     def _rate_array(self) -> np.ndarray:
-        """[kind, year, region, sex, age] probabilities of the prepared years,
-        kinds in draw order, from one ``life_year_rates`` call per (year, region,
-        sex); ages past a table's last row repeat it."""
+        """``ModelParameters.rate_array`` of the prepared years and the world's
+        regions, as wide as the widest table."""
         if self._rates is None:
             first, last = self._rate_years
-            tables = self.params.tables
-            width = max((table.max_age + 1 for table in tables.values()), default=1)
-            rates = np.zeros((len(DRAWN), last - first + 1, len(self._regions), len(SEXES),
-                              width))
-            for (y, year), (r, region), (s, sex) in itertools.product(
-                    enumerate(range(first, last + 1)), enumerate(self._regions),
-                    enumerate(SEXES)):
-                for kind, row in self.params.life_year_rates(year, region, sex):
-                    cell = rates[_DRAW_POSITION[kind], y, r, s]
-                    cell[:len(row)] = row
-                    cell[len(row):] = row[-1]
-            self._rates = rates
+            width = max((table.max_age + 1 for table in self.params.tables.values()),
+                        default=1)
+            self._rates = self.params.rate_array(range(first, last + 1), self._regions, width)
         return self._rates
 
     def _draw_life_years(self, lanes, start, window, year, scale=None) -> None:
@@ -794,10 +798,12 @@ class _Planned(NamedTuple):
 
 def check_initial_cells(cells) -> None:
     """Raise InputError for a (region, sex, age, count) cell whose sex is not
-    ``m`` or ``f`` or whose count is negative."""
+    ``m`` or ``f`` or whose age or count is negative."""
     for region, sex, age, count in cells:
         if sex not in SEXES:
             raise InputError(f"sex must be 'm' or 'f', got {sex!r}")
+        if age < 0:
+            raise InputError(f"negative age for ({region},{sex},{age})")
         if count < 0:
             raise InputError(f"negative population count for ({region},{sex},{age})")
 

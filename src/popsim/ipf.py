@@ -16,14 +16,14 @@ real numbers: a distribution, not a person count.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
 from .files import number, read_table, write_table
+from .regions import level_of
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
 OD_CSV_HEADER = ("origin", "destination", "value")
@@ -69,6 +69,9 @@ class MigrationTensor:
         self.ages = tuple(int(a) for a in ages)
         self.position = {region: i for i, region in enumerate(self.regions)}
         n, m = len(self.regions), len(self.ages)
+        if len(self.position) < n:
+            repeated = next(r for i, r in enumerate(self.regions) if self.position[r] != i)
+            raise InputError(f"migration tensor lists region {repeated!r} twice")
         if values is None:
             values = np.ones((n, n, m))
         self.values = np.array(values, dtype=float)
@@ -130,13 +133,20 @@ class MigrationTensor:
             value = number(value)
             if value < 0:
                 raise ValueError("negative weight")
-            # every code repeats on many rows: one string per code keeps the table small
-            return (sys.intern(origin), sys.intern(destination), int(age)), value
+            return (_region(origin), _region(destination), int(age)), value
 
         cells = read_table(path, TENSOR_CSV_HEADER, parse)
         regions = sorted({o for o, _, _ in cells} | {d for _, d, _ in cells})
         ages = sorted({a for _, _, a in cells})
         return cls(regions, ages, _dense(cells, (regions, regions, ages)))
+
+
+@lru_cache(maxsize=None)
+def _region(code: str) -> str:
+    """``code``, checked: a well-formed region code. Codes repeat on many rows,
+    and one string per code keeps a tensor's table small."""
+    level_of(code)
+    return code
 
 
 def _dense(cells: dict, axes) -> np.ndarray:
@@ -211,12 +221,12 @@ def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) ->
 
 def _parse_od_row(row):
     origin, destination, value = row
-    return (origin, destination), number(value)
+    return (_region(origin), _region(destination)), number(value)
 
 
 def _parse_age_row(row):
     region, age, value = row
-    return (region, int(age)), number(value)
+    return (_region(region), int(age)), number(value)
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:

@@ -239,6 +239,8 @@ class ImmigrationTable:
     def add(self, year: int, region: str, sex: str, age: int, count: int) -> None:
         if count < 0:
             raise InputError(f"negative immigration count for ({year},{region},{sex},{age})")
+        if age < 0:
+            raise InputError(f"negative immigration age for ({year},{region},{sex},{age})")
         regions.level_of(region)  # validates the code
         if count:
             key = (year, region, sex, age)

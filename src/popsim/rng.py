@@ -5,10 +5,12 @@ so that per-agent draw sequences do not depend on scheduling or worker count.
 World-level draws (initial birthdates, newborn sex, immigrant attributes) use
 a single reserved stream consumed only in the engine's sequential phases.
 
-An agent's stream is ``default_rng(SeedSequence((master_seed, 0, agent_id)))``,
-draw for draw, but its seed state is computed for a block of consecutive ids
-at once. ``SeedSequence`` splits its entropy into 32-bit words (seed words,
-then the tag word 0, then id words), hashes them into a pool of four words
+An agent's stream is ``agent_stream(master_seed, agent_id)``, which is
+``substream(master_seed, 0, agent_id)``. The engine draws from a
+``StreamArray`` instead: it holds many agents' streams as columns, draws what
+their generators would draw, and seeds a block of consecutive ids at once.
+``SeedSequence`` splits its entropy into 32-bit words (seed words, then the
+tag word 0, then id words), hashes them into a pool of four words
 (``mix_entropy``), and hashes the pool into the eight words that seed a
 ``PCG64`` (``generate_state(4, uint64)``). Its hash constants depend on no
 data, and every word is hashed lane by lane, so the same steps on uint32
@@ -16,18 +18,16 @@ arrays, whose arithmetic wraps modulo 2**32 just as ``SeedSequence``'s does,
 give the state of every id of a block in one pass. Blocks are aligned to
 ``_BLOCK`` ids and 2**32 is a multiple of ``_BLOCK``, so the ids of one block
 share their word count and their high words and differ only in the lowest
-word. ``PCG64`` reads its state through the ``ISeedSequence`` interface, which
-hands it an agent's four precomputed words.
+word.
 
-``StreamArray`` holds many agents' streams as columns and draws what their
-generators would draw. ``PCG64`` (O'Neill 2014) is a 128-bit linear
-congruential generator: each draw steps ``state = state * MULT + inc`` modulo
-2**128 and outputs the 64-bit xor of the state's halves, rotated right by the
-state's top six bits; ``random()`` keeps the output's top 53 bits. Seeding
-sets ``inc`` from the last two seed words and steps twice around adding the
-first two. The 128-bit words are kept as uint64 (high, low) pairs, and the
-high half of a 64 x 64-bit product is summed from 32-bit limbs, so every
-operand is uint64: mixed with a signed integer numpy would compute in float64.
+``PCG64`` (O'Neill 2014) is a 128-bit linear congruential generator: each
+draw steps ``state = state * MULT + inc`` modulo 2**128 and outputs the 64-bit
+xor of the state's halves, rotated right by the state's top six bits;
+``random()`` keeps the output's top 53 bits. Seeding sets ``inc`` from the
+last two seed words and steps twice around adding the first two. The 128-bit
+words are kept as uint64 (high, low) pairs, and the high half of a 64 x 64-bit
+product is summed from 32-bit limbs, so every operand is uint64: mixed with a
+signed integer numpy would compute in float64.
 """
 
 from __future__ import annotations
@@ -65,38 +65,12 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def agent_stream(master_seed: int, agent_id: int) -> np.random.Generator:
-    """The generator ``substream(master_seed, 0, agent_id)`` returns, built from
-    a precomputed seed state."""
-    block, lane = divmod(agent_id, _BLOCK)
-    words = _block_state(master_seed, block)[lane].tobytes()
-    return np.random.Generator(np.random.PCG64(_seed_state_class()(words)))
+    """The stream of agent ``agent_id``: lane ``agent_id`` of a ``StreamArray``."""
+    return substream(master_seed, _AGENT_TAG, agent_id)
 
 
 def world_stream(master_seed: int) -> np.random.Generator:
     return substream(master_seed, _WORLD_TAG)
-
-
-@lru_cache(maxsize=None)
-def _seed_state_class():
-    """The ``ISeedSequence`` that hands ``PCG64`` an agent's precomputed words.
-    Defined on first use: numpy imports ``numpy.random`` only when it is first
-    used, and importing popsim should not load it either."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedState(ISeedSequence):
-        """Four precomputed uint64 words, kept as 32 bytes."""
-
-        __slots__ = ("_words",)
-
-        def __init__(self, words: bytes):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
-                raise ValueError("a precomputed seed state holds four uint64 words")
-            return np.frombuffer(self._words, np.uint64)
-
-    return SeedState
 
 
 class StreamArray:

@@ -55,22 +55,21 @@ cell above MASS_EPSILON is dropped, and no mass at or below it is recorded.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .agents import EventKind
 from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
-from .engine import ModelParameters, check_initial_cells
+from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
 from .files import (number, parse_value, read_key_values, read_table, write_key_values,
                     write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
+from .regions import level_of
 
 MASS_EPSILON = 1e-12
 
@@ -101,6 +100,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if not self.regions:
             raise InputError("scenario needs at least one region")
+        for i, region in enumerate(self.regions):
+            level_of(region)
+            if region in self.regions[:i]:
+                raise InputError(f"scenario lists region {region!r} twice")
         if self.years < 1:
             raise InputError("horizon must be at least one year")
         if not 0 <= self.initial_age_low <= self.initial_age_high <= self.max_age:
@@ -248,12 +251,6 @@ def build_migration_tensor(spec: ScenarioSpec) -> MigrationTensor | None:
 
 # ----- cohort-projection oracle -------------------------------------------------
 
-SEXES = ("f", "m")
-# the kinds along the first axis of the oracle's rate arrays
-RATE_KINDS = (EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
-              EventKind.INTERNAL_MIGRATION)
-
-
 def cohort_projection(params: ModelParameters, initial_cells, start_year: int, years: int,
                       *, male_fraction: float = 0.5) -> SyntheticCensus:
     """Expected-value reference census (real-valued counts).
@@ -273,7 +270,6 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
     if immigration is not None:
         max_age = max(max_age, max((a for (_, _, _, a) in immigration.counts), default=0))
     track = max_age + years + 2
-    ages = np.arange(track + 1)
     end_year = start_year + years
 
     regions = params.run_regions(r for r, _, _, _ in initial_cells)
@@ -302,16 +298,13 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
         # regions; the tensor keeps its caller's region order
         tensor = params.migration_tensor
         order = [tensor.position[region] for region in regions]
-        shares = tensor.shares()[np.ix_(order, [tensor.age_position(a) for a in ages], order)]
-        shares = shares.transpose(0, 2, 1)
+        ages = [tensor.age_position(a) for a in range(track + 1)]
+        shares = tensor.shares()[np.ix_(order, ages, order)].transpose(0, 2, 1)
 
     def year_rates(year: int) -> np.ndarray:
         """[kind, region, sex, age] probabilities of the life-years starting in
-        ``year``, kinds in RATE_KINDS order."""
-        rates = np.zeros((len(RATE_KINDS), *shape))
-        for (r, region), (s, sex) in itertools.product(enumerate(regions), enumerate(SEXES)):
-            for kind, row in params.life_year_rates(year, region, sex):
-                rates[RATE_KINDS.index(kind), r, s] = row[np.minimum(ages, len(row) - 1)]
+        ``year``, kinds in draw order."""
+        rates = params.rate_array([year], regions, track + 1)[:, 0]
         if shares is not None:  # internal migration, like the engine: no weight, no movers
             rates[-1] *= shares.any(axis=1)[:, None, :]
         return rates
@@ -520,6 +513,7 @@ def read_population_csv(path) -> list[tuple[str, str, int, int]]:
     def parse(row):
         region, sex, age, count = row
         age, count = int(age), int(count)
+        level_of(region)
         if sex not in ("m", "f"):
             raise ValueError("sex must be m or f")
         if age < 0:

@@ -41,9 +41,3 @@ def constant_parameters(regions=("AT-1",), years=(2019, 2032), max_age=100,
         tensor = MigrationTensor(regions, range(max_age + 1),
                                  np.ones((n, n, max_age + 1)))
     return ModelParameters(tables, migration_tensor=tensor)
-
-
-def seed_sequence_stream(master_seed, agent_id):
-    """The reference for ``popsim.rng.agent_stream``: numpy's own seeding of the
-    same key."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, 0, agent_id)))

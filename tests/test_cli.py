@@ -191,13 +191,25 @@ def test_gen_synthetic_rejects_bad_spec(tmp_path, capsys):
     assert "p_death" in capsys.readouterr().err
 
 
-def _run_cli(*args):
-    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+def _python(*args):
+    """A fresh interpreter that imports this popsim, run with ``args``."""
     src = str(Path(popsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "popsim.cli", "--quiet", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*args):
+    """The CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    return _python("-m", "popsim.cli", "--quiet", *args)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # perfbench's memory probe subtracts the peak RSS of a child that only imports
+    # popsim.cli from that of a run; numpy.random loaded there would move its
+    # megabytes out of the per-agent figure
+    done = _python("-c", "import sys, popsim.cli; print('numpy.random' in sys.modules)")
+    assert done.stdout.strip() == "False", done.stderr
 
 
 def _bad_marginals(tmp_path):
@@ -271,6 +283,39 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
         fh.write("seed = -1\n")
     assert _simulate(scen, tmp_path) == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, spec", [
+    # the default spec has no parameter tables, so no coverage check meets the code
+    ("initial_population.csv", {}),
+    ("migration_tensor.csv", dict(regions=["AT-1", "AT-2"], p_internal_migration=0.03))])
+def test_simulate_names_line_of_malformed_region(tmp_path, capsys, name, spec):
+    ScenarioSpec(initial_total=100, years=1, ensemble_runs=1, **spec).to_file(
+        tmp_path / "scenario.conf")
+    scen = tmp_path / "scen"
+    assert main(["--quiet", "gen-synthetic", "--spec", str(tmp_path / "scenario.conf"),
+                 "--seed", "2", "--out-dir", str(scen)]) == 0
+    path = scen / name
+    lines = path.read_text().splitlines()
+    bad = next(i for i, line in enumerate(lines) if line.startswith("AT-1,"))
+    lines[bad] = lines[bad].replace("AT-1,", "AT-1-,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"{name}:{bad + 1}: " in err and "malformed region code 'AT-1-'" in err
+    assert not (tmp_path / "runs" / "run_001.csv").exists()
+
+
+@pytest.mark.parametrize("regions, message", [
+    ("AT-1, AT-1, AT-2", "scenario lists region 'AT-1' twice"),
+    ("AT-1-, AT-2", "malformed region code 'AT-1-'")])
+def test_gen_synthetic_rejects_bad_regions(tmp_path, capsys, regions, message):
+    # without parameter tables no other check meets the codes
+    spec = tmp_path / "scenario.conf"
+    spec.write_text(f"regions = {regions}\n")
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec),
+                 "--out-dir", str(tmp_path / "scen")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_later_key_overrides(tmp_path):

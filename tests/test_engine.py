@@ -1,5 +1,6 @@
 """Simulation-layer semantics: macro steps, exchange, immigration, determinism."""
 
+import itertools
 from datetime import date
 
 import numpy as np
@@ -315,6 +316,29 @@ def test_life_year_rates_match_lookup():
         params.life_year_rates(2040, "AT-1", "f")
 
 
+def test_rate_array_resolves_rows_like_lookup():
+    # ages past the rows, Birth for women only, a kind without a table, a finer
+    # region code and tables with an all-sex row
+    regions = ("AT-2", "AT-1-05")
+    params = constant_parameters(regions=("AT-1", "AT-2"), max_age=30, death=0.01,
+                                 emigration=0.02)
+    params.tables["birth"] = _birth_table(regions=("AT-1", "AT-2"))
+    params.tables["death"].set_row(2024, "AT-2", "all", np.linspace(0, 0.3, 31))
+    rates = params.rate_array([2023, 2024], regions, 110)
+    assert rates.shape == (len(engine.DRAWN), 2, 2, 2, 110)
+    for k, kind in enumerate(engine.DRAWN):
+        table = params.tables.get(kind.name.lower())
+        for (y, year), (r, region), (s, sex) in itertools.product(
+                enumerate((2023, 2024)), enumerate(regions), enumerate(engine.SEXES)):
+            expected = [table.lookup(year, region, sex, age) if table is not None and
+                        (kind is not EventKind.BIRTH or sex == "f") else 0.0
+                        for age in range(110)]
+            assert rates[k, y, r, s].tolist() == expected
+    assert rates[engine.DRAWN.index(EventKind.DEATH), 1, 0, :, 109].tolist() == [0.3, 0.3]
+    assert not rates[engine.DRAWN.index(EventKind.BIRTH), :, :, 1].any()
+    assert not rates[engine.DRAWN.index(EventKind.INTERNAL_MIGRATION)].any()
+
+
 def test_replaced_or_edited_table_takes_effect_after_first_draw():
     # month steps through 2020: every woman's 2020 birthday reads the 2020 birth row
     params = constant_parameters(death=0.0)
@@ -447,6 +471,14 @@ def test_coverage_gaps_are_listed_before_the_first_draw():
     with pytest.raises(CoverageError):
         world.add_initial_population([("AT-3", "m", 30, 100)])
     assert not world.agents
+
+
+def test_coverage_gaps_are_listed_once():
+    # a malformed region code fails every (year, sex) key it is in alike
+    params = constant_parameters(death=0.01)
+    with pytest.raises(CoverageError, match="^parameter coverage gaps: "
+                                            "malformed region code 'AT-1-'$"):
+        params.validate_coverage(range(2019, 2031), ["AT-1", "AT-1-"])
 
 
 def test_agent_count_identity_at_boundaries():
@@ -595,7 +627,8 @@ def test_oracle_moves_mass_by_the_destination_shares(tensor, age_shift):
 
 @pytest.mark.parametrize("cell, message", [
     (("AT-1", "x", 30, 5), "sex must be 'm' or 'f', got 'x'"),
-    (("AT-1", "f", 30, -1), r"negative population count for \(AT-1,f,30\)")])
+    (("AT-1", "f", 30, -1), r"negative population count for \(AT-1,f,30\)"),
+    (("AT-1", "f", -1, 5), r"negative age for \(AT-1,f,-1\)")])
 def test_engine_and_oracle_reject_a_bad_initial_cell_alike(cell, message):
     params = constant_parameters(death=0.01)
     for run in (lambda: run_simulation(year_step(), params, [cell], seed=1),

@@ -160,6 +160,28 @@ def test_tensor_csv_rejects_duplicate_and_extra_column(tmp_path):
         MigrationTensor.from_csv(path)
 
 
+def test_tensor_rejects_a_repeated_region():
+    with pytest.raises(InputError, match="migration tensor lists region 'AT-1' twice"):
+        MigrationTensor(["AT-1", "AT-1", "AT-2"], range(3))
+
+
+def test_tensor_csv_names_line_of_malformed_region(tmp_path):
+    path = _write_tensor(tmp_path / "t.csv", "AT-1,AT-2,0,1.0", "AT-1,AT-2-,1,1.0")
+    with pytest.raises(InputError, match=r"t\.csv:3: .*malformed region code 'AT-2-'"):
+        MigrationTensor.from_csv(path)
+
+
+@pytest.mark.parametrize("bad", range(3))
+def test_marginals_csv_names_line_of_malformed_region(tmp_path, bad):
+    paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
+    paths[0].write_text("origin,destination,value\nAT-1,AT-2,1.0\nAT-2,AT-1,1.0\n")
+    paths[1].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\n")
+    paths[2].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\n")
+    paths[bad].write_text(paths[bad].read_text().replace("\nAT-2,", "\nAT-2-,"))
+    with pytest.raises(InputError, match=rf"{paths[bad].name}:3: .*malformed region code 'AT-2-'"):
+        read_marginals_csv(*paths)
+
+
 def test_marginals_csv_rejects_duplicate_row(tmp_path):
     paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
     paths[0].write_text("origin,destination,value\nAT-1,AT-2,1.0\nAT-2,AT-1,1.0\n")

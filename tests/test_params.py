@@ -376,6 +376,8 @@ def test_immigration_csv_round_trip(tmp_path):
 def test_immigration_rejects_negative():
     with pytest.raises(InputError):
         ImmigrationTable().add(2020, "AT-1", "m", 3, -1)
+    with pytest.raises(InputError, match=r"negative immigration age for \(2020,AT-1,m,-2\)"):
+        ImmigrationTable().add(2020, "AT-1", "m", -2, 3)
 
 
 # ----- deriving parameters from a census -------------------------------------------
