@@ -222,28 +222,19 @@ class SyntheticCensus:
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
         census = cls()
-        census.record_cells(read_table(path, CENSUS_CSV_HEADER, _census_row_parser()))
+        census.record_cells(read_table(path, CENSUS_CSV_HEADER, _parse_census_row))
         return census
 
 
-def _census_row_parser():
-    """A row parser for one census file; it checks each region code once."""
-    checked = set()  # region codes found well-formed
-
-    def parse(row):
-        metric, year, region, sex, age, count = row
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}")
-        count = number(count)
-        if count < 0:
-            raise ValueError("negative count")
-        if region not in checked:
-            regions_mod.level_of(region)
-            checked.add(region)
-        age = int(age) if age.lstrip("-").isdigit() else age
-        return (metric, int(year), region, sex, age), count
-
-    return parse
+def _parse_census_row(row):
+    metric, year, region, sex, age, count = row
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    count = number(count)
+    if count < 0:
+        raise ValueError("negative count")
+    age = int(age) if age.lstrip("-").isdigit() else age
+    return (metric, int(year), regions_mod.checked(region), sex, age), count
 
 
 def count_population(regions, region, sex, age) -> dict[tuple[str, str, int], int]:

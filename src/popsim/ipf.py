@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
 from .files import number, read_table, write_table
-from .regions import level_of
+from .regions import checked
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
 OD_CSV_HEADER = ("origin", "destination", "value")
@@ -133,20 +133,12 @@ class MigrationTensor:
             value = number(value)
             if value < 0:
                 raise ValueError("negative weight")
-            return (_region(origin), _region(destination), int(age)), value
+            return (checked(origin), checked(destination), int(age)), value
 
         cells = read_table(path, TENSOR_CSV_HEADER, parse)
         regions = sorted({o for o, _, _ in cells} | {d for _, d, _ in cells})
         ages = sorted({a for _, _, a in cells})
         return cls(regions, ages, _dense(cells, (regions, regions, ages)))
-
-
-@lru_cache(maxsize=None)
-def _region(code: str) -> str:
-    """``code``, checked: a well-formed region code. Codes repeat on many rows,
-    and one string per code keeps a tensor's table small."""
-    level_of(code)
-    return code
 
 
 def _dense(cells: dict, axes) -> np.ndarray:
@@ -221,12 +213,12 @@ def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) ->
 
 def _parse_od_row(row):
     origin, destination, value = row
-    return (_region(origin), _region(destination)), number(value)
+    return (checked(origin), checked(destination)), number(value)
 
 
 def _parse_age_row(row):
     region, age, value = row
-    return (_region(region), int(age)), number(value)
+    return (checked(region), int(age)), number(value)
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:

@@ -13,6 +13,8 @@ code by walking the code up to the table's level.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InputError
 
 LEVEL_NAMES = ("country", "federal-state", "district", "municipality")
@@ -25,6 +27,15 @@ def level_of(code: str) -> int:
     if level >= len(LEVEL_NAMES):
         raise InputError(f"region code {code!r} is deeper than municipality level")
     return level
+
+
+@lru_cache(maxsize=4096)
+def checked(code: str) -> str:
+    """``code``, once ``level_of`` accepts it. File readers call this on every
+    row: a code seen before costs one cache lookup, and each code comes back as
+    one string object, which keeps the tables built from those rows small."""
+    level_of(code)
+    return code
 
 
 def level_name(level: int) -> str:

@@ -65,7 +65,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 def agent_stream(master_seed: int, agent_id: int) -> np.random.Generator:
-    """The stream of agent ``agent_id``: lane ``agent_id`` of a ``StreamArray``."""
+    """The stream of agent ``agent_id``: ``substream(master_seed, 0, agent_id)``,
+    numpy's own ``SeedSequence`` seeding of that key, whose draws lane
+    ``agent_id`` of a ``StreamArray`` reproduces."""
     return substream(master_seed, _AGENT_TAG, agent_id)
 
 

@@ -69,7 +69,7 @@ from .files import (number, parse_value, read_key_values, read_table, write_key_
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
-from .regions import level_of
+from .regions import checked, level_of
 
 MASS_EPSILON = 1e-12
 
@@ -513,14 +513,13 @@ def read_population_csv(path) -> list[tuple[str, str, int, int]]:
     def parse(row):
         region, sex, age, count = row
         age, count = int(age), int(count)
-        level_of(region)
         if sex not in ("m", "f"):
             raise ValueError("sex must be m or f")
         if age < 0:
             raise ValueError("negative age")
         if count < 0:
             raise ValueError("negative count")
-        return (region, sex, age), count
+        return (checked(region), sex, age), count
 
     cells = read_table(path, POPULATION_CSV_HEADER, parse)
     return [(region, sex, age, count) for (region, sex, age), count in cells.items()]
