@@ -24,7 +24,7 @@ import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import csv_field, number, read_table, write_lines
+from .files import csv_field, number, read_columns, write_lines
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
@@ -221,20 +221,25 @@ class SyntheticCensus:
 
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
-        census = cls()
-        census.record_cells(read_table(path, CENSUS_CSV_HEADER, _parse_census_row))
+        table = read_columns(path, CENSUS_CSV_HEADER,
+                             (_metric, int, regions_mod.checked, str, _age_label, number),
+                             key=range(5), check=lambda count: (count < 0, "negative count"))
+        census = cls([sorted(table.labels[j], key=key) for j, key in enumerate(_AXIS_KEYS, 1)])
+        at = tuple(table.positions(j, axis) for j, axis in enumerate((METRICS, *census.axes)))
+        census.values[at] += table.values
+        census.present[at] = True
         return census
 
 
-def _parse_census_row(row):
-    metric, year, region, sex, age, count = row
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    count = number(count)
-    if count < 0:
-        raise ValueError("negative count")
-    age = int(age) if age.lstrip("-").isdigit() else age
-    return (metric, int(year), regions_mod.checked(region), sex, age), count
+def _metric(text: str) -> str:
+    if text not in METRIC_INDEX:
+        raise ValueError(f"unknown metric {text!r}")
+    return text
+
+
+def _age_label(text: str):
+    """A single-year age as an int, an age class label as text."""
+    return int(text) if text.lstrip("-").isdigit() else text
 
 
 def count_population(regions, region, sex, age) -> dict[tuple[str, str, int], int]:

@@ -15,6 +15,8 @@ import io
 import itertools
 import math
 
+import numpy as np
+
 from .errors import InputError
 
 
@@ -26,53 +28,211 @@ def number(text: str) -> float:
     return value
 
 
-def read_table(path, header, parse_row) -> dict:
-    """``{key: value}`` of a CSV file's data rows, in file order.
+BLOCK_ROWS = 1024  # lines per block: enough to amortise, few enough to keep memory flat
 
-    ``parse_row`` is called once per data row with the row's cells, unpacks
-    them all at once (so a row of the wrong width fails) and returns
-    ``(key, value)``; a ValueError or InputError it raises becomes an
-    InputError naming the row.
+
+def read_columns(path, header, parsers, key=(), check=None) -> Columns:
+    """A CSV table read by column, in blocks of BLOCK_ROWS lines.
+
+    ``parsers`` holds one function per column. A label column's parser turns a
+    text into its label and runs once per distinct text, in order of first
+    appearance. The column whose parser is ``number`` holds the values, parsed
+    per row; ``check(values)``, if given, returns a mask of bad values and its
+    message. No two rows may share their labels in the ``key`` columns. The
+    first failing row is reported at its first failing column, a repeated key
+    at its later copy, as an InputError naming the line.
     """
-    header = list(header)
-    table: dict = {}
+    table = Columns(parsers, check)
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None or [h.strip() for h in got] != header:
+            if [h.strip() for h in next(reader, ())] != list(header):
                 raise InputError(f"{path}: expected header {','.join(header)}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    key, value = parse_row(row)
-                except (ValueError, InputError) as exc:
-                    raise InputError(f"{path}:{reader.line_num}: bad row {row!r}: {exc}") from None
-                if key in table:
-                    raise InputError(f"{path}:{reader.line_num}: duplicate row for {_show(key)}")
-                table[key] = value
+            for lines, columns, bad in _blocks(fh, len(header), reader.line_num):
+                bad = table.extend(lines, columns) or bad
+                if bad:
+                    table.finish(path, key)
+                    raise InputError(f"{path}:{bad[0]}: bad row {bad[1]!r}: {bad[2]}")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
+    table.finish(path, key)
     return table
 
 
-def line_of(path, index: int) -> int:
-    """Line number of the ``index``-th data row (from 0) of a CSV file that
-    ``read_table`` accepted; for error messages about a row found after reading."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        lines = (reader.line_num for row in reader if row)
-        return next(itertools.islice(lines, index, None))
+class Columns:
+    """A table as ``read_columns`` returns it. Label column ``j`` lists its
+    distinct labels in ``labels[j]``, in order of first appearance, and each
+    row's position in that list in ``codes[j]``; ``values`` holds the value
+    column and ``lines`` each row's line number."""
+
+    def __init__(self, parsers, check):
+        self.parsers, self.check = parsers, check
+        self.labels = [[] for _ in parsers]
+        self._index = [{} for _ in parsers]   # per column: label -> code
+        self._codes = [{} for _ in parsers]   # per column: text -> code, -1 if its parse failed
+        self._errors = [{} for _ in parsers]  # per column: text -> what its parse raised
+        # one array per block for each column, then for the line numbers
+        self._parts = [[np.zeros(0, float if p is number else np.intp)] for p in parsers]
+        self._parts.append([np.zeros(0, np.intp)])
+
+    def extend(self, lines, columns):
+        """Add a block's rows before its first failing row; ``(line, row,
+        error)`` of that row, if any."""
+        n, bad, arrays = len(lines), np.zeros(len(lines), dtype=bool), []
+        for j, (parse, texts, codes) in enumerate(zip(self.parsers, columns, self._codes)):
+            if parse is number:
+                arrays.append(_floats(texts))
+                bad |= ~np.isfinite(arrays[-1])
+                if self.check:
+                    bad |= self.check(arrays[-1])[0]
+                continue
+            try:
+                arrays.append(np.fromiter(map(codes.__getitem__, texts), np.intp, n))
+            except KeyError:  # parse each new text once
+                for text in dict.fromkeys(texts):
+                    if text not in codes:
+                        codes[text] = self._code(j, text)
+                arrays.append(np.fromiter(map(codes.__getitem__, texts), np.intp, n))
+            bad |= arrays[-1] < 0
+        first = int(bad.argmax()) if bad.any() else n
+        for part, array in zip(self._parts, (*arrays, lines)):
+            part.append(array[:first])
+        if first < n:
+            row = [texts[first] for texts in columns]
+            return lines[first], row, self._error(row)
+
+    def _code(self, j: int, text: str) -> int:
+        try:
+            label = self.parsers[j](text)
+        except (ValueError, InputError) as exc:
+            self._errors[j][text] = exc
+            return -1
+        if label not in self._index[j]:
+            self._index[j][label] = len(self.labels[j])
+            self.labels[j].append(label)
+        return self._index[j][label]
+
+    def _error(self, row):
+        """What the first failing column of ``row`` has against it."""
+        for parse, errors, text in zip(self.parsers, self._errors, row):
+            if parse is not number:
+                if text in errors:
+                    return errors[text]
+                continue
+            try:
+                value = np.array([number(text)])
+            except ValueError as exc:
+                return exc
+            if self.check and self.check(value)[0][0]:
+                return self.check(value)[1]
+
+    def finish(self, path, key) -> None:
+        """Gather the rows read so far; an InputError at the first whose labels
+        in the ``key`` columns repeat an earlier row's."""
+        *self.codes, self.lines = map(np.concatenate, self._parts)
+        self.values = self.codes[self.parsers.index(number)] if number in self.parsers else None
+        if key:
+            group, first = self.groups(key)
+            repeats = np.flatnonzero(first[group] != np.arange(len(group))).tolist()
+            if repeats:
+                raise InputError(f"{path}:{self.lines[repeats[0]]}: duplicate row for "
+                                 f"({','.join(map(str, self.row(repeats[0], key)))})")
+
+    def row(self, i: int, columns) -> tuple:
+        """The labels of row ``i`` in ``columns``."""
+        return tuple(self.labels[j][self.codes[j][i]] for j in columns)
+
+    def column(self, j: int) -> list:
+        """Each row's label in column ``j``."""
+        return [self.labels[j][i] for i in self.codes[j].tolist()]
+
+    def positions(self, j: int, axis) -> np.ndarray:
+        """Each row's position on ``axis``, which holds every label of column ``j``."""
+        at = {label: i for i, label in enumerate(axis)}
+        return np.array([at[label] for label in self.labels[j]], dtype=np.intp)[self.codes[j]]
+
+    def dense(self, axes) -> np.ndarray:
+        """The values over the label ``axes`` of the leading columns; 0 where no row is."""
+        out = np.zeros([len(axis) for axis in axes])
+        out[tuple(self.positions(j, axis) for j, axis in enumerate(axes))] = self.values
+        return out
+
+    def groups(self, columns):
+        """Each row's group, the rows sharing their labels in ``columns``,
+        numbered in order of first appearance; and each group's first row."""
+        key, span = np.zeros(len(self.lines), dtype=np.int64), 1
+        for j in columns:
+            size = len(self.labels[j])
+            if span * size > 2 ** 62:  # renumber, as ravelling on would overflow
+                uniques, key = np.unique(key, return_inverse=True)
+                span = len(uniques)
+            key, span = key * size + self.codes[j], span * size
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return np.argsort(order)[group], first[order]
 
 
-def _show(key) -> str:
-    """``(2020,AT-1,m,1)`` for a tuple key; one level of nesting is flattened."""
-    if not isinstance(key, tuple):
-        return str(key)
-    parts = (p for part in key for p in (part if isinstance(part, tuple) else (part,)))
-    return "(" + ",".join(map(str, parts)) + ")"
+def _blocks(fh, width, line):
+    """The rows csv.reader reads from ``fh`` (opened with newline="") past its
+    first ``line`` lines, blank rows left out, as ``(lines, columns, bad)`` per
+    block of BLOCK_ROWS lines: each row's line number (csv's ``line_num``) and
+    ``width`` columns of texts. A row of another width is ``bad``, ``(line,
+    row, error)``: it ends the rows, and its block holds the rows before it.
+
+    A block without quotes, lone "\\r" line ends and overlong lines is split
+    with ``str.split``; any other goes through csv.reader, which reads on past
+    the block while a quoted field is open.
+    """
+    limit = csv.field_size_limit()
+    while block := list(itertools.islice(fh, BLOCK_ROWS)):
+        text, n = "".join(block), len(block)
+        plain = '"' not in text and max(map(len, block)) <= limit
+        if plain and "\r" in text:
+            text = text.replace("\r\n", "\n")
+            plain = "\r" not in text
+        if plain and text[0] != "\n" and "\n\n" not in text:  # no blank line
+            cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")
+            # every line has ``width`` cells if every (width + 1)-th cell is a line end
+            if len(cells) == n * (width + 1) + 1 and cells[width::width + 1].count("\n") == n:
+                cells.pop()  # the empty text after the last line end
+                columns = [cells[j::width + 1] for j in range(width)]
+                yield np.arange(line + 1, line + n + 1), columns, None
+                line += n
+                continue
+        reader, rows, lines, bad = csv.reader(itertools.chain(block, fh)), [], [], None
+        for row in reader:
+            if row and len(row) != width:  # worded as unpacking the row would be
+                bad = (line + reader.line_num, row, f"too many values to unpack (expected {width})"
+                       if len(row) > width else
+                       f"not enough values to unpack (expected {width}, got {len(row)})")
+                break
+            if row:
+                rows.append(row)
+                lines.append(line + reader.line_num)
+            if reader.line_num >= n:
+                break
+        yield np.array(lines, dtype=np.intp), list(zip(*rows)) or [()] * width, bad
+        if bad:
+            return
+        line += reader.line_num
+
+
+def _floats(texts) -> np.ndarray:
+    """The texts as floats, up to the first that is not a number; nan from there on."""
+    values = []
+    try:
+        values.extend(map(float, texts))
+    except ValueError:
+        values += [math.nan] * (len(texts) - len(values))
+    return np.array(values)
+
+
+def age(text: str) -> int:
+    """``int(text)``, rejecting a negative age with a ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative age")
+    return value
 
 
 def write_table(path, header, rows) -> None:
@@ -95,6 +255,11 @@ def csv_field(value) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([value, ""])
     return buf.getvalue()[:-1]
+
+
+def csv_prefix(*values) -> str:
+    """The leading fields of a row, each as ``csv_field`` renders it and followed by a comma."""
+    return "".join(csv_field(value) + "," for value in values)
 
 
 def read_key_values(path) -> dict[str, str]:

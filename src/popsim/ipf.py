@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
-from .files import number, read_table, write_table
+from .files import csv_prefix, number, read_columns, write_lines
 from .regions import checked
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
@@ -120,34 +120,20 @@ class MigrationTensor:
         return np.cumsum(shares, axis=2, out=shares)
 
     def to_csv(self, path) -> None:
-        write_table(path, TENSOR_CSV_HEADER, (
-            [o, d, a, repr(float(self.values[i, j, k]))]
-            for i, o in enumerate(self.regions)
-            for j, d in enumerate(self.regions)
-            for k, a in enumerate(self.ages)))
+        write_lines(path, TENSOR_CSV_HEADER, (
+            f"{prefix}{age},{value!r}\r\n"
+            for origin, plane in zip(self.regions, self.values)
+            for destination, row in zip(self.regions, plane.tolist())
+            for prefix in [csv_prefix(origin, destination)]
+            for age, value in zip(self.ages, row)))
 
     @classmethod
     def from_csv(cls, path) -> "MigrationTensor":
-        def parse(row):
-            origin, destination, age, value = row
-            value = number(value)
-            if value < 0:
-                raise ValueError("negative weight")
-            return (checked(origin), checked(destination), int(age)), value
-
-        cells = read_table(path, TENSOR_CSV_HEADER, parse)
-        regions = sorted({o for o, _, _ in cells} | {d for _, d, _ in cells})
-        ages = sorted({a for _, _, a in cells})
-        return cls(regions, ages, _dense(cells, (regions, regions, ages)))
-
-
-def _dense(cells: dict, axes) -> np.ndarray:
-    """Array over the label ``axes`` holding each cell at its key's labels; 0 elsewhere."""
-    out = np.zeros([len(axis) for axis in axes])
-    positions = [{label: i for i, label in enumerate(axis)} for axis in axes]
-    for key, value in cells.items():
-        out[tuple(map(dict.__getitem__, positions, key))] = value
-    return out
+        cells = read_columns(path, TENSOR_CSV_HEADER, (checked, checked, int, number),
+                             key=range(3), check=lambda weight: (weight < 0, "negative weight"))
+        regions = sorted({*cells.labels[0], *cells.labels[1]})
+        ages = sorted(cells.labels[2])
+        return cls(regions, ages, cells.dense((regions, regions, ages)))
 
 
 def marginal_residual(values: np.ndarray, marginals: MarginalSet) -> float:
@@ -200,34 +186,24 @@ def ipf_3d(init: MigrationTensor, marginals: MarginalSet,
 
 
 def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) -> None:
-    write_table(od_path, OD_CSV_HEADER, (
-        [o, d, repr(float(marginals.od[i, j]))]
-        for i, o in enumerate(marginals.regions)
-        for j, d in enumerate(marginals.regions)))
+    write_lines(od_path, OD_CSV_HEADER, (
+        f"{csv_prefix(origin, destination)}{value!r}\r\n"
+        for origin, row in zip(marginals.regions, marginals.od.tolist())
+        for destination, value in zip(marginals.regions, row)))
     for path, mat in ((emig_path, marginals.emig_by_age), (imm_path, marginals.imm_by_age)):
-        write_table(path, AGE_MARGINAL_CSV_HEADER, (
-            [r, a, repr(float(mat[i, k]))]
-            for i, r in enumerate(marginals.regions)
-            for k, a in enumerate(marginals.ages)))
-
-
-def _parse_od_row(row):
-    origin, destination, value = row
-    return (checked(origin), checked(destination)), number(value)
-
-
-def _parse_age_row(row):
-    region, age, value = row
-    return (checked(region), int(age)), number(value)
+        write_lines(path, AGE_MARGINAL_CSV_HEADER, (
+            f"{prefix}{age},{value!r}\r\n"
+            for region, row in zip(marginals.regions, mat.tolist())
+            for prefix in [csv_prefix(region)]
+            for age, value in zip(marginals.ages, row)))
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
-    od_cells = read_table(od_path, OD_CSV_HEADER, _parse_od_row)
-    emig_cells = read_table(emig_path, AGE_MARGINAL_CSV_HEADER, _parse_age_row)
-    imm_cells = read_table(imm_path, AGE_MARGINAL_CSV_HEADER, _parse_age_row)
-    regions = tuple(sorted({r for pair in od_cells for r in pair}
-                           | {r for r, _ in emig_cells} | {r for r, _ in imm_cells}))
-    ages = tuple(sorted({a for _, a in emig_cells} | {a for _, a in imm_cells}))
-    return MarginalSet(regions=regions, ages=ages, od=_dense(od_cells, (regions, regions)),
-                       emig_by_age=_dense(emig_cells, (regions, ages)),
-                       imm_by_age=_dense(imm_cells, (regions, ages)))
+    od = read_columns(od_path, OD_CSV_HEADER, (checked, checked, number), key=range(2))
+    emig, imm = (read_columns(path, AGE_MARGINAL_CSV_HEADER, (checked, int, number), key=range(2))
+                 for path in (emig_path, imm_path))
+    regions = tuple(sorted({*od.labels[0], *od.labels[1], *emig.labels[0], *imm.labels[0]}))
+    ages = tuple(sorted({*emig.labels[1], *imm.labels[1]}))
+    return MarginalSet(regions=regions, ages=ages, od=od.dense((regions, regions)),
+                       emig_by_age=emig.dense((regions, ages)),
+                       imm_by_age=imm.dense((regions, ages)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions
 from .errors import CoverageError, InputError
-from .files import line_of, number, read_table, write_table
+from .files import age, csv_prefix, number, read_columns, write_lines
 
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
@@ -202,27 +202,31 @@ class ParameterTable:
         return gaps
 
     def to_csv(self, path) -> None:
-        write_table(path, PARAM_CSV_HEADER, (
-            [self.kind, *key, age, repr(float(value))]
-            for key in sorted(self._rows) for age, value in enumerate(self._rows[key])))
+        write_lines(path, PARAM_CSV_HEADER, (
+            f"{prefix}{age},{value!r}\r\n"
+            for key in sorted(self._rows)
+            for prefix in [csv_prefix(self.kind, *key)]
+            for age, value in enumerate(self._rows[key].tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
         cells, kind = _read_param_csv(path)
         if kind == IMMIGRATION_KIND:
             raise InputError(f"{path}: use ImmigrationTable.from_csv for immigration counts")
-        groups: dict[tuple[int, str, str], dict[int, float]] = {}
-        for (year, region, sex, age), value in cells.items():
-            groups.setdefault((year, region, sex), {})[age] = value
-        max_age = max(age for (_, _, _, age) in cells)
+        max_age = max(cells.labels[4])
+        group, first = cells.groups((1, 2, 3))
+        ages = cells.positions(4, range(max_age + 1))
+        rows = np.zeros((len(first), max_age + 1))
+        rows[group, ages] = cells.values
+        short = np.flatnonzero(np.bincount(group) != max_age + 1).tolist()
+        if short:  # the first (year, region, sex) of the file that lacks ages
+            missing = sorted(set(range(max_age + 1)) - set(ages[group == short[0]].tolist()))
+            raise InputError(f"{path}:{cells.lines[first[short[0]]]}: row "
+                             f"({','.join(map(str, cells.row(first[short[0]], (1, 2, 3))))}) "
+                             f"lacks ages {missing} of 0..{max_age}")
         table = cls(kind, max_age)
-        for (year, region, sex), by_age in groups.items():
-            if len(by_age) != max_age + 1:
-                missing = sorted(set(range(max_age + 1)) - set(by_age))
-                first = next(i for i, key in enumerate(cells) if key[:3] == (year, region, sex))
-                raise InputError(f"{path}:{line_of(path, first)}: row ({year},{region},{sex}) "
-                                 f"lacks ages {missing} of 0..{max_age}")
-            table.set_row(year, region, sex, [by_age[a] for a in range(max_age + 1)])
+        for g, row in enumerate(first.tolist()):
+            table.set_row(*cells.row(row, (1, 2, 3)), rows[g])
         return table
 
 
@@ -253,8 +257,12 @@ class ImmigrationTable:
         return out
 
     def to_csv(self, path) -> None:
-        write_table(path, PARAM_CSV_HEADER, (
-            [IMMIGRATION_KIND, *key, self.counts[key]] for key in sorted(self.counts)))
+        cells = itertools.groupby(sorted(self.counts.items()), key=lambda cell: cell[0][:3])
+        write_lines(path, PARAM_CSV_HEADER, (
+            f"{prefix}{age},{count}\r\n"
+            for group, by_age in cells
+            for prefix in [csv_prefix(IMMIGRATION_KIND, *group)]
+            for (*_, age), count in by_age))
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":
@@ -262,46 +270,50 @@ class ImmigrationTable:
         if kind != IMMIGRATION_KIND:
             raise InputError(f"{path}: expected immigration counts, found kind {kind!r}")
         table = cls()
-        for (year, region, sex, age), count in cells.items():
-            table.add(year, region, sex, age, int(count))
+        table.counts = {key: int(count) for key, count in zip(
+            zip(*(cells.column(j) for j in range(1, 5))), cells.values.tolist()) if count}
         return table
 
 
 def _read_param_csv(path):
-    """Values by (year, region, sex, age) in file order, and the file's one kind."""
+    """The file's cells as ``read_columns`` reads them, and its one kind."""
     kinds = []
-    levels = {}  # level of each region code seen, in file order
+    first_level = []  # (code, level) of the first region of a probability table
 
-    def parse(row):
-        kind, year, region, sex, age, value = row
+    def kind(text):
         if not kinds:
-            if kind not in PROBABILITY_KINDS and kind != IMMIGRATION_KIND:
-                raise ValueError(f"unknown parameter kind {kind!r}")
-            kinds.append(kind)
-        elif kind != kinds[0]:
-            raise ValueError(f"mixed kinds {kinds[0]!r} and {kind!r}")
-        if sex not in ("m", "f", "all"):
-            raise ValueError("sex must be m, f or all")
-        if region not in levels:
-            level = regions.level_of(region)
-            first = next(iter(levels), None)
-            if first is not None and kind != IMMIGRATION_KIND and level != levels[first]:
-                raise ValueError(f"mixed region levels: {region!r} is "
-                                 f"{regions.level_name(level)}, {first!r} above is "
-                                 f"{regions.level_name(levels[first])}")
-            levels[region] = level
-        age, value = int(age), number(value)
-        if age < 0:
-            raise ValueError("negative age")
-        if kind == IMMIGRATION_KIND:
-            if value < 0 or value != int(value):
-                raise ValueError("an immigration count must be a non-negative integer")
-        elif not 0 <= value <= 1:
-            raise ValueError("a probability must lie in [0, 1]")
-        return (int(year), region, sex, age), value
+            if text not in PROBABILITY_KINDS and text != IMMIGRATION_KIND:
+                raise ValueError(f"unknown parameter kind {text!r}")
+            kinds.append(text)
+        elif text != kinds[0]:
+            raise ValueError(f"mixed kinds {kinds[0]!r} and {text!r}")
+        return text
 
-    cells = read_table(path, PARAM_CSV_HEADER, parse)
-    if not cells:
+    def region(text):
+        level = regions.level_of(text)
+        if kinds[:1] != [IMMIGRATION_KIND]:
+            if not first_level:
+                first_level.append((text, level))
+            first, first_at = first_level[0]
+            if level != first_at:
+                raise ValueError(f"mixed region levels: {text!r} is {regions.level_name(level)}, "
+                                 f"{first!r} above is {regions.level_name(first_at)}")
+        return text
+
+    def sex(text):
+        if text not in ("m", "f", "all"):
+            raise ValueError("sex must be m, f or all")
+        return text
+
+    def check(value):
+        if kinds[:1] == [IMMIGRATION_KIND]:
+            return ((value < 0) | (value != np.trunc(value)),
+                    "an immigration count must be a non-negative integer")
+        return ~((0 <= value) & (value <= 1)), "a probability must lie in [0, 1]"
+
+    cells = read_columns(path, PARAM_CSV_HEADER, (kind, int, region, sex, age, number),
+                         key=range(1, 5), check=check)
+    if not len(cells.values):
         raise InputError(f"{path}: no data rows")
     return cells, kinds[0]
 

@@ -13,8 +13,6 @@ code by walking the code up to the table's level.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InputError
 
 LEVEL_NAMES = ("country", "federal-state", "district", "municipality")
@@ -29,11 +27,8 @@ def level_of(code: str) -> int:
     return level
 
 
-@lru_cache(maxsize=4096)
 def checked(code: str) -> str:
-    """``code``, once ``level_of`` accepts it. File readers call this on every
-    row: a code seen before costs one cache lookup, and each code comes back as
-    one string object, which keeps the tables built from those rows small."""
+    """``code``, once ``level_of`` accepts it: the parser of a region column."""
     level_of(code)
     return code
 

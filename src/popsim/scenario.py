@@ -64,7 +64,7 @@ from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
-from .files import (number, parse_value, read_key_values, read_table, write_key_values,
+from .files import (age, number, parse_value, read_columns, read_key_values, write_key_values,
                     write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
@@ -154,7 +154,10 @@ class ScenarioSpec:
                 kwargs[key] = parse_value(path, key, raw, float)
             else:
                 kwargs[key] = parse_value(path, key, raw, int)
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 def profile_to_array(profile, max_age: int) -> np.ndarray:
@@ -510,16 +513,18 @@ def write_population_csv(cells, path) -> None:
 
 
 def read_population_csv(path) -> list[tuple[str, str, int, int]]:
-    def parse(row):
-        region, sex, age, count = row
-        age, count = int(age), int(count)
-        if sex not in ("m", "f"):
-            raise ValueError("sex must be m or f")
-        if age < 0:
-            raise ValueError("negative age")
-        if count < 0:
-            raise ValueError("negative count")
-        return (checked(region), sex, age), count
+    cells = read_columns(path, POPULATION_CSV_HEADER, (checked, _sex, age, _count), key=range(3))
+    return list(zip(*(cells.column(j) for j in range(4))))
 
-    cells = read_table(path, POPULATION_CSV_HEADER, parse)
-    return [(region, sex, age, count) for (region, sex, age), count in cells.items()]
+
+def _sex(text: str) -> str:
+    if text not in SEXES:
+        raise ValueError("sex must be m or f")
+    return text
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError("negative count")
+    return count

@@ -322,6 +322,19 @@ def test_gen_synthetic_rejects_bad_regions(tmp_path, capsys, regions, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("regions = AT-1, AT-1\n", "scenario lists region 'AT-1' twice"),
+    ("p_death = 1.5\n", "p_death leaves [0, 1]"),
+    ("p_birth = 20:0.1\nmax_age = 10\ninitial_age_high = 10\n",
+     "profile breakpoint age 20 outside 0..10")])
+def test_gen_synthetic_names_the_scenario_file(tmp_path, capsys, text, message):
+    spec = tmp_path / "scenario.conf"
+    spec.write_text(text)
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec),
+                 "--out-dir", str(tmp_path / "scen")]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {spec}: {message}"
+
+
 def test_config_later_key_overrides(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("initial_population = init.csv\nstep_unit = year\nstep_unit = month\n")
