@@ -32,110 +32,175 @@ BLOCK_ROWS = 1024  # lines per block: enough to amortise, few enough to keep mem
 
 
 def read_columns(path, header, parsers, key=(), check=None) -> Columns:
-    """A CSV table read by column, in blocks of BLOCK_ROWS lines.
+    """The rows csv.reader reads from a CSV table, blank ones left out, by column.
 
-    ``parsers`` holds one function per column. A label column's parser turns a
-    text into its label and runs once per distinct text, in order of first
-    appearance. The column whose parser is ``number`` holds the values, parsed
-    per row; ``check(values)``, if given, returns a mask of bad values and its
-    message. No two rows may share their labels in the ``key`` columns. The
-    first failing row is reported at its first failing column, a repeated key
-    at its later copy, as an InputError naming the line.
+    Rows are read in blocks of BLOCK_ROWS lines. ``parsers`` holds one
+    function per column. A label column's parser turns a text into its label
+    and runs once per distinct text, in order of first appearance. The column
+    whose parser is ``number`` holds the values, parsed per row;
+    ``check(values)``, if given, returns a mask of bad values and its message.
+    No two rows may share their labels in the ``key`` columns. The first
+    failing row is reported at its first failing column, a repeated key at its
+    later copy, as an InputError naming the line.
     """
     table = Columns(parsers, check)
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if [h.strip() for h in next(reader, ())] != list(header):
+            if [h.strip() for h in next(csv.reader(fh), ())] != list(header):
                 raise InputError(f"{path}: expected header {','.join(header)}")
-            for lines, columns, bad in _blocks(fh, len(header), reader.line_num):
-                bad = table.extend(lines, columns) or bad
+            for columns, wrong in _blocks(fh, len(header)):
+                bad = table.extend(columns) or wrong and (table.size, *wrong)
                 if bad:
-                    table.finish(path, key)
-                    raise InputError(f"{path}:{bad[0]}: bad row {bad[1]!r}: {bad[2]}")
+                    table.finish(path, key)  # a key repeated before the row is reported first
+                    line = line_of(path, bad[0])
+                    raise InputError(f"{path}:{line}: bad row {bad[1]!r}: {bad[2]}")
     except (UnicodeDecodeError, csv.Error) as exc:
+        table.finish(path, key)
         raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
     table.finish(path, key)
     return table
 
 
+def _blocks(fh, width):
+    """The rows csv.reader reads from ``fh`` (opened with newline=""), blank
+    rows left out, as ``width`` columns of texts per block of BLOCK_ROWS lines;
+    with each block, a row of another width that follows it, ``(row, error)``,
+    which ends the rows. An error reading a row is raised after the block of
+    the rows before it.
+
+    A block without quotes, NULs, lone "\\r" line ends, blank lines and overlong
+    lines is split with ``str.split``; any other goes through csv.reader, which
+    reads on past the block while a quoted field is open.
+    """
+    limit = csv.field_size_limit()
+    while True:
+        block, failure, columns, wrong = [], None, None, None
+        try:
+            block.extend(itertools.islice(fh, BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            failure = exc
+        if not block:
+            if failure:
+                raise failure
+            return
+        text, n = "".join(block).replace("\r\n", "\n"), len(block)
+        if (not any(c in text for c in '"\r\0') and max(map(len, block)) <= limit
+                and text[0] != "\n" and "\n\n" not in text):
+            cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")
+            # every line has ``width`` cells if every (width + 1)-th cell is a line end
+            if len(cells) == n * (width + 1) + 1 and cells[width::width + 1].count("\n") == n:
+                columns = [cells[j:-1:width + 1] for j in range(width)]
+        if columns is None:
+            source = _raising(failure) if failure else fh
+            rows, reader = [], csv.reader(itertools.chain(block, source))
+            try:
+                for row in reader:
+                    if row and len(row) != width:  # worded as unpacking the row would be
+                        wrong = row, (f"too many values to unpack (expected {width})"
+                                      if len(row) > width else f"not enough values to unpack "
+                                      f"(expected {width}, got {len(row)})")
+                        break
+                    if row:
+                        rows.append(row)
+                    if reader.line_num >= n:
+                        break
+            except (UnicodeDecodeError, csv.Error) as exc:
+                failure = exc
+            columns = list(zip(*rows)) or [()] * width
+        yield columns, wrong
+        if failure:
+            raise failure
+        if wrong:
+            return
+
+
+def _raising(exc):
+    """Lines that end in ``exc`` being raised."""
+    raise exc
+    yield
+
+
+def line_of(path, index: int) -> int:
+    """Line number of the ``index``-th data row (from 0) of a CSV file, as
+    csv.reader counts it; for error messages about a row found after reading."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        lines = (reader.line_num for row in reader if row)
+        return next(itertools.islice(lines, index, None))
+
+
 class Columns:
-    """A table as ``read_columns`` returns it. Label column ``j`` lists its
-    distinct labels in ``labels[j]``, in order of first appearance, and each
-    row's position in that list in ``codes[j]``; ``values`` holds the value
-    column and ``lines`` each row's line number."""
+    """A table of ``size`` rows as ``read_columns`` returns it. Label column
+    ``j`` lists its distinct labels in ``labels[j]``, in order of first
+    appearance, and each row's position in that list in ``codes[j]``;
+    ``values`` holds the value column."""
 
     def __init__(self, parsers, check):
-        self.parsers, self.check = parsers, check
+        self.parsers, self.check, self.size = parsers, check, 0
         self.labels = [[] for _ in parsers]
         self._index = [{} for _ in parsers]   # per column: label -> code
-        self._codes = [{} for _ in parsers]   # per column: text -> code, -1 if its parse failed
-        self._errors = [{} for _ in parsers]  # per column: text -> what its parse raised
-        # one array per block for each column, then for the line numbers
+        self._codes = [{} for _ in parsers]   # per column: text -> code, -1 if it failed
+        self._errors = [{} for _ in parsers]  # per column: text -> what parsing it raised
         self._parts = [[np.zeros(0, float if p is number else np.intp)] for p in parsers]
-        self._parts.append([np.zeros(0, np.intp)])
 
-    def extend(self, lines, columns):
-        """Add a block's rows before its first failing row; ``(line, row,
-        error)`` of that row, if any."""
-        n, bad, arrays = len(lines), np.zeros(len(lines), dtype=bool), []
-        for j, (parse, texts, codes) in enumerate(zip(self.parsers, columns, self._codes)):
-            if parse is number:
-                arrays.append(_floats(texts))
-                bad |= ~np.isfinite(arrays[-1])
-                if self.check:
-                    bad |= self.check(arrays[-1])[0]
-                continue
-            try:
-                arrays.append(np.fromiter(map(codes.__getitem__, texts), np.intp, n))
-            except KeyError:  # parse each new text once
-                for text in dict.fromkeys(texts):
-                    if text not in codes:
-                        codes[text] = self._code(j, text)
-                arrays.append(np.fromiter(map(codes.__getitem__, texts), np.intp, n))
-            bad |= arrays[-1] < 0
+    def extend(self, columns):
+        """Add the rows before the first failing row; ``(index, row, error)``
+        of that row, if any."""
+        n = len(columns[0]) if columns else 0
+        arrays, bad, checked = [], np.zeros(n, dtype=bool), (np.zeros(n, dtype=bool), None)
+        for j, texts in enumerate(columns):
+            if self.parsers[j] is number:
+                arrays.append(_floats(texts, self._errors[j]))
+                checked = self.check(arrays[-1]) if self.check else checked
+                bad |= ~np.isfinite(arrays[-1]) | checked[0]
+            else:
+                arrays.append(self._encode(j, texts))
+                bad |= arrays[-1] < 0
         first = int(bad.argmax()) if bad.any() else n
-        for part, array in zip(self._parts, (*arrays, lines)):
+        for part, array in zip(self._parts, arrays):
             part.append(array[:first])
-        if first < n:
-            row = [texts[first] for texts in columns]
-            return lines[first], row, self._error(row)
+        self.size += first
+        if first == n:
+            return None
+        row = [texts[first] for texts in columns]
+        for parse, errors, text, array in zip(self.parsers, self._errors, row, arrays):
+            if text in errors:  # explained by its first failing column
+                return self.size, row, errors[text]
+            if parse is number and not math.isfinite(array[first]):
+                return self.size, row, f"not a finite number: {text!r}"
+            if parse is number and checked[0][first]:
+                return self.size, row, checked[1]
 
-    def _code(self, j: int, text: str) -> int:
+    def _encode(self, j: int, texts) -> np.ndarray:
+        """Each text's code in column ``j``, parsing each new text once."""
+        codes, index, labels = self._codes[j], self._index[j], self.labels[j]
         try:
-            label = self.parsers[j](text)
-        except (ValueError, InputError) as exc:
-            self._errors[j][text] = exc
-            return -1
-        if label not in self._index[j]:
-            self._index[j][label] = len(self.labels[j])
-            self.labels[j].append(label)
-        return self._index[j][label]
-
-    def _error(self, row):
-        """What the first failing column of ``row`` has against it."""
-        for parse, errors, text in zip(self.parsers, self._errors, row):
-            if parse is not number:
-                if text in errors:
-                    return errors[text]
-                continue
-            try:
-                value = np.array([number(text)])
-            except ValueError as exc:
-                return exc
-            if self.check and self.check(value)[0][0]:
-                return self.check(value)[1]
+            return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
+        except KeyError:  # parse the new texts, in order of first appearance
+            for text in dict.fromkeys(texts):
+                if text in codes:
+                    continue
+                try:
+                    label = self.parsers[j](text)
+                except (ValueError, InputError) as exc:
+                    self._errors[j][text], codes[text] = exc, -1
+                    continue
+                codes[text] = index.setdefault(label, len(labels))
+                if codes[text] == len(labels):
+                    labels.append(label)
+        return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
 
     def finish(self, path, key) -> None:
         """Gather the rows read so far; an InputError at the first whose labels
         in the ``key`` columns repeat an earlier row's."""
-        *self.codes, self.lines = map(np.concatenate, self._parts)
+        self.codes = list(map(np.concatenate, self._parts))
         self.values = self.codes[self.parsers.index(number)] if number in self.parsers else None
         if key:
             group, first = self.groups(key)
-            repeats = np.flatnonzero(first[group] != np.arange(len(group))).tolist()
+            repeats = np.flatnonzero(first[group] != np.arange(self.size)).tolist()
             if repeats:
-                raise InputError(f"{path}:{self.lines[repeats[0]]}: duplicate row for "
+                raise InputError(f"{path}:{line_of(path, repeats[0])}: duplicate row for "
                                  f"({','.join(map(str, self.row(repeats[0], key)))})")
 
     def row(self, i: int, columns) -> tuple:
@@ -160,7 +225,7 @@ class Columns:
     def groups(self, columns):
         """Each row's group, the rows sharing their labels in ``columns``,
         numbered in order of first appearance; and each group's first row."""
-        key, span = np.zeros(len(self.lines), dtype=np.int64), 1
+        key, span = np.zeros(self.size, dtype=np.int64), 1
         for j in columns:
             size = len(self.labels[j])
             if span * size > 2 ** 62:  # renumber, as ravelling on would overflow
@@ -172,57 +237,14 @@ class Columns:
         return np.argsort(order)[group], first[order]
 
 
-def _blocks(fh, width, line):
-    """The rows csv.reader reads from ``fh`` (opened with newline="") past its
-    first ``line`` lines, blank rows left out, as ``(lines, columns, bad)`` per
-    block of BLOCK_ROWS lines: each row's line number (csv's ``line_num``) and
-    ``width`` columns of texts. A row of another width is ``bad``, ``(line,
-    row, error)``: it ends the rows, and its block holds the rows before it.
-
-    A block without quotes, lone "\\r" line ends and overlong lines is split
-    with ``str.split``; any other goes through csv.reader, which reads on past
-    the block while a quoted field is open.
-    """
-    limit = csv.field_size_limit()
-    while block := list(itertools.islice(fh, BLOCK_ROWS)):
-        text, n = "".join(block), len(block)
-        plain = '"' not in text and max(map(len, block)) <= limit
-        if plain and "\r" in text:
-            text = text.replace("\r\n", "\n")
-            plain = "\r" not in text
-        if plain and text[0] != "\n" and "\n\n" not in text:  # no blank line
-            cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")
-            # every line has ``width`` cells if every (width + 1)-th cell is a line end
-            if len(cells) == n * (width + 1) + 1 and cells[width::width + 1].count("\n") == n:
-                cells.pop()  # the empty text after the last line end
-                columns = [cells[j::width + 1] for j in range(width)]
-                yield np.arange(line + 1, line + n + 1), columns, None
-                line += n
-                continue
-        reader, rows, lines, bad = csv.reader(itertools.chain(block, fh)), [], [], None
-        for row in reader:
-            if row and len(row) != width:  # worded as unpacking the row would be
-                bad = (line + reader.line_num, row, f"too many values to unpack (expected {width})"
-                       if len(row) > width else
-                       f"not enough values to unpack (expected {width}, got {len(row)})")
-                break
-            if row:
-                rows.append(row)
-                lines.append(line + reader.line_num)
-            if reader.line_num >= n:
-                break
-        yield np.array(lines, dtype=np.intp), list(zip(*rows)) or [()] * width, bad
-        if bad:
-            return
-        line += reader.line_num
-
-
-def _floats(texts) -> np.ndarray:
-    """The texts as floats, up to the first that is not a number; nan from there on."""
+def _floats(texts, errors) -> np.ndarray:
+    """The texts as floats, up to the first that is not a number, which goes
+    into ``errors`` with what parsing it raised; nan from there on."""
     values = []
     try:
         values.extend(map(float, texts))
-    except ValueError:
+    except ValueError as exc:
+        errors[texts[len(values)]] = exc
         values += [math.nan] * (len(texts) - len(values))
     return np.array(values)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions
 from .errors import CoverageError, InputError
-from .files import age, csv_prefix, number, read_columns, write_lines
+from .files import age, csv_prefix, line_of, number, read_columns, write_lines
 
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
@@ -221,7 +221,7 @@ class ParameterTable:
         short = np.flatnonzero(np.bincount(group) != max_age + 1).tolist()
         if short:  # the first (year, region, sex) of the file that lacks ages
             missing = sorted(set(range(max_age + 1)) - set(ages[group == short[0]].tolist()))
-            raise InputError(f"{path}:{cells.lines[first[short[0]]]}: row "
+            raise InputError(f"{path}:{line_of(path, first[short[0]])}: row "
                              f"({','.join(map(str, cells.row(first[short[0]], (1, 2, 3))))}) "
                              f"lacks ages {missing} of 0..{max_age}")
         table = cls(kind, max_age)

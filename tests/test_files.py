@@ -19,8 +19,8 @@ from popsim.scenario import read_population_csv
 
 ENDINGS = ("\n", "\r\n", "\r")
 
-# mostly plain labels, some with the characters csv quotes
-labels = st.one_of(st.text("ab-1 ", max_size=4), st.text('ab,"\n\r ', max_size=4))
+# mostly plain labels, some with the characters csv quotes or that csv.reader alone reads
+labels = st.one_of(st.text("ab-1 ", max_size=4), st.text('ab,"\n\r\0 ', max_size=4))
 
 
 def render(row, ending):
@@ -54,27 +54,25 @@ def csv_rows(text):
 
 
 def reader_rows(text, width, block_rows):
-    """(line, row) of each row ``files._blocks`` reads, and its bad row."""
-    rows, bad = [], None
+    """Each row ``files._blocks`` reads, and the row of another width that ends them."""
+    rows, wrong = [], None
     with mock.patch.object(files, "BLOCK_ROWS", block_rows):
-        for lines, columns, bad in files._blocks(io.StringIO(text, newline=""), width, 0):
-            assert all(len(column) == len(lines) for column in columns)
-            rows += [(line, list(row)) for line, row in zip(lines.tolist(), zip(*columns))]
-    return rows, bad
+        for columns, wrong in files._blocks(io.StringIO(text, newline=""), width):
+            assert len(columns) == width and len({len(column) for column in columns}) == 1
+            rows += [list(row) for row in zip(*columns)]
+    return rows, wrong
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.integers(1, 6))
 def test_blocks_read_the_rows_csv_reader_reads(table, block_rows):
     text, width = table
-    rows, bad = reader_rows(text, width, block_rows)
-    # a quoted field may hold a line end: a row's line is then its last, as csv counts
-    assert rows == csv_rows(text) and bad is None
+    assert reader_rows(text, width, block_rows) == ([row for _, row in csv_rows(text)], None)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tables(), st.data())
-def test_a_row_of_another_width_ends_the_rows_at_its_line(table, data):
+def test_a_row_of_another_width_ends_the_rows_at_its_line(tmp_path_factory, table, data):
     text, width = table
     rows = [row for _, row in csv_rows(text)] or [[""] * width]
     at = data.draw(st.integers(0, len(rows) - 1))
@@ -82,10 +80,17 @@ def test_a_row_of_another_width_ends_the_rows_at_its_line(table, data):
     rows[at] = rows[at] + ["x"] if extra > 0 else rows[at][:-1]
     text = "".join(render(row, data.draw(st.sampled_from(ENDINGS))) for row in rows)
     expected = csv_rows(text)
-    rows, bad = reader_rows(text, width, data.draw(st.integers(1, 6)))
-    assert rows == expected[:at]
-    assert bad[:2] == expected[at]
-    assert re.fullmatch(r"(too many|not enough) values to unpack \(expected \d.*\)", bad[2])
+    block_rows = data.draw(st.integers(1, 6))
+    rows, wrong = reader_rows(text, width, block_rows)
+    assert rows == [row for _, row in expected[:at]] and wrong[0] == expected[at][1]
+    # read as a file, the row is reported at its line as csv.reader counts it
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text("h" + ",h" * (width - 1) + "\n" + text, newline="")
+    with mock.patch.object(files, "BLOCK_ROWS", block_rows):
+        with pytest.raises(InputError) as error:
+            files.read_columns(path, ("h",) * width, (str,) * width)
+    assert re.fullmatch(rf".*t\.csv:{expected[at][0] + 1}: bad row .*: (too many|not enough) "
+                        r"values to unpack \(expected \d.*\)", str(error.value), re.S)
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,6 +216,74 @@ def test_an_overlong_field_is_unreadable_as_csv_reader_finds_it(tmp_path):
     lines[1] = lines[1].replace(",m,", f",{'m' * (csv.field_size_limit() + 1)},", 1)
     with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: field larger"):
         SyntheticCensus.from_csv(_write(tmp_path / "census.csv", lines))
+
+
+@pytest.mark.parametrize("quoted", [False, True])  # read by str.split or by csv.reader
+def test_rows_before_an_unreadable_one_are_checked_first(tmp_path, quoted):
+    lines = _census_text(20)
+    if quoted:
+        lines[1] = lines[1].replace(",m,", ',"m",', 1)
+    lines[12] = lines[12].replace(",f,", f",{'f' * (csv.field_size_limit() + 1)},", 1)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",-1"
+    path = _write(tmp_path / "census.csv", lines)
+    with pytest.raises(InputError, match=r"census\.csv:4: .*negative count"):
+        SyntheticCensus.from_csv(path)
+    lines[3] = lines[2]
+    path = _write(tmp_path / "census.csv", lines)
+    with pytest.raises(InputError, match=r"census\.csv:4: duplicate row"):
+        SyntheticCensus.from_csv(path)
+    lines[3] = "P,2020,AT-1,m,1,1"
+    path = _write(tmp_path / "census.csv", lines)
+    with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: field larger"):
+        SyntheticCensus.from_csv(path)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_rows_before_undecodable_text_are_checked_first(tmp_path, quoted):
+    # the bad byte lies past the first chunk the text layer decodes, within the first block
+    lines = _census_text(900)
+    if quoted:
+        lines[1] = lines[1].replace(",m,", ',"m",', 1)
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",-1"
+    path = tmp_path / "census.csv"
+    data = "\n".join(lines).encode()
+    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
+    with pytest.raises(InputError, match=r"census\.csv:4: .*negative count"):
+        SyntheticCensus.from_csv(path)
+    lines[3] = "P,2020,AT-1,m,1,1"
+    data = "\n".join(lines).encode()
+    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
+    with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: .*decode"):
+        SyntheticCensus.from_csv(path)
+
+
+def test_undecodable_text_at_a_block_start_is_unreadable(tmp_path):
+    lines = _census_text(900)
+    data = "\n".join(lines).encode()
+    path = tmp_path / "census.csv"
+    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
+    decoded = []
+    with open(path, newline="") as fh, pytest.raises(UnicodeDecodeError):
+        decoded.extend(fh)
+    # the first block ends where decoding fails: the next one starts with the failure
+    with mock.patch.object(files, "BLOCK_ROWS", len(decoded) - 1):
+        with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: .*decode"):
+            SyntheticCensus.from_csv(path)
+
+
+def test_a_nul_is_read_as_csv_reader_reads_it(tmp_path):
+    lines = _census_text(3)
+    lines[2] = lines[2].replace(",f,", ",f\0,", 1)
+    path = _write(tmp_path / "census.csv", lines)
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error:  # Python before 3.11 rejects a NUL
+        with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text"):
+            SyntheticCensus.from_csv(path)
+    else:
+        assert rows[2][3] == "f\0"
+        assert SyntheticCensus.from_csv(path).labels("sex") == {"m", "f\0"}
 
 
 def test_labels_are_parsed_once_per_distinct_text(tmp_path):
