@@ -24,7 +24,7 @@ import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import csv_field, number, read_columns, write_lines
+from .files import csv_field, number, read_columns, sex, write_lines
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
@@ -99,10 +99,23 @@ class SyntheticCensus:
         unknown = set(metrics) - METRIC_INDEX.keys()
         if unknown:
             raise InputError(f"unknown census metric {min(unknown)!r}")
-        self.extend(*labels)
-        at = tuple(np.fromiter(map(index.__getitem__, column), np.intp, len(cells))
-                   for index, column in zip((METRIC_INDEX, *self.index), (metrics, *labels)))
-        self.values[at] += np.fromiter(cells.values(), float, len(cells))
+        each = np.arange(len(cells))
+        self.record_codes(np.fromiter(map(METRIC_INDEX.__getitem__, metrics), np.intp, len(cells)),
+                          [each] * 4, labels, np.fromiter(cells.values(), float, len(cells)))
+
+    def record_codes(self, metric, codes, labels, counts) -> None:
+        """Add ``counts`` to distinct cells given by position: ``metric`` in
+        METRICS, and ``codes`` per axis (year, region, sex, age) in that axis's
+        ``labels``. The labels used that the axes lack are added first."""
+        self.extend(*([axis[i] for i in np.flatnonzero(np.bincount(column)).tolist()]
+                      for column, axis in zip(codes, labels)))
+        at = [metric]
+        for column, axis, index in zip(codes, labels, self.index):
+            # a label no code uses may be missing from the axis: it is never picked
+            position = np.fromiter((index.get(label, -1) for label in axis), np.intp, len(axis))
+            at.append(position[column])
+        at = tuple(at)
+        self.values[at] += counts
         self.present[at] = True
 
     def record_population(self, year: int, counts: dict) -> None:
@@ -222,7 +235,7 @@ class SyntheticCensus:
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
         table = read_columns(path, CENSUS_CSV_HEADER,
-                             (_metric, int, regions_mod.checked, str, _age_label, number),
+                             (_metric, int, regions_mod.checked, sex, _age_label, number),
                              key=range(5), check=lambda count: (count < 0, "negative count"))
         census = cls([sorted(table.labels[j], key=key) for j, key in enumerate(_AXIS_KEYS, 1)])
         at = tuple(table.positions(j, axis) for j, axis in enumerate((METRICS, *census.axes)))

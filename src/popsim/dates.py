@@ -141,7 +141,7 @@ def ymd(ordinals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _ordinals(years, months, days) -> np.ndarray:
     month_count = (years - 1970) * 12 + months - 1
     return month_count.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64) \
-        + (days - 1 + _EPOCH)
+        + days + (_EPOCH - 1)
 
 
 def _is_leap(years) -> np.ndarray:

@@ -19,9 +19,12 @@ Phases 2-3 repeat until quiescent (a caught-up newborn may itself give
 birth before X), so the world state at X reflects exactly the events dated
 up to X and the census conservation identities hold exactly.
 
-Agents are columns, one lane per agent id: birthdate, age, sex, region,
+Agents are columns, one lane per agent id: birthdate, its int8 month and
+day (set at creation, so no Birthday splits a birthdate), age, sex, region,
 alive flag, one due date per event kind and the destination of a drawn
 internal migration, plus the agent's PCG64 stream in ``rng.StreamArray``.
+The year of an event or creation date is its place among the Jan-1 ordinals
+of the years being stepped.
 An agent has at most one pending event per demographic kind, because the
 events of a life-year all fall before the Birthday that closes it, so the
 due columns are its whole queue; CUSTOM events wait in a small side queue
@@ -33,6 +36,12 @@ has one left. A lane's draws come from its own stream in the order the
 per-agent reference (``popsim.agents``) makes them, and the world stream's
 draws (initial birthdates, newborn sexes, immigrant plans) are batches in the
 order of the scalar draws they replace, so every census keeps its bytes.
+
+The census is booked by array position (``SyntheticCensus.record_codes``):
+the records of a macro step are counted per distinct cell with one
+``np.unique``, and a Jan-1 snapshot bincounts the alive lanes per (region,
+sex, age); the world's region codes map to census positions per booking, the
+axes gaining any label they lack. No cell passes through a label dict.
 
 Lanes do not interact in phase 1, so any split of the due lanes gives the
 same result: with ``workers`` > 1 the due lanes are cut into contiguous
@@ -51,7 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -149,10 +158,8 @@ class ModelParameters:
         """(EventKind, age row) of every kind with a table, in draw order.
 
         Birth rows are given for women only. The rows come from each table's
-        resolved-row cache, read afresh on every call. The engine reads them
-        once per macro step, into one array for the step's life-years, so
-        replacing a table in ``tables`` or calling its ``set_row`` takes effect
-        from the next macro step on.
+        resolved-row cache, read afresh on every call, as ``rate_array`` reads
+        them.
         """
         tables = self.tables
         return [(kind, tables[name].row(year, region, sex)) for kind, name in DRAW_ORDER[sex]
@@ -160,15 +167,20 @@ class ModelParameters:
 
     def rate_array(self, years, regions, n_ages: int) -> np.ndarray:
         """[kind, year, region, sex, age] probabilities of the life-years starting
-        in ``years``, kinds in DRAWN and sexes in SEXES order, from one
-        ``life_year_rates`` call per (year, region, sex). Ages past a row's last
-        one repeat it; a kind without a row (no table, or Birth for men) is 0."""
-        ages = np.arange(n_ages)
+        in ``years``, kinds in DRAWN and sexes in SEXES order, each kind's rows
+        stacked once from its table's resolved rows. Ages past a row's last one
+        repeat it; a kind without a table, or Birth for men, is 0. The engine
+        reads it once per macro step, so replacing a table in ``tables`` or
+        calling its ``set_row`` takes effect from the next macro step on."""
         rates = np.zeros((len(DRAWN), len(years), len(regions), len(SEXES), n_ages))
-        for (y, year), (r, region), (s, sex) in itertools.product(
-                enumerate(years), enumerate(regions), enumerate(SEXES)):
-            for kind, row in self.life_year_rates(year, region, sex):
-                rates[DRAWN.index(kind), y, r, s] = row[np.minimum(ages, len(row) - 1)]
+        for k, (_, name) in enumerate(DRAW_ORDER["f"]):
+            if name in self.tables:
+                table = self.tables[name]
+                sexes = [s for s, sex in enumerate(SEXES) if sex in KIND_SEXES[name]]
+                rows = np.array([table.row(year, region, SEXES[s]) for year, region, s
+                                 in itertools.product(years, regions, sexes)])
+                rows = rows.reshape(len(years), len(regions), len(sexes), table.max_age + 1)
+                rates[k][:, :, sexes] = rows[..., np.minimum(np.arange(n_ages), table.max_age)]
         return rates
 
     def sample_destination(self, origin: str, age: int, u: float) -> str | None:
@@ -312,6 +324,8 @@ class World:
         self._n = 0
         self._streams = StreamArray(seed)
         self._birth = np.zeros(0, np.int64)    # birthdate ordinal
+        self._month = np.zeros(0, np.int8)     # birthdate month
+        self._day = np.zeros(0, np.int8)       # birthdate day of month
         self._age = np.zeros(0, np.int64)
         self._sex = np.zeros(0, np.int8)       # position in SEXES
         self._region = np.zeros(0, np.intp)    # position in _regions
@@ -327,8 +341,7 @@ class World:
         self._immigrant_queue = _Planned(*(np.zeros(0, np.int64),) * 5)
         self._immigrant_cursor = 0
         self._plans_through: int | None = None
-        self._rate_years = (step.start.year - 1, step.start.year)
-        self._rates: np.ndarray | None = None
+        self._prepare(step.start)
         self._tensor_rows: np.ndarray | None = None
         self._tensor_regions: np.ndarray | None = None
         self._covered: set[str] = set()
@@ -395,7 +408,8 @@ class World:
         size = self._n + n
         if size > len(self._age):
             capacity = max(size, 2 * len(self._age))
-            for name in ("_birth", "_age", "_sex", "_region", "_alive", "_dest", "_due"):
+            for name in ("_birth", "_month", "_day", "_age", "_sex", "_region", "_alive",
+                         "_dest", "_due"):
                 old = getattr(self, name)
                 new = np.full((*old.shape[:-1], capacity), _NEVER if name == "_due" else 0,
                               old.dtype)
@@ -418,13 +432,15 @@ class World:
                              f"creation date {date.fromordinal(int(at[i]))}")
         lanes = self._grow(len(birth))
         born_year, month, day = dates.ymd(birth)
-        year = dates.ymd(at)[0]
+        year = self._years(at)
         this_year = dates.anniversaries(month, day, year)
         ahead_in_year = this_year > at  # the birthday of ``at``'s year is still to come
         following = np.where(ahead_in_year, this_year,
                              dates.anniversaries(month, day, year + 1))
         last = np.where(ahead_in_year, dates.anniversaries(month, day, year - 1), this_year)
         self._birth[lanes] = birth
+        self._month[lanes] = month
+        self._day[lanes] = day
         self._age[lanes] = year - born_year - ahead_in_year
         self._sex[lanes] = sex
         self._region[lanes] = region
@@ -441,9 +457,17 @@ class World:
 
     def _prepare(self, until: date) -> None:
         """Make the life-years starting from the year before the world's date
-        to ``until`` read the parameters as they are now."""
+        to ``until`` read the parameters as they are now, and ``_years`` read
+        the dates of those years."""
         self._rate_years = (self.date.year - 1, until.year)
-        self._rates = None
+        self._rates: np.ndarray | None = None
+        self._jan1 = np.array([date(year, 1, 1).toordinal()
+                               for year in range(self.date.year - 1, until.year + 1)])
+
+    def _years(self, ordinals) -> np.ndarray:
+        """The year of each day ordinal from the prepared years' first Jan 1 on,
+        none of them past the last year."""
+        return self._rate_years[0] - 1 + np.searchsorted(self._jan1, ordinals, side="right")
 
     def _rate_array(self) -> np.ndarray:
         """``ModelParameters.rate_array`` of the prepared years and the world's
@@ -526,9 +550,8 @@ class World:
         if kind is EventKind.BIRTHDAY:
             age += 1
             self._age[lanes] = age
-            _, month, day = dates.ymd(self._birth[lanes])
-            year = dates.ymd(when)[0]
-            following = dates.anniversaries(month, day, year + 1)
+            year = self._years(when)
+            following = dates.anniversaries(self._month[lanes], self._day[lanes], year + 1)
             self._due[_BIRTHDAY, lanes] = following
             self._draw_life_years(lanes, when, following - when, year)
         elif kind is EventKind.CUSTOM:
@@ -540,7 +563,7 @@ class World:
                 if not queue:
                     del self._customs[lane]
         else:
-            year = dates.ymd(when)[0]
+            year = self._years(when)
             self._due[_COLUMN[kind], lanes] = _NEVER
             if kind is EventKind.INTERNAL_MIGRATION:
                 dest = self._dest[lanes]
@@ -644,7 +667,8 @@ class World:
             check_initial_cells(cells)
             # per immigrant, an entry draw then a birthdate draw
             u = self._world_rng.random(2 * sum(counts))
-            entry = date(year, 1, 1).toordinal() + (u[0::2] * _year_days(year)).astype(np.int64)
+            first, following = (date(y, 1, 1).toordinal() for y in (year, year + 1))
+            entry = first + (u[0::2] * (following - first)).astype(np.int64)
             ages = np.repeat(ages, counts)
             lo, length = dates.birthdate_windows(entry, ages)
             order = np.argsort(entry, kind="stable")
@@ -674,7 +698,7 @@ class World:
         out = _Outbox()
         immigrants = self._create(birth, sex, region, at, out)
         self.counters["immigrants"] += len(immigrants)
-        out.records.append((METRIC_INDEX["I"], dates.ymd(at)[0], region, sex, age))
+        out.records.append((METRIC_INDEX["I"], self._years(at), region, sex, age))
         return self._collect(self._advance(immigrants, to.toordinal(), out))
 
     def _flush_records(self) -> None:
@@ -688,10 +712,9 @@ class World:
                  int(age.max()) + 1)
         cells, counts = np.unique(np.ravel_multi_index((metric, year - first, region, sex, age),
                                                        shape), return_counts=True)
-        metric, year, region, sex, age = (c.tolist() for c in np.unravel_index(cells, shape))
-        self.census.record_cells({
-            (METRICS[m], first + y, self._regions[r], SEXES[s], a): n
-            for m, y, r, s, a, n in zip(metric, year, region, sex, age, counts.tolist())})
+        metric, *codes = np.unravel_index(cells, shape)
+        self.census.record_codes(metric, codes, (range(first, first + shape[1]), self._regions,
+                                                 SEXES, range(shape[-1])), counts)
         self._records.clear()
 
     def _sync(self, to: date) -> None:
@@ -736,6 +759,17 @@ class World:
         return count_population(self._regions, self._region[:self._n][alive],
                                 self._sex[:self._n][alive], self._age[:self._n][alive])
 
+    def _record_population(self, year: int) -> None:
+        """Book the alive agents' (region, sex, age) counts as the census's
+        population of ``year``."""
+        alive = self._alive[:self._n]
+        region, sex, age = (lane[:self._n][alive] for lane in (self._region, self._sex, self._age))
+        shape = (1, len(self._regions), len(SEXES), int(age.max(initial=0)) + 1)
+        counts = np.bincount(np.ravel_multi_index((region, sex, age), shape[1:]))
+        cells = np.flatnonzero(counts)
+        self.census.record_codes(METRIC_INDEX["P"], np.unravel_index(cells, shape),
+                                 ([year], self._regions, SEXES, range(shape[-1])), counts[cells])
+
     def run(self) -> SyntheticCensus:
         """Drive macro steps and Jan-1 snapshots from start to end."""
         regions = self.params.run_regions(self._alive_regions())
@@ -748,14 +782,10 @@ class World:
                       *(a for (_, _, _, a) in (immigration.counts if immigration else ()))])
         self.census.extend(years, regions, SEXES, range(oldest + len(years)))
 
-        queue: list[tuple[date, int]] = []
-        d = date(self.step.start.year, 1, 1)
-        if d < self.step.start:
-            d = date(self.step.start.year + 1, 1, 1)
-        while d <= self.step.end:
-            heappush(queue, (d, 1))  # snapshot observer
-            d = date(d.year + 1, 1, 1)
-        heappush(queue, (self.step.next_boundary(self.step.start), 0))
+        # the Jan-1 snapshot observers and the first macro-step boundary
+        queue = [(date(year, 1, 1), 1) for year in years if date(year, 1, 1) >= self.step.start]
+        queue.append((self.step.next_boundary(self.step.start), 0))
+        heapify(queue)
 
         try:
             while queue:
@@ -768,8 +798,8 @@ class World:
                     log.info("macro step to %s: %d agents, %.1f ms", when,
                              len(self.agents), 1e3 * (time.perf_counter() - t0))
                 else:
-                    counts = self.snapshot_population(when)
-                    self.census.record_population(when.year, counts)
+                    self._sync(when)
+                    self._record_population(when.year)
         finally:
             if self._executor is not None:
                 self._executor.shutdown()
@@ -806,10 +836,6 @@ def check_initial_cells(cells) -> None:
             raise InputError(f"negative age for ({region},{sex},{age})")
         if count < 0:
             raise InputError(f"negative population count for ({region},{sex},{age})")
-
-
-def _year_days(year: int) -> int:
-    return (date(year + 1, 1, 1) - date(year, 1, 1)).days
 
 
 def run_simulation(step: MacroStepConfig, params: ModelParameters,

@@ -68,8 +68,8 @@ def _blocks(fh, width):
     which ends the rows. An error reading a row is raised after the block of
     the rows before it.
 
-    A block without quotes, NULs, lone "\\r" line ends, blank lines and overlong
-    lines is split with ``str.split``; any other goes through csv.reader, which
+    A block without quotes, lone "\\r" line ends, blank lines and overlong lines
+    is split with ``str.split``; any other goes through csv.reader, which
     reads on past the block while a quoted field is open.
     """
     limit = csv.field_size_limit()
@@ -84,7 +84,7 @@ def _blocks(fh, width):
                 raise failure
             return
         text, n = "".join(block).replace("\r\n", "\n"), len(block)
-        if (not any(c in text for c in '"\r\0') and max(map(len, block)) <= limit
+        if (not any(c in text for c in '"\r') and max(map(len, block)) <= limit
                 and text[0] != "\n" and "\n\n" not in text):
             cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")
             # every line has ``width`` cells if every (width + 1)-th cell is a line end
@@ -247,6 +247,13 @@ def _floats(texts, errors) -> np.ndarray:
         errors[texts[len(values)]] = exc
         values += [math.nan] * (len(texts) - len(values))
     return np.array(values)
+
+
+def sex(text: str) -> str:
+    """``text`` if it is ``m`` or ``f``, else a ValueError."""
+    if text not in ("f", "m"):
+        raise ValueError("sex must be m or f")
+    return text
 
 
 def age(text: str) -> int:

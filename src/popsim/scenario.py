@@ -64,8 +64,8 @@ from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
-from .files import (age, number, parse_value, read_columns, read_key_values, write_key_values,
-                    write_table)
+from .files import (age, number, parse_value, read_columns, read_key_values, sex,
+                    write_key_values, write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
@@ -513,14 +513,8 @@ def write_population_csv(cells, path) -> None:
 
 
 def read_population_csv(path) -> list[tuple[str, str, int, int]]:
-    cells = read_columns(path, POPULATION_CSV_HEADER, (checked, _sex, age, _count), key=range(3))
+    cells = read_columns(path, POPULATION_CSV_HEADER, (checked, sex, age, _count), key=range(3))
     return list(zip(*(cells.column(j) for j in range(4))))
-
-
-def _sex(text: str) -> str:
-    if text not in SEXES:
-        raise ValueError("sex must be m or f")
-    return text
 
 
 def _count(text: str) -> int:

@@ -1,5 +1,6 @@
 import numpy as np
 
+from popsim.census import METRIC_INDEX
 from popsim.engine import ModelParameters
 from popsim.ipf import MigrationTensor
 from popsim.params import ParameterTable
@@ -41,3 +42,17 @@ def constant_parameters(regions=("AT-1",), years=(2019, 2032), max_age=100,
         tensor = MigrationTensor(regions, range(max_age + 1),
                                  np.ones((n, n, max_age + 1)))
     return ModelParameters(tables, migration_tensor=tensor)
+
+
+def book_by_label(census, cell_map) -> None:
+    """Add a {(metric, year, region, sex, age): n} map to ``census`` label by
+    label, the reference for booking by position: the axes extended with the
+    map's labels, then each count added at the positions of its labels."""
+    if not cell_map:
+        return
+    metrics, *columns = zip(*cell_map)
+    census.extend(*columns)
+    at = tuple(np.array([index[label] for label in column], np.intp)
+               for index, column in zip((METRIC_INDEX, *census.index), (metrics, *columns)))
+    census.values[at] += list(cell_map.values())
+    census.present[at] = True

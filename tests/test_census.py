@@ -2,14 +2,17 @@
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsim.census import METRICS, AgeClassScheme, SyntheticCensus
+from popsim.census import METRIC_INDEX, METRICS, AgeClassScheme, SyntheticCensus
 from popsim.errors import InputError
 from popsim.regions import region_at_level
 from popsim.validation import _series, ensemble_mean
+
+from conftest import book_by_label
 
 
 def toy_census():
@@ -298,3 +301,32 @@ def test_add_and_scaled_match_per_cell_arithmetic(a, b):
         summed[key] = summed.get(key, 0) + n
     assert as_dict(left.add(right)) == summed
     assert as_dict(left) == a  # the operands are left as they were
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell_map=st.one_of(cells(int_ages), cells(mixed_ages)),
+       prior=cells(st.integers(0, 30), max_size=6), data=st.data())
+def test_booking_by_position_matches_booking_by_label(tmp_path_factory, cell_map, prior, data):
+    # the census already holds some labels and cells; the map may use labels it
+    # lacks, and each axis's labels come in any order, with some no cell uses
+    metrics, *columns = zip(*cell_map) if cell_map else ((),) * 5
+    labels = [data.draw(st.permutations(list(dict.fromkeys([*column, *extra]))))
+              for column, extra in zip(columns, ((1990, 2019), ("AT-2", "AT-9"), ("m",),
+                                                 (0, 200, "0-19")))]
+    codes = [np.array([axis.index(label) for label in column], np.intp)
+             for axis, column in zip(labels, columns)]
+    by_label, by_cells, by_position = (census_of(prior) for _ in range(3))
+    book_by_label(by_label, cell_map)
+    by_cells.record_cells(cell_map)
+    by_position.record_codes(np.array([METRIC_INDEX[m] for m in metrics], np.intp), codes,
+                             labels, np.array(list(cell_map.values()), float))
+    folder = tmp_path_factory.mktemp("booked")
+    for census in (by_cells, by_position):
+        assert census.axes == by_label.axes
+        assert np.array_equal(census.values, by_label.values)
+        assert np.array_equal(census.present, by_label.present)
+    written = []
+    for name, census in (("label", by_label), ("cells", by_cells), ("position", by_position)):
+        census.to_csv(folder / f"{name}.csv")
+        written.append((folder / f"{name}.csv").read_bytes())
+    assert written[0] == written[1] == written[2]

@@ -431,3 +431,33 @@ def test_validate_names_line_of_malformed_census_region(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "census.csv:4: " in err and "malformed region code 'AT--1'" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+def _census_with_unknown_sex(tmp_path):
+    # the rows of sex x would otherwise be left out of derived parameters unseen
+    census = tmp_path / "census.csv"
+    census.write_text("metric,year,region,sex,age,count\n"
+                      "P,2020,AT-1,m,5,10\nP,2021,AT-1,m,5,10\nP,2020,AT-1,x,5,10\n"
+                      "P,2021,AT-1,x,5,8\nD,2020,AT-1,x,5,2\n")
+    return census
+
+
+def test_derive_params_names_line_of_unknown_census_sex(tmp_path, capsys):
+    census = _census_with_unknown_sex(tmp_path)
+    assert main(["--quiet", "derive-params", "--census", str(census), "--kind", "death",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    assert "census.csv:4: " in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_validate_names_line_of_unknown_census_sex(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "run_001.csv").write_text("metric,year,region,sex,age,count\n"
+                                      "P,2020,AT-1,m,5,10\nP,2021,AT-1,m,5,10\n")
+    reference = _census_with_unknown_sex(tmp_path)
+    assert main(["--quiet", "validate", "--runs-dir", str(runs), "--reference",
+                 str(reference), "--out", str(tmp_path / "report.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "census.csv:4: " in err and "sex must be m or f" in err
+    assert not (tmp_path / "report.csv").exists()

@@ -1,7 +1,9 @@
 """Simulation-layer semantics: macro steps, exchange, immigration, determinism."""
 
+import contextlib
 import itertools
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from popsim import engine, rng
 from popsim.agents import EventKind
-from popsim.dates import anniversary_in_year
+from popsim.census import METRICS, SyntheticCensus
+from popsim.dates import anniversary_in_year, ymd
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import CoverageError, InputError
 from popsim.ipf import MigrationTensor
@@ -19,7 +22,7 @@ from popsim.rng import agent_stream
 from popsim.scenario import (ScenarioSpec, build_initial_population,
                              build_parameter_tables, cohort_projection)
 
-from conftest import constant_parameters
+from conftest import book_by_label, constant_parameters
 
 START, END = date(2020, 1, 1), date(2030, 1, 1)
 
@@ -635,3 +638,127 @@ def test_engine_and_oracle_reject_a_bad_initial_cell_alike(cell, message):
                 lambda: cohort_projection(params, [cell], 2020, 2)):
         with pytest.raises(InputError, match=f"^{message}$"):
             run()
+
+
+# ----- census booking by position, the calendar columns, stacked rate rows ----------
+
+def _record_codes_by_label(census, metric, codes, labels, counts):
+    """``SyntheticCensus.record_codes`` as booking by label: the cells turned
+    into a {(metric, year, region, sex, age): n} map and booked label by label."""
+    metric = np.broadcast_to(metric, counts.shape).tolist()
+    book_by_label(census, {(METRICS[m], *(axis[c] for axis, c in zip(labels, cell))): n
+                           for m, *cell, n in zip(metric, *(c.tolist() for c in codes),
+                                                  counts.tolist())})
+
+
+def _drive(world):
+    """Step ``world`` through macro_step and snapshot_population in the order
+    ``run`` takes its boundaries and Jan-1 snapshots; the snapshots taken."""
+    step, marks, boundary = world.step, [], world.step.start
+    while boundary < step.end:
+        boundary = step.next_boundary(boundary)
+        marks.append((boundary, 0))
+    marks += [(date(year, 1, 1), 1) for year in range(step.start.year + 1, step.end.year + 1)
+              if date(year, 1, 1) > step.start]
+    snapshots = []
+    for when, snapshot in sorted(marks):
+        if snapshot:
+            snapshots.append(world.snapshot_population(when))
+        else:
+            world.macro_step(when)
+    return snapshots
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), months=st.integers(1, 5), migration=st.booleans())
+def test_census_booked_by_position_matches_booking_by_label(tmp_path_factory, seed, months,
+                                                            migration):
+    # month steps from Mar 15; immigrants enter AT-2 from 2022 on, a region the
+    # world meets only then unless the migration tensor names it first, and whose
+    # census position falls between those of AT-1 and AT-3
+    rates = dict(death=0.03, emigration=0.02, birth=0.08)
+    if migration:
+        rates["internal_migration"] = 0.05
+    params = constant_parameters(regions=("AT-1", "AT-2", "AT-3"), max_age=90, **rates)
+    params.immigration = ImmigrationTable()
+    for year in (2022, 2023):
+        params.immigration.add(year, "AT-2", "f", 20, 15)
+        params.immigration.add(year, "AT-2", "m", 95, 3)
+    step = MacroStepConfig(date(2020, 3, 15), date(2024, 3, 15), "month", months)
+    initial = [("AT-1", "f", 30, 40), ("AT-3", "m", 60, 30), ("AT-3", "f", 0, 20)]
+    results = []
+    for by_label in (False, True):
+        with (mock.patch.object(SyntheticCensus, "record_codes", _record_codes_by_label)
+              if by_label else contextlib.nullcontext()):
+            driven, ran = (World(step, params, seed) for _ in range(2))
+            for world in (driven, ran):
+                world.add_initial_population(initial)
+            results.append((driven.census, _drive(driven), ran.run()))
+    folder = tmp_path_factory.mktemp("booked")
+    (driven, snapshots, ran), (driven_ref, snapshots_ref, ran_ref) = results
+    assert snapshots == snapshots_ref
+    for k, (census, reference) in enumerate(((driven, driven_ref), (ran, ran_ref))):
+        assert census.axes == reference.axes
+        assert np.array_equal(census.values, reference.values)
+        assert np.array_equal(census.present, reference.present)
+        census.to_csv(folder / f"{k}.csv")
+        reference.to_csv(folder / f"{k}_ref.csv")
+        assert (folder / f"{k}.csv").read_bytes() == (folder / f"{k}_ref.csv").read_bytes()
+    assert "AT-2" in driven.labels("region", "I")
+    # a world stepped without run() books the events run() books, and no snapshot
+    for metric in METRICS[1:]:
+        assert dict(driven.items(metric)) == dict(ran.items(metric))
+    assert dict(ran.items("P")) == {(year, *cell): n for year, counts in
+                                    zip(range(2021, 2025), snapshots)
+                                    for cell, n in counts.items()}
+    assert not driven.labels("year", "P")
+
+
+def test_birth_month_and_day_columns_match_the_birthdates():
+    # 5,000 agents aged 3 on 2020-01-01, about 14 of them born on 2016-02-29,
+    # and newborns through the leap year 2020
+    params = constant_parameters(death=0.01, birth=0.3)
+    world = World(MacroStepConfig(date(2020, 1, 1), date(2021, 1, 1), "month"), params, seed=5)
+    world.add_initial_population([("AT-1", sex, age, 2500) for sex in "fm" for age in range(4)])
+    world.run()
+    n = world._n
+    _, month, day = ymd(world._birth[:n])
+    assert world.counters["births"] > 0
+    assert np.array_equal(world._month[:n], month)
+    assert np.array_equal(world._day[:n], day)
+    leap_born = np.flatnonzero((month == 2) & (day == 29) & world._alive[:n])
+    assert {date.fromordinal(b).year for b in world._birth[leap_born].tolist()} == {2016, 2020}
+    # their next Birthday is observed on Feb 28
+    assert set(world._due[engine._BIRTHDAY, leap_born].tolist()) == {date(2021, 2, 28).toordinal()}
+
+
+def test_year_lookup_matches_ymd_on_dec_31_and_jan_1():
+    world = World(MacroStepConfig(date(2019, 3, 1), date(2031, 1, 1)),
+                  constant_parameters(death=0.0), seed=1)
+    world._prepare(date(2031, 1, 1))
+    edges = [date(year, month, day).toordinal() for year in range(2018, 2032)
+             for month, day in ((1, 1), (12, 31))]
+    assert world._years(np.array(edges)).tolist() == ymd(edges)[0].tolist()
+
+
+def test_rate_array_stacks_tables_of_different_max_age():
+    regions = ("AT-1", "AT-2")
+    params = constant_parameters(regions=regions, max_age=20, death=0.01)
+    params.tables["death"].set_row(2025, "AT-2", "all", np.linspace(0, 0.2, 21))
+    emigration = ParameterTable("emigration", 60)
+    emigration.set_constant(range(2019, 2032), regions, ("f", "m"), np.linspace(0, 0.6, 61))
+    emigration.set_row(2024, "AT-1", "m", np.full(61, 0.5))
+    params.tables["emigration"] = emigration
+    birth = ParameterTable("birth", 45)
+    birth.set_constant(range(2019, 2032), regions, ("f",), np.linspace(0.1, 0.2, 46))
+    params.tables["birth"] = birth
+    for n_ages in (10, 46, 90):
+        rates = params.rate_array([2024, 2025], regions, n_ages)
+        for (k, kind), (y, year), (r, region), (s, sex) in itertools.product(
+                enumerate(engine.DRAWN), enumerate((2024, 2025)), enumerate(regions),
+                enumerate(engine.SEXES)):
+            table = params.tables.get(kind.name.lower())
+            expected = [table.lookup(year, region, sex, age) if table is not None and
+                        (kind is not EventKind.BIRTH or sex == "f") else 0.0
+                        for age in range(n_ages)]
+            assert rates[k, y, r, s].tolist() == expected

@@ -129,7 +129,7 @@ def _write(path, lines):
 def test_an_error_past_the_first_block_names_its_line(tmp_path):
     lines = _census_text(3000, blank_every=7)
     # a quoted field spanning two lines before the error, so line and row part ways
-    lines[1] = lines[1].replace(",AT-1,", ',"AT-1",', 1).replace(",m,", ',"m\n",', 1)
+    lines[1] = lines[1].replace(",AT-1,", ',"AT-1",', 1).replace(",m,0,", ',m,"0\n",', 1)
     bad = next(k for k in range(2500, len(lines)) if lines[k])
     lines[bad] = lines[bad].rsplit(",", 1)[0] + ",-4"
     path = _write(tmp_path / "census.csv", lines)
@@ -273,17 +273,12 @@ def test_undecodable_text_at_a_block_start_is_unreadable(tmp_path):
 
 def test_a_nul_is_read_as_csv_reader_reads_it(tmp_path):
     lines = _census_text(3)
-    lines[2] = lines[2].replace(",f,", ",f\0,", 1)
+    lines[2] = lines[2].replace(",f,1,", ",f,1\0,", 1)
     path = _write(tmp_path / "census.csv", lines)
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except csv.Error:  # Python before 3.11 rejects a NUL
-        with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text"):
-            SyntheticCensus.from_csv(path)
-    else:
-        assert rows[2][3] == "f\0"
-        assert SyntheticCensus.from_csv(path).labels("sex") == {"m", "f\0"}
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[2][4] == "1\0"
+    assert "1\0" in SyntheticCensus.from_csv(path).labels("age")
 
 
 def test_labels_are_parsed_once_per_distinct_text(tmp_path):
