@@ -8,9 +8,7 @@ proportional fitting. Monte Carlo ensembles are validated against reference
 censuses with signed min/max relative deviation metrics.
 """
 
-from .agents import (Agent, AgentEvent, EventKind, OutboxMessage, advance,
-                     init_agent, on_birthday, on_demographic_event,
-                     scale_partial_year)
+from .agents import AgentEvent, EventKind, OutboxMessage
 from .census import AgeClassScheme, SyntheticCensus, count_population
 from .config import RunConfig
 from .dates import (birthdate_window, completed_age, days_since_birthday,
@@ -31,8 +29,7 @@ from .validation import (DeviationReport, ReportRow, deviation_extrema,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Agent", "AgentEvent", "EventKind", "OutboxMessage", "advance",
-    "init_agent", "on_birthday", "on_demographic_event", "scale_partial_year",
+    "AgentEvent", "EventKind", "OutboxMessage",
     "AgeClassScheme", "SyntheticCensus", "count_population",
     "RunConfig",
     "birthdate_window", "completed_age", "days_since_birthday",

@@ -89,19 +89,11 @@ class SyntheticCensus:
 
     def record_event(self, metric: str, year: int, region: str, sex: str,
                      age, n: float = 1) -> None:
-        self.record_cells({(metric, year, region, sex, age): n})
-
-    def record_cells(self, cells) -> None:
-        """Add each count of ``cells``, a mapping (metric, year, region, sex, age) -> n."""
-        if not cells:
-            return
-        metrics, *labels = zip(*cells)
-        unknown = set(metrics) - METRIC_INDEX.keys()
-        if unknown:
-            raise InputError(f"unknown census metric {min(unknown)!r}")
-        each = np.arange(len(cells))
-        self.record_codes(np.fromiter(map(METRIC_INDEX.__getitem__, metrics), np.intp, len(cells)),
-                          [each] * 4, labels, np.fromiter(cells.values(), float, len(cells)))
+        """Add ``n`` to one cell."""
+        if metric not in METRIC_INDEX:
+            raise InputError(f"unknown census metric {metric!r}")
+        first = np.zeros(1, np.intp)
+        self.record_codes(METRIC_INDEX[metric], [first] * 4, ([year], [region], [sex], [age]), n)
 
     def record_codes(self, metric, codes, labels, counts) -> None:
         """Add ``counts`` to distinct cells given by position: ``metric`` in
@@ -117,10 +109,6 @@ class SyntheticCensus:
         at = tuple(at)
         self.values[at] += counts
         self.present[at] = True
-
-    def record_population(self, year: int, counts: dict) -> None:
-        """Store a Jan-1 snapshot; ``counts`` maps (region, sex, age) to count."""
-        self.record_cells({("P", year, *key): n for key, n in counts.items()})
 
     def extend(self, years=(), regions=(), sexes=(), ages=()) -> None:
         """Add the missing labels to the axes; no cell becomes present. Growing

@@ -8,6 +8,7 @@ apportion. Exit codes: 0 success, 1 input error, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -47,12 +48,8 @@ def load_model_parameters(cfg: RunConfig) -> ModelParameters:
 
 def cmd_simulate(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if args.workers is not None:
-        cfg.workers = args.workers
+    overrides = {key: getattr(args, key) for key in ("seed", "runs", "workers")}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     params = load_model_parameters(cfg)
     initial = read_population_csv(cfg.resolve("initial_population"))
     step = MacroStepConfig(cfg.start_date, cfg.end_date, cfg.step_unit,

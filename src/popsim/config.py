@@ -41,6 +41,8 @@ class RunConfig:
     def __post_init__(self):
         if self.start_date >= self.end_date:
             raise InputError(f"start {self.start} must precede end {self.end}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.runs < 1:
             raise InputError("ensemble size must be >= 1")
         if self.workers < 1:

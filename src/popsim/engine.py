@@ -32,10 +32,10 @@ whose earliest date is the CUSTOM column. The due columns are ordered like
 their kinds, so a lane's earliest (due, kind) is the first column holding
 its earliest date. Phase 1 sweeps: each sweep applies, to every lane with an
 event due, that earliest event, as array operations per kind, until no lane
-has one left. A lane's draws come from its own stream in the order the
-per-agent reference (``popsim.agents``) makes them, and the world stream's
-draws (initial birthdates, newborn sexes, immigrant plans) are batches in the
-order of the scalar draws they replace, so every census keeps its bytes.
+has one left. A lane draws from its own stream (``rng.agent_stream`` of its
+id) in the order the single-agent reference in ``tests/reference_agent.py``
+states, and the world stream's draws (initial birthdates, newborn sexes,
+immigrant plans) are batches in the order of the scalar draws they replace.
 
 The census is booked by array position (``SyntheticCensus.record_codes``):
 the records of a macro step are counted per distinct cell with one
@@ -75,9 +75,11 @@ from .params import KIND_SEXES, PROBABILITY_KINDS, ImmigrationTable, ParameterTa
 from .rng import StreamArray, world_stream
 
 # World calls none of these three: perfbench's tracer wraps them by their names in
-# this module (ROADMAP item 4 moves it onto per-step stats), so they stay bound
-from .agents import advance, init_agent  # noqa: F401
+# this module (ROADMAP item 2 moves it onto per-step stats), so they stay bound.
+# advance and init_agent, the single-agent reference's entry points, are in
+# tests/reference_agent.py and bound to None here
 from .rng import agent_stream  # noqa: F401
+advance = init_agent = None
 
 log = logging.getLogger(__name__)
 
@@ -154,17 +156,6 @@ class ModelParameters:
         if migration_tensor is not None:
             migration_tensor.check_single_ages()
 
-    def life_year_rates(self, year: int, region: str, sex: str) -> list:
-        """(EventKind, age row) of every kind with a table, in draw order.
-
-        Birth rows are given for women only. The rows come from each table's
-        resolved-row cache, read afresh on every call, as ``rate_array`` reads
-        them.
-        """
-        tables = self.tables
-        return [(kind, tables[name].row(year, region, sex)) for kind, name in DRAW_ORDER[sex]
-                if name in tables]
-
     def rate_array(self, years, regions, n_ages: int) -> np.ndarray:
         """[kind, year, region, sex, age] probabilities of the life-years starting
         in ``years``, kinds in DRAWN and sexes in SEXES order, each kind's rows
@@ -183,20 +174,10 @@ class ModelParameters:
                 rates[k][:, :, sexes] = rows[..., np.minimum(np.arange(n_ages), table.max_age)]
         return rates
 
-    def sample_destination(self, origin: str, age: int, u: float) -> str | None:
-        """The first destination whose cumulative share exceeds ``u`` (the last
-        one if none does), or None when nobody of ``age`` leaves ``origin``."""
-        tensor = self.migration_tensor
-        try:
-            o = tensor.position[origin]
-        except KeyError:
-            raise CoverageError(f"migration tensor: no row for region={origin}") from None
-        d = self.destinations(np.array([o]), np.array([age]), np.array([u])).item()
-        return None if d < 0 else tensor.regions[d]
-
     def destinations(self, origins, ages, u) -> np.ndarray:
-        """``sample_destination`` over arrays of tensor positions, ages and
-        draws: each destination's tensor position, -1 where nobody leaves.
+        """Per (origin tensor position, age, draw ``u``): the tensor position of
+        the first destination whose cumulative share exceeds ``u`` (the last one
+        if none does), -1 where nobody of that age leaves that origin.
 
         The count of cumulative shares at or below ``u`` is the position of the
         first one above it, as the shares never decrease along a row.
@@ -812,8 +793,8 @@ class World:
         """Queue a cross-agent event; delivered at the next exchange."""
         self.agents[origin_id]  # the sender must be alive
         self._custom_seq += 1
-        self._custom_msgs.append(OutboxMessage(
-            origin_id, self._custom_seq, "custom", when, target=target_id, payload=payload))
+        self._custom_msgs.append(OutboxMessage(origin_id, self._custom_seq, when, target_id,
+                                               payload))
 
 
 class _Planned(NamedTuple):

@@ -448,11 +448,6 @@ def build_model_parameters(spec: ScenarioSpec) -> ModelParameters:
                            migration_tensor=build_migration_tensor(spec))
 
 
-def reference_census_for(spec: ScenarioSpec) -> SyntheticCensus:
-    return cohort_projection(build_model_parameters(spec), build_initial_population(spec),
-                             spec.start_year, spec.years, male_fraction=spec.male_fraction)
-
-
 def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str, Path]:
     """Write the complete, internally consistent input set for a run.
 
@@ -460,32 +455,17 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
     migration tensor where applicable, the oracle reference census and a
     ready-to-run config. Returns the paths keyed by role.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
     params = build_model_parameters(spec)
-    for role, name, source in (
-            *((kind, f"params_{kind}.csv", table) for kind, table in params.tables.items()),
-            ("immigration", "immigration.csv", params.immigration),
-            ("migration_tensor", "migration_tensor.csv", params.migration_tensor)):
-        if source is not None:
-            paths[role] = out / name
-            source.to_csv(paths[role])
-
-    initial = build_initial_population(spec)
-    paths["initial_population"] = out / "initial_population.csv"
-    write_population_csv(initial, paths["initial_population"])
-
-    reference = cohort_projection(params, initial, spec.start_year, spec.years,
-                                  male_fraction=spec.male_fraction)
-    paths["reference_census"] = out / "reference_census.csv"
-    reference.to_csv(paths["reference_census"])
-
-    paths["scenario"] = out / "scenario.conf"
-    spec.to_file(paths["scenario"])
-
-    names = {role: path.name for role, path in paths.items()}
+    sources = {role: (name, source) for role, name, source in (
+        *((kind, f"params_{kind}.csv", table) for kind, table in params.tables.items()),
+        ("immigration", "immigration.csv", params.immigration),
+        ("migration_tensor", "migration_tensor.csv", params.migration_tensor))
+        if source is not None}
+    names = {role: name for role, (name, _) in sources.items()}
+    names.update(initial_population="initial_population.csv",
+                 reference_census="reference_census.csv", scenario="scenario.conf",
+                 config="run.conf")
+    # the run settings are checked before anything is written
     config = RunConfig(
         start=f"{spec.start_year}-01-01",
         end=f"{spec.end_year}-01-01",
@@ -502,9 +482,17 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
         initial_population=names["initial_population"],
         reference_census=names["reference_census"],
     )
-    config_path = out / "run.conf"
-    config.to_file(config_path)
-    paths["config"] = config_path
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {role: out / name for role, name in names.items()}
+    for role, (_, source) in sources.items():
+        source.to_csv(paths[role])
+    initial = build_initial_population(spec)
+    write_population_csv(initial, paths["initial_population"])
+    cohort_projection(params, initial, spec.start_year, spec.years,
+                      male_fraction=spec.male_fraction).to_csv(paths["reference_census"])
+    spec.to_file(paths["scenario"])
+    config.to_file(paths["config"])
     return paths
 
 

@@ -112,6 +112,8 @@ def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus
     """
     if not ensemble:
         raise InputError("ensemble is empty")
+    if metric not in METRIC_INDEX:
+        raise InputError(f"unknown census metric {metric!r}")
     if scheme is None:
         scheme = AgeClassScheme.twenty_year()
     runs = [census.aggregate(scheme, region_level) for census in ensemble]

@@ -4,6 +4,7 @@ from popsim.census import METRIC_INDEX
 from popsim.engine import ModelParameters
 from popsim.ipf import MigrationTensor
 from popsim.params import ParameterTable
+from popsim.scenario import build_initial_population, build_model_parameters, cohort_projection
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -56,3 +57,15 @@ def book_by_label(census, cell_map) -> None:
                for index, column in zip((METRIC_INDEX, *census.index), (metrics, *columns)))
     census.values[at] += list(cell_map.values())
     census.present[at] = True
+
+
+def book_population(census, year, counts) -> None:
+    """Book a Jan-1 snapshot, a {(region, sex, age): n} map, as P cells of ``year``."""
+    for (region, sex, age), n in counts.items():
+        census.record_event("P", year, region, sex, age, n)
+
+
+def reference_census_for(spec):
+    """The oracle's expected census of a scenario spec."""
+    return cohort_projection(build_model_parameters(spec), build_initial_population(spec),
+                             spec.start_year, spec.years, male_fraction=spec.male_fraction)

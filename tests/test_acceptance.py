@@ -9,29 +9,30 @@ seeds are part of the pinned configuration.
 import itertools
 import time
 from contextlib import contextmanager
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
-from popsim.agents import EventKind, init_agent
+from popsim.agents import EventKind
 from popsim.census import SyntheticCensus
 from popsim.cli import main
-from popsim.dates import birthdate_window, completed_age, days_since_birthday, \
-    days_until_birthday
+from popsim.dates import completed_age, days_since_birthday, days_until_birthday
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import FeasibilityError
 from popsim.ipf import MigrationTensor, ipf_3d, marginal_residual
-from popsim.params import ParameterTable, apportion_integer, farr_probability
-from popsim.rng import agent_stream, substream
-from popsim.scenario import (ScenarioSpec, build_initial_population,
-                             build_parameter_tables, reference_census_for)
+from popsim.params import ImmigrationTable, ParameterTable, apportion_integer, farr_probability
+from popsim.rng import substream
+from popsim.scenario import ScenarioSpec, build_initial_population, build_parameter_tables
 from popsim.validation import deviation_extrema, deviation_report
+
+from conftest import reference_census_for
 
 # pinned acceptance configuration
 FARR_SEED = 36           # criterion 1
 DETERMINISM_SEED = 2401  # criterion 3
+FIRST_YEAR_SEED = 8801   # criterion 8
 CLOSED_LOOP_SEED = 90    # criterion 9
 
 
@@ -442,37 +443,41 @@ def test_criterion_7_birthday_semantics():
 
 
 def test_criterion_8_first_year_scaling():
-    """100,000 agents injected uniformly over a year with p = 0.5 experience
-    pre-first-birthday events at the partial-year rate, chi-square at
-    alpha = 0.01; the day offsets within the residual window are uniform."""
+    """100,000 age-30 immigrants entering over 2020 with p = 0.5, run through the
+    World API: each one's death before its first Birthday comes at the
+    partial-year rate, chi-square at alpha = 0.01, and the day offsets of those
+    deaths within the residual window are uniform."""
     with criterion("8 first-life-year scaling"):
         table = ParameterTable("death", 60)
-        table.set_constant(range(2019, 2022), ["AT-1"], ("all",), np.full(61, 0.5))
-        params = ModelParameters({"death": table})
-        attr_rng = substream(777, 9)
+        table.set_constant(range(2019, 2023), ["AT-1"], ("all",), np.full(61, 0.5))
+        immigration = ImmigrationTable()
         n = 100_000
-        year_start = date(2020, 1, 1)
-        predicted, observed, offsets = [], [], []
-        for i in range(n):
-            entry = year_start + timedelta(days=int(attr_rng.random() * 366))
-            birthdate = _sample_birthdate(attr_rng, entry, age=30)
-            agent = init_agent(i, birthdate, "m", "AT-1", entry, params,
-                               agent_stream(777, i))
-            ahead = days_until_birthday(entry, birthdate)
-            since = days_since_birthday(entry, birthdate)
-            predicted.append(0.5 * ahead / (ahead + since))
-            death = [ev for ev in agent.events if ev.kind == EventKind.DEATH]
-            observed.append(1 if death else 0)
-            if death:
-                # whole-day offsets live on a lattice of 1/ahead; dithering
-                # with an independent uniform makes the null exactly uniform
-                jitter = attr_rng.random()
-                offsets.append(((death[0].due - entry).days + jitter) / ahead)
+        immigration.add(2020, "AT-1", "m", 30, n)
+        params = ModelParameters({"death": table}, immigration=immigration)
+        world = World(MacroStepConfig(date(2020, 1, 1), date(2022, 1, 1)), params,
+                      FIRST_YEAR_SEED)
+        entry, birthdate, first_birthday, death = {}, {}, {}, {}
 
-        predicted = np.array(predicted)
-        observed = np.array(observed)
-        scale = predicted / 0.5
-        bins = np.clip((scale * 10).astype(int), 0, 9)
+        def listen(agent, event):
+            if event.kind == EventKind.INIT:
+                entry[agent.id], birthdate[agent.id] = event.due, agent.birthdate
+            elif event.kind == EventKind.BIRTHDAY:
+                first_birthday.setdefault(agent.id, event.due)
+            elif event.kind == EventKind.DEATH and agent.id not in first_birthday:
+                death[agent.id] = event.due
+
+        world.listeners.append(listen)
+        world.macro_step(date(2022, 1, 1))
+        assert len(entry) == n and first_birthday.keys().isdisjoint(death)
+        assert len(first_birthday) + len(death) == n
+        ahead = np.array([days_until_birthday(entry[i], birthdate[i]) for i in range(n)])
+        since = np.array([days_since_birthday(entry[i], birthdate[i]) for i in range(n)])
+        for i, due in first_birthday.items():
+            assert (due - entry[i]).days == ahead[i]
+
+        predicted = 0.5 * ahead / (ahead + since)
+        observed = np.isin(np.arange(n), list(death))
+        bins = np.clip((predicted / 0.5 * 10).astype(int), 0, 9)
         chi2 = 0.0
         for b in range(10):
             mask = bins == b
@@ -481,12 +486,12 @@ def test_criterion_8_first_year_scaling():
             chi2 += (observed[mask].sum() - expected) ** 2 / variance
         assert chi2 < chi2_dist.ppf(0.99, df=10), chi2
 
+        # whole-day offsets live on a lattice of 1/ahead; dithering with an
+        # independent uniform makes the null exactly uniform
+        died = np.array(list(death))
+        days = np.array([(death[i] - entry[i]).days for i in died.tolist()])
+        offsets = (days + substream(FIRST_YEAR_SEED, 9).random(len(died))) / ahead[died]
         counts, _ = np.histogram(offsets, bins=20, range=(0.0, 1.0))
         expected = len(offsets) / 20
         gof = float(((counts - expected) ** 2 / expected).sum())
         assert gof < chi2_dist.ppf(0.99, df=19), gof
-
-
-def _sample_birthdate(rng, ref, age):
-    lo, hi = birthdate_window(ref, age)
-    return lo + timedelta(days=int(rng.random() * ((hi - lo).days + 1)))

@@ -1,16 +1,17 @@
-"""Agent-level event graph semantics."""
+"""Agent-level event graph semantics, on the single-agent reference."""
 
 from datetime import date
 
 import numpy as np
 import pytest
 
-from popsim.agents import (EventKind, advance, init_agent, on_birthday,
-                           on_demographic_event, scale_partial_year)
+from popsim.agents import EventKind
 from popsim.errors import InputError
 from popsim.rng import agent_stream
 
 from conftest import constant_parameters
+from reference_agent import (BirthRequest, Departure, advance, init_agent, on_birthday,
+                             on_demographic_event, scale_partial_year)
 
 
 def make_agent(params, agent_id=1, birthdate=date(2000, 3, 15), sex="f",
@@ -127,7 +128,7 @@ def test_terminal_event_cancels_pending():
     assert not agent.alive
     assert agent.events == []
     assert records == [("D", date(2020, 2, 1), "AT-1", "f", 19)]
-    assert len(outbox) == 1 and outbox[0].kind == "terminal"
+    assert outbox == [Departure(agent.id, date(2020, 2, 1), EventKind.DEATH)]
 
 
 def test_death_before_birth_means_no_birth():
@@ -137,7 +138,7 @@ def test_death_before_birth_means_no_birth():
     agent.schedule(date(2020, 3, 1), EventKind.BIRTH)  # due after the death
     records, outbox = [], []
     advance(agent, date(2021, 1, 1), params, records, outbox)
-    assert [m.kind for m in outbox] == ["terminal"]
+    assert outbox == [Departure(agent.id, date(2020, 2, 1), EventKind.DEATH)]
     assert all(metric != "B" for metric, *_ in records)
 
 
@@ -152,8 +153,7 @@ def test_birth_event_emits_one_request():
     records, outbox = [], []
     on_demographic_event(agent, event, records, outbox)
     assert agent.alive
-    assert [m.kind for m in outbox] == ["birth"]
-    assert outbox[0].region == "AT-1" and outbox[0].date == event_due
+    assert outbox == [BirthRequest(agent.id, event_due, "AT-1")]
     assert agent.events == before  # mother's queue otherwise unchanged
 
 

@@ -12,13 +12,13 @@ from popsim.errors import InputError
 from popsim.regions import region_at_level
 from popsim.validation import _series, ensemble_mean
 
-from conftest import book_by_label
+from conftest import book_by_label, book_population
 
 
 def toy_census():
     census = SyntheticCensus()
-    census.record_population(2024, {("AT-5-01", "m", 70): 3, ("AT-5-01", "f", 71): 2,
-                                    ("AT-9", "f", 85): 1})
+    book_population(census, 2024, {("AT-5-01", "m", 70): 3, ("AT-5-01", "f", 71): 2,
+                                   ("AT-9", "f", 85): 1})
     census.record_event("D", 2024, "AT-5-01", "m", 70)
     census.record_event("IM_OUT", 2024, "AT-1", "f", 30)
     census.record_event("IM_IN", 2024, "AT-9", "f", 30)
@@ -31,6 +31,13 @@ def test_record_event_increments():
     census.record_event("D", 2024, "AT-5-01", "m", 70)
     assert census.get("D", 2024, "AT-5-01", "m", 70) == 2
     assert census.get("D", 2023, "AT-5-01", "m", 70) == 0
+
+
+def test_record_event_rejects_unknown_metric():
+    census = toy_census()
+    with pytest.raises(InputError, match="unknown census metric 'Q'"):
+        census.record_event("Q", 2024, "AT-1", "f", 30)
+    assert census.labels("year") == {2024}
 
 
 def test_internal_migration_double_entry():
@@ -315,18 +322,14 @@ def test_booking_by_position_matches_booking_by_label(tmp_path_factory, cell_map
                                                  (0, 200, "0-19")))]
     codes = [np.array([axis.index(label) for label in column], np.intp)
              for axis, column in zip(labels, columns)]
-    by_label, by_cells, by_position = (census_of(prior) for _ in range(3))
+    by_label, by_position = census_of(prior), census_of(prior)
     book_by_label(by_label, cell_map)
-    by_cells.record_cells(cell_map)
     by_position.record_codes(np.array([METRIC_INDEX[m] for m in metrics], np.intp), codes,
                              labels, np.array(list(cell_map.values()), float))
+    assert by_position.axes == by_label.axes
+    assert np.array_equal(by_position.values, by_label.values)
+    assert np.array_equal(by_position.present, by_label.present)
     folder = tmp_path_factory.mktemp("booked")
-    for census in (by_cells, by_position):
-        assert census.axes == by_label.axes
-        assert np.array_equal(census.values, by_label.values)
-        assert np.array_equal(census.present, by_label.present)
-    written = []
-    for name, census in (("label", by_label), ("cells", by_cells), ("position", by_position)):
-        census.to_csv(folder / f"{name}.csv")
-        written.append((folder / f"{name}.csv").read_bytes())
-    assert written[0] == written[1] == written[2]
+    by_label.to_csv(folder / "label.csv")
+    by_position.to_csv(folder / "position.csv")
+    assert (folder / "label.csv").read_bytes() == (folder / "position.csv").read_bytes()

@@ -1,10 +1,11 @@
 """Pinned census digests.
 
 The digests below were computed with the engine that kept one event heap and
-one numpy ``Generator`` per agent (``popsim.agents``). The array kernel that
-replaced it must draw exactly what each agent's stream drew and apply the
-events in the same order, so every census keeps its bytes; a change here means
-a changed draw, event order or id assignment, not a different random run.
+one numpy ``Generator`` per agent, the rules that ``reference_agent`` still
+states for one agent. The array kernel that replaced it must draw exactly what
+each agent's stream drew and apply the events in the same order, so every
+census keeps its bytes; a change here means a changed draw, event order or id
+assignment, not a different random run.
 """
 
 import hashlib

@@ -289,6 +289,40 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, message", [
+    (("--runs", "0"), "ensemble size must be >= 1"),
+    (("--seed", "-1"), "seed must be non-negative, got -1"),
+    (("--workers", "0"), "workers must be >= 1")])
+def test_simulate_checks_overrides_before_reading_inputs(tmp_path, capsys, override, message):
+    scen = _tiny_scenario(tmp_path)
+    (scen / "initial_population.csv").unlink()
+    assert _simulate(scen, tmp_path, *override) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_gen_synthetic_rejects_negative_seed_before_writing(tmp_path, capsys):
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        RunConfig(initial_population="x", seed=-1)
+    out = tmp_path / "scen"
+    assert main(["--quiet", "gen-synthetic", "--seed", "-1", "--out-dir", str(out)]) == 1
+    assert "error: seed must be non-negative, got -1\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_rejects_unknown_metric(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    census = "metric,year,region,sex,age,count\nP,2020,AT-1,m,5,10\n"
+    (runs / "run_001.csv").write_text(census)
+    (tmp_path / "reference.csv").write_text(census)
+    assert main(["--quiet", "validate", "--runs-dir", str(runs), "--reference",
+                 str(tmp_path / "reference.csv"), "--out", str(tmp_path / "report.csv"),
+                 "--metric", "Q"]) == 1
+    assert capsys.readouterr().err == "error: unknown census metric 'Q'\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("name, spec", [
     # the default spec has no parameter tables, so no coverage check meets the code
     ("initial_population.csv", {}),

@@ -23,6 +23,7 @@ from popsim.scenario import (ScenarioSpec, build_initial_population,
                              build_parameter_tables, cohort_projection)
 
 from conftest import book_by_label, constant_parameters
+from reference_agent import life_year_rates
 
 START, END = date(2020, 1, 1), date(2030, 1, 1)
 
@@ -305,7 +306,7 @@ def test_life_year_rates_match_lookup():
     params.tables["death"].set_row(2024, "AT-2", "all", np.linspace(0, 0.3, 31))
     for region in ("AT-2", "AT-1-05"):
         for sex in "mf":
-            rates = params.life_year_rates(2024, region, sex)
+            rates = life_year_rates(params, 2024, region, sex)
             kinds = [EventKind.DEATH, EventKind.EMIGRATION, EventKind.BIRTH,
                      EventKind.INTERNAL_MIGRATION]
             if sex == "m":
@@ -316,7 +317,7 @@ def test_life_year_rates_match_lookup():
                 for age in range(110):
                     assert row[min(age, len(row) - 1)] == table.lookup(2024, region, sex, age)
     with pytest.raises(CoverageError):
-        params.life_year_rates(2040, "AT-1", "f")
+        life_year_rates(params, 2040, "AT-1", "f")
 
 
 def test_rate_array_resolves_rows_like_lookup():
@@ -593,14 +594,17 @@ def test_sample_destination_is_the_first_cumulative_share_above_u(tensor, u, age
     first, last = tensor.ages[0], tensor.ages[-1]
     for age in {0, first, last, first + age_shift, last + 7, 150}:
         row = tensor.values[:, :, min(max(age, first), last) - first]
-        for o, origin in enumerate(tensor.regions):
-            weights = row[o]
+        origins, draws, want = [], [], []
+        for o, weights in enumerate(row):
             cum = (weights / float(weights.sum() or 1.0)).cumsum()
             # ties with a cumulative value, the last one and just above it
             for x in (u, *cum[::3], cum[-1], np.nextafter(cum[-1], 2.0)):
-                got = params.sample_destination(origin, age, x)
-                want = scanned_destination(weights, x)
-                assert got == (None if want is None else tensor.regions[want]), (origin, age, x)
+                origins.append(o)
+                draws.append(x)
+                found = scanned_destination(weights, x)
+                want.append(-1 if found is None else found)
+        got = params.destinations(np.array(origins), np.full(len(origins), age), np.array(draws))
+        assert got.tolist() == want, age
 
 
 @given(tensor=migration_tensors(), age_shift=st.integers(-50, 50))

@@ -1,4 +1,4 @@
-"""The engine's array kernel against the single-agent reference in ``popsim.agents``.
+"""The engine's array kernel against the single-agent reference in ``reference_agent``.
 
 Random agents are created in one batch of lanes and, one by one, as
 ``init_agent`` on ``agent_stream``; then both are advanced through their next
@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsim import engine
-from popsim.agents import EventKind, advance, init_agent
+from popsim.agents import EventKind
 from popsim.dates import anniversary_in_year
 from popsim.engine import MacroStepConfig, ModelParameters, World
 from popsim.ipf import MigrationTensor
 from popsim.params import ParameterTable
 from popsim.rng import agent_stream
+
+from reference_agent import advance, init_agent
 
 REGIONS = ("AT-1", "AT-2")
 MAX_AGE = 100

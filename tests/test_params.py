@@ -15,6 +15,8 @@ from popsim.params import (ImmigrationTable, ParameterTable, apportion_integer,
                            derive_params_from_census, disaggregate_proportional,
                            farr_probability)
 
+from conftest import book_population
+
 # ----- Farr ------------------------------------------------------------------
 
 
@@ -385,8 +387,8 @@ def test_immigration_rejects_negative():
 
 def test_derive_params_hand_cell():
     census = SyntheticCensus()
-    census.record_population(2020, {("AT-1", "m", 50): 10000})
-    census.record_population(2021, {("AT-1", "m", 50): 9900})
+    book_population(census, 2020, {("AT-1", "m", 50): 10000})
+    book_population(census, 2021, {("AT-1", "m", 50): 9900})
     census.record_event("D", 2020, "AT-1", "m", 50, 100)
     table = derive_params_from_census(census, "death", max_age=60)
     # P_avg = (10000 + 9900)/2 = 9950; p = 100 / (9950 + 50) = 0.01
@@ -395,8 +397,8 @@ def test_derive_params_hand_cell():
 
 def test_derive_params_zero_events():
     census = SyntheticCensus()
-    census.record_population(2020, {("AT-1", "f", 10): 100})
-    census.record_population(2021, {("AT-1", "f", 10): 100})
+    book_population(census, 2020, {("AT-1", "f", 10): 100})
+    book_population(census, 2021, {("AT-1", "f", 10): 100})
     table = derive_params_from_census(census, "death", max_age=20)
     assert table.lookup(2020, "AT-1", "f", 10) == 0.0
     assert table.lookup(2020, "AT-1", "f", 20) == 0.0
@@ -404,8 +406,8 @@ def test_derive_params_zero_events():
 
 def test_derive_params_birth_uses_female_denominator():
     census = SyntheticCensus()
-    census.record_population(2020, {("AT-1", "f", 30): 1000, ("AT-1", "m", 30): 9000})
-    census.record_population(2021, {("AT-1", "f", 30): 1000, ("AT-1", "m", 30): 9000})
+    book_population(census, 2020, {("AT-1", "f", 30): 1000, ("AT-1", "m", 30): 9000})
+    book_population(census, 2021, {("AT-1", "f", 30): 1000, ("AT-1", "m", 30): 9000})
     census.record_event("B", 2020, "AT-1", "f", 30, 100)
     table = derive_params_from_census(census, "birth", max_age=40)
     assert table.sexes == {"f"}
@@ -414,8 +416,8 @@ def test_derive_params_birth_uses_female_denominator():
 
 def test_derive_params_empty_cell_with_events_fails():
     census = SyntheticCensus()
-    census.record_population(2020, {("AT-1", "m", 10): 5})
-    census.record_population(2021, {("AT-1", "m", 10): 5})
+    book_population(census, 2020, {("AT-1", "m", 10): 5})
+    book_population(census, 2021, {("AT-1", "m", 10): 5})
     census.record_event("D", 2020, "AT-1", "m", 33, 2)
     with pytest.raises(InputError):
         derive_params_from_census(census, "death", max_age=40)
@@ -459,8 +461,8 @@ def test_param_csv_rejects_extra_column(tmp_path):
 
 def test_derive_params_names_non_integer_census_age():
     census = SyntheticCensus()
-    census.record_population(2020, {("AT-1", "m", 5): 10, ("AT-1", "m", "x"): 3})
-    census.record_population(2021, {("AT-1", "m", 5): 10})
+    book_population(census, 2020, {("AT-1", "m", 5): 10, ("AT-1", "m", "x"): 3})
+    book_population(census, 2021, {("AT-1", "m", 5): 10})
     with pytest.raises(InputError, match=r"P\(2020,AT-1,m,x\)"):
         derive_params_from_census(census, "death")
 

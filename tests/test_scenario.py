@@ -21,8 +21,9 @@ from popsim.scenario import (ScenarioSpec, build_immigration_table,
                              build_initial_population, build_migration_tensor,
                              build_model_parameters, build_parameter_tables,
                              cohort_projection, format_profile, parse_profile,
-                             profile_to_array, read_population_csv,
-                             reference_census_for)
+                             profile_to_array, read_population_csv)
+
+from conftest import reference_census_for
 
 
 def test_spec_file_round_trip(tmp_path):
