@@ -56,8 +56,6 @@ class OutboxMessage(NamedTuple):
     """A CUSTOM event for agent ``target``, dated ``date``, buffered by
     ``World.send_event`` until the next exchange."""
 
-    origin: int
-    seq: int
     date: date
     target: int
     payload: object

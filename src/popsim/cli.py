@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .census import SyntheticCensus
 from .config import RunConfig
-from .engine import MacroStepConfig, ModelParameters, run_simulation
+from .engine import ModelParameters, run_simulation
 from .errors import ConvergenceError, InputError
 from .files import number
 from .ipf import MigrationTensor, ipf_3d, read_marginals_csv
@@ -52,15 +52,13 @@ def cmd_simulate(args) -> int:
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     params = load_model_parameters(cfg)
     initial = read_population_csv(cfg.resolve("initial_population"))
-    step = MacroStepConfig(cfg.start_date, cfg.end_date, cfg.step_unit,
-                           cfg.step_multiplier)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     for i in range(cfg.runs):
         seed = cfg.seed + i
-        census = run_simulation(step, params, initial, seed,
+        census = run_simulation(cfg.step, params, initial, seed,
                                 male_fraction=cfg.male_fraction,
                                 workers=cfg.workers)
         path = out_dir / f"run_{i + 1:03d}.csv"

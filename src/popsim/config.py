@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
+from .engine import MacroStepConfig
 from .errors import InputError
 from .files import parse_value, read_key_values, write_key_values
 
@@ -39,8 +40,7 @@ class RunConfig:
     base_dir: str = "."
 
     def __post_init__(self):
-        if self.start_date >= self.end_date:
-            raise InputError(f"start {self.start} must precede end {self.end}")
+        self.step  # MacroStepConfig checks the dates and the step settings
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.runs < 1:
@@ -66,6 +66,10 @@ class RunConfig:
     def end_date(self) -> date:
         return _parse_date(self.end)
 
+    @property
+    def step(self) -> MacroStepConfig:
+        return MacroStepConfig(self.start_date, self.end_date, self.step_unit, self.step_multiplier)
+
     def resolve(self, key: str) -> Path | None:
         value = getattr(self, key)
         if value is None:
@@ -87,7 +91,10 @@ class RunConfig:
                 kwargs[key] = parse_value(path, key, raw, float)
             else:
                 kwargs[key] = raw
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
     def to_file(self, path) -> None:
         write_key_values(path, [(f.name, getattr(self, f.name)) for f in fields(self)

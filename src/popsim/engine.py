@@ -318,7 +318,7 @@ class World:
         self._region_at: dict[str, int] = {}
         self._records: list = []
         self._custom_msgs: list[OutboxMessage] = []
-        self._custom_seq = 0
+        self._custom_seq = itertools.count()  # delivery order of same-day CUSTOM events
         self._immigrant_queue = _Planned(*(np.zeros(0, np.int64),) * 5)
         self._immigrant_cursor = 0
         self._plans_through: int | None = None
@@ -613,15 +613,12 @@ class World:
         ``births`` in (mother id, birth date) order and catch them up; the birth
         requests of the newborns are returned."""
         msgs, self._custom_msgs = self._custom_msgs, []
-        for msg in msgs:
-            target = msg.target
+        for when, target, payload in msgs:
             if target not in self.agents:
                 self.dropped_messages += 1
                 continue
-            self._custom_seq += 1
             queue = self._customs.setdefault(target, [])
-            heappush(queue, (max(msg.date, self.date).toordinal(), self._custom_seq,
-                             msg.payload))
+            heappush(queue, (max(when, self.date).toordinal(), next(self._custom_seq), payload))
             self._due[_CUSTOM, target] = queue[0][0]
         if not births:
             return []
@@ -792,9 +789,7 @@ class World:
     def send_event(self, origin_id: int, target_id: int, when: date, payload) -> None:
         """Queue a cross-agent event; delivered at the next exchange."""
         self.agents[origin_id]  # the sender must be alive
-        self._custom_seq += 1
-        self._custom_msgs.append(OutboxMessage(origin_id, self._custom_seq, when, target_id,
-                                               payload))
+        self._custom_msgs.append(OutboxMessage(when, target_id, payload))
 
 
 class _Planned(NamedTuple):

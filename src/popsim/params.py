@@ -117,8 +117,8 @@ class ParameterTable:
 
     Regions are stored at one resolution level; queries with finer codes are
     mapped upward through the region hierarchy. Ages above ``max_age`` clamp
-    to the ``max_age`` row. Sex is ``'m'``/``'f'``, or ``'all'`` when one row
-    covers both.
+    to the ``max_age`` row. Sex is ``'m'``/``'f'``, or ``'all'`` in a table
+    whose every row covers both.
     """
 
     def __init__(self, kind: str, max_age: int):
@@ -150,6 +150,8 @@ class ParameterTable:
                 f"mixed region levels in {self.kind} table: {region!r} is not "
                 f"{regions.level_name(self.level)}"
             )
+        if self.sexes and ("all" in self.sexes) != (sex == "all"):
+            raise InputError(f"{self.kind} row ({year},{region},{sex}) mixes sex 'all' with m/f")
         self._rows[(year, region, sex)] = arr
         self.sexes.add(sex)
         self._resolved.clear()
@@ -245,6 +247,8 @@ class ImmigrationTable:
             raise InputError(f"negative immigration count for ({year},{region},{sex},{age})")
         if age < 0:
             raise InputError(f"negative immigration age for ({year},{region},{sex},{age})")
+        if sex not in ("m", "f"):
+            raise InputError(f"immigration counts need sex m or f: ({year},{region},{sex},{age})")
         regions.level_of(region)  # validates the code
         if count:
             key = (year, region, sex, age)
@@ -279,6 +283,7 @@ def _read_param_csv(path):
     """The file's cells as ``read_columns`` reads them, and its one kind."""
     kinds = []
     first_level = []  # (code, level) of the first region of a probability table
+    sexes = []
 
     def kind(text):
         if not kinds:
@@ -303,6 +308,11 @@ def _read_param_csv(path):
     def sex(text):
         if text not in ("m", "f", "all"):
             raise ValueError("sex must be m, f or all")
+        if text == "all" and kinds[:1] == [IMMIGRATION_KIND]:
+            raise ValueError("immigration counts need sex m or f")
+        if sexes and (sexes[0] == "all") != (text == "all"):
+            raise ValueError(f"mixed sexes {sexes[0]!r} and {text!r}")
+        sexes.append(text)
         return text
 
     def check(value):

@@ -46,11 +46,12 @@ The bookkeeping is Farr-consistent: deriving probabilities from the oracle
 census via Farr's formula recovers the generating probabilities.
 
 The ledger is arrays laid out like a census year, ``values[metric, year]``:
-a year's life-year cohorts are one [region, sex, age] array and its newborns
-one [region, sex] pool. Movers are spread over their destinations one origin
-at a time, in region order, with the mass that stays added at its origin, so
-a census cell adds its terms in origin order. A (region, sex) row with no
-cell above MASS_EPSILON is dropped, and no mass at or below it is recorded.
+a year's life-year cohorts and its immigrants are [region, sex, age] arrays,
+its newborns one [region, sex] pool. Movers are spread over their destinations
+one origin at a time, in region order, with the mass that stays added at its
+origin, so a census cell adds its terms in origin order. A (region, sex) row
+with no cell above MASS_EPSILON is dropped, and no mass at or below it is
+recorded, neither a resident's nor an immigrant's.
 """
 
 from __future__ import annotations
@@ -269,9 +270,8 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
     check_initial_cells(initial_cells)
     max_age = max((t.max_age for t in params.tables.values()), default=0)
     max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
-    immigration = params.immigration
-    if immigration is not None:
-        max_age = max(max_age, max((a for (_, _, _, a) in immigration.counts), default=0))
+    immigration = params.immigration or ImmigrationTable()
+    max_age = max(max_age, max((a for (_, _, _, a) in immigration.counts), default=0))
     track = max_age + years + 2
     end_year = start_year + years
 
@@ -288,12 +288,6 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
         mask = block > MASS_EPSILON
         values[at] += np.where(mask, block, 0.0)
         present[at] |= mask
-
-    def record_cell(metric: str, year: int, r: int, s: int, age: int, n: float):
-        """Add ``n`` to one cell, which becomes present even when ``n`` is 0."""
-        cell = (METRIC_INDEX[metric], year - start_year, r, s, age)
-        values[cell] += n
-        present[cell] = True
 
     shares = None
     if "internal_migration" in params.tables:
@@ -335,6 +329,12 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
         mass = births.sum(axis=-1)
         pool += np.where(mass > MASS_EPSILON, mass, 0.0).sum(axis=1)[:, None] * split
 
+    def bear_each(pool: np.ndarray, births: np.ndarray):
+        """Add the newborns of each cell of ``births`` above MASS_EPSILON to ``pool``,
+        a region's in (sex, age) order: np.cumsum adds in sequence, unlike ``bear``."""
+        mass = np.where(births > MASS_EPSILON, births, 0.0).reshape(len(pool), -1, 1) * split
+        pool[:] = np.cumsum(np.concatenate([pool[:, None], mass], axis=1), axis=1)[:, -1]
+
     # cohort[r, s, a]: expected mass entering its age-a life-year during the year
     # being processed; pool[r, s]: the newborns of that year, next_pool the next's
     cohort, pool, next_pool = np.zeros(shape), np.zeros(shape[:2]), np.zeros(shape[:2])
@@ -366,40 +366,31 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
 
     # --- year loop ------------------------------------------------------------
     for year in range(start_year, end_year):
-        rates = year_rates(year)
+        d, e, b, m = year_rates(year)
         next_cohort = np.zeros(shape)
 
         # immigrants of this year (first-order bookkeeping): their events split
         # 1/3 : 1/6 between this year and the next
-        parts = ((year, 3), (year + 1, 6)) if year + 1 < end_year else ((year, 3),)
-        for region, sex, age, count in (immigration.cells_for_year(year)
-                                        if immigration is not None else ()):
-            r, s = at_region[region], at_sex[sex]
-            record_cell("I", year, r, s, age, count)
-            d, e, b, m = rates[:, r, s, age].tolist()
-            for y, part in parts:
-                for metric, p in (("D", d), ("E", e), ("B", b), ("IM_OUT", m)):
-                    if p > 0:
-                        record_cell(metric, y, r, s, age, count * p / part)
-            for target, mass in ((pool, count * b / 3), (next_pool, count * b / 6)):
-                if mass > MASS_EPSILON:
-                    target[r] += mass * split
-            moved = count * m / 6  # per segment: pre-birthday, pre-Jan-1, after
-            if m > 0:
-                for dest in np.flatnonzero(shares[r, :, age]).tolist():
-                    frac = float(shares[r, dest, age])
-                    for y, part in parts:
-                        record_cell("IM_IN", y, dest, s, age, count * m / part * frac)
-                    cohort[dest, s, age + 1] += moved * frac
-                    record_cell("P", year + 1, dest, s, age, moved * frac)
-                    next_cohort[dest, s, age + 1] += moved * frac
+        arrivals = np.zeros(shape)
+        for region, sex, age, count in immigration.cells_for_year(year):
+            arrivals[at_region[region], at_sex[sex], age] = count
+        if arrivals.any():
+            record("I", year, arrivals)
+            for y, part, newborns in ((year, 3, pool), (year + 1, 6, next_pool)):
+                bear_each(newborns, arrivals * b / part)
+                if y < end_year:
+                    for metric, p in (("D", d), ("E", e), ("B", b), ("IM_OUT", m)):
+                        record(metric, y, arrivals * p / part)
+                    for block in spread(arrivals * m / part):
+                        record("IM_IN", y, block)
+            moved = arrivals * m / 6  # per segment: pre-birthday, pre-Jan-1, after
             # half has its first birthday this year; half is alive on Jan 1 and has it next
-            half = count * (0.5 - (d + e) / 6) - moved
-            cohort[r, s, age + 1] += half
-            record_cell("P", year + 1, r, s, age, half)
-            next_cohort[r, s, age + 1] += count * (0.5 - (d + e) / 3) - moved
+            for block in spread(moved, arrivals * (0.5 - (d + e) / 6) - moved):
+                cohort[..., 1:] += block[..., :-1]
+                record("P", year + 1, block)
+            for block in spread(moved, arrivals * (0.5 - (d + e) / 3) - moved):
+                next_cohort[..., 1:] += block[..., :-1]
 
-        d, e, b, m = rates
         de = d * e
         occ = (1 - d) * (1 - e) + (d * (1 - e) + e * (1 - d)) / 2 + de / 3
         occ0 = (1 - d) * (1 - e) / 2 + (d * (1 - e) + e * (1 - d)) / 3 + de / 4

@@ -301,6 +301,21 @@ def test_simulate_checks_overrides_before_reading_inputs(tmp_path, capsys, overr
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("runs = 0", "ensemble size must be >= 1"),
+    ("start = 2020-13-01", "bad ISO date '2020-13-01'"),
+    ("step_unit = week", "step unit must be one of"),
+    ("step_multiplier = 0", "step multiplier must be >= 1")])
+def test_simulate_names_config_file_before_reading_inputs(tmp_path, capsys, line, message):
+    scen = _tiny_scenario(tmp_path)
+    (scen / "initial_population.csv").unlink()
+    with open(scen / "run.conf", "a") as fh:
+        fh.write(line + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert f"error: {scen / 'run.conf'}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_gen_synthetic_rejects_negative_seed_before_writing(tmp_path, capsys):
     with pytest.raises(InputError, match="seed must be non-negative"):
         RunConfig(initial_population="x", seed=-1)

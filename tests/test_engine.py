@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popsim import engine, rng
-from popsim.agents import EventKind
+from popsim.agents import EventKind, OutboxMessage
 from popsim.census import METRICS, SyntheticCensus
 from popsim.dates import anniversary_in_year, ymd
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
@@ -296,6 +296,22 @@ def test_cross_agent_event_delivered_next_step():
     assert not seen
     world.macro_step(date(2022, 1, 1))
     assert seen and seen[0][0] == 1 and seen[0][1].data == "ping"
+
+
+def test_cross_agent_events_keep_their_send_order():
+    params = constant_parameters(death=0.0)
+    world = World(year_step(START, date(2023, 1, 1)), params, seed=43)
+    _add_agents(world, (date(1990, 5, 5), "m", "AT-1"), (date(1991, 6, 6), "f", "AT-1"))
+    payloads = ["first", "second", "third"]
+    for payload in payloads:
+        world.send_event(0, 1, date(2020, 7, 1), payload=payload)
+    assert world._custom_msgs == [OutboxMessage(date(2020, 7, 1), 1, p) for p in payloads]
+    seen = []
+    world.listeners.append(lambda a, ev: seen.append(ev.data)
+                           if ev.kind == EventKind.CUSTOM else None)
+    world.macro_step(date(2021, 1, 1))
+    world.macro_step(date(2022, 1, 1))
+    assert seen == payloads
 
 
 def test_life_year_rates_match_lookup():

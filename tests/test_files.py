@@ -312,7 +312,7 @@ def test_writers_render_rows_as_csv_writer_does(tmp_path):
     regions = ('A"T-1', "A,T-2")  # well-formed codes that csv must quote
     table = ParameterTable("death", 2)
     table.set_row(2020, regions[1], "m", [0.1, 1 / 3, 0.0])
-    table.set_row(2020, regions[0], "all", [1e-17, 0.5, 1.0])
+    table.set_row(2020, regions[0], "f", [1e-17, 0.5, 1.0])
     table.to_csv(tmp_path / "p.csv")
     assert (tmp_path / "p.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "p_ref.csv", ("kind", "year", "region", "sex", "age", "value"),

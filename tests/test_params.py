@@ -504,3 +504,31 @@ def test_immigration_csv_names_line_of_malformed_region(tmp_path):
                               ("immigration", 2020, "-AT", "m", 30, 2)])
     with pytest.raises(InputError, match=r"imm\.csv:3: .*malformed region code '-AT'"):
         ImmigrationTable.from_csv(path)
+
+
+def test_set_row_rejects_mixing_all_with_sex_rows():
+    table = small_table(["AT-1"], sexes=("all",), max_age=3, value=0.1)
+    with pytest.raises(InputError, match=r"death row \(2020,AT-1,m\) mixes sex 'all' with m/f"):
+        table.set_row(2020, "AT-1", "m", np.full(4, 0.9))
+    assert table.lookup(2020, "AT-1", "m", 1) == 0.1
+    table = small_table(["AT-1"], sexes=("f",), max_age=3)
+    with pytest.raises(InputError, match=r"mixes sex 'all'"):
+        table.set_row(2021, "AT-1", "all", np.full(4, 0.9))
+
+
+@pytest.mark.parametrize("first, later", [("all", "m"), ("f", "all")])
+def test_param_csv_names_line_of_mixed_sexes(tmp_path, first, later):
+    rows = [("death", 2020, "AT-1", sex, a, 0.1) for sex in (first, later) for a in range(2)]
+    path = _write_param_rows(tmp_path / "sexes.csv", rows)
+    with pytest.raises(InputError, match=rf"sexes\.csv:4: .*mixed sexes '{first}' and '{later}'"):
+        ParameterTable.from_csv(path)
+
+
+def test_immigration_rejects_sex_all(tmp_path):
+    path = _write_param_rows(tmp_path / "imm.csv",
+                             [("immigration", 2020, "AT-1", "m", 30, 2),
+                              ("immigration", 2020, "AT-1", "all", 31, 2)])
+    with pytest.raises(InputError, match=r"imm\.csv:3: .*immigration counts need sex m or f"):
+        ImmigrationTable.from_csv(path)
+    with pytest.raises(InputError, match=r"need sex m or f: \(2020,AT-1,all,31\)"):
+        ImmigrationTable().add(2020, "AT-1", "all", 31, 2)

@@ -17,7 +17,7 @@ from popsim.engine import ModelParameters
 from popsim.errors import InputError
 from popsim.ipf import MigrationTensor
 from popsim.params import ImmigrationTable, ParameterTable, derive_params_from_census
-from popsim.scenario import (ScenarioSpec, build_immigration_table,
+from popsim.scenario import (MASS_EPSILON, ScenarioSpec, build_immigration_table,
                              build_initial_population, build_migration_tensor,
                              build_model_parameters, build_parameter_tables,
                              cohort_projection, format_profile, parse_profile,
@@ -271,6 +271,16 @@ def test_oracle_matches_independent_sampler_with_immigration():
     assert totals(sampled["I"], 2021) == 3000
 
 
+def test_oracle_records_no_immigrant_mass_at_or_below_epsilon():
+    spec = ScenarioSpec(regions=["AT-1"], years=2, max_age=40, initial_total=0,
+                        initial_age_high=40, p_death=1e-13, immigration_per_year=10,
+                        immigration_age_low=20, immigration_age_high=24)
+    reference = reference_census_for(spec)
+    assert sum(n for _, n in reference.items("I")) == 20
+    # each immigrant's deaths, 1e-13/3 and 1e-13/6, stay below MASS_EPSILON
+    assert [cell for cell, n in reference.items("D") if n <= MASS_EPSILON] == []
+
+
 def test_oracle_zero_probabilities_constant_population():
     spec = ScenarioSpec(initial_total=777, years=5, initial_age_low=10,
                         initial_age_high=50)
@@ -283,6 +293,19 @@ def test_oracle_zero_probabilities_constant_population():
 def _golden_oracle_inputs(case):
     """(ModelParameters, initial cells, start year, years, male fraction) of ``case``."""
     specs = {
+        # perfbench's closed_loop: immigrants into three regions, internal migration
+        "closed_loop": ScenarioSpec(
+            regions=["AT-1", "AT-2", "AT-3"], years=10, initial_total=3_000,
+            initial_age_low=0, initial_age_high=79,
+            p_death=[(0, 0.002), (40, 0.005), (60, 0.02), (80, 0.08)], p_emigration=0.004,
+            p_birth=[(15, 0.06), (50, 0.0)], p_internal_migration=0.01,
+            immigration_per_year=100, ensemble_runs=2),
+        # perfbench's churn_monthly: immigrants at every age outnumber the residents
+        "churn_monthly": ScenarioSpec(
+            regions=["AT-1"], years=5, initial_total=1_500, initial_age_low=0,
+            initial_age_high=79, p_death=[(0, 0.002), (60, 0.02)], p_emigration=0.3,
+            p_birth=[(15, 0.06), (50, 0.0)], immigration_per_year=3_000,
+            immigration_age_low=0, immigration_age_high=79, ensemble_runs=1),
         # perfbench's regional_ensemble: 15 districts, internal migration, births
         "regional_ensemble": ScenarioSpec(
             regions=[f"AT-{s}-{d:02d}" for s in (1, 2, 3) for d in range(1, 6)],
@@ -341,10 +364,13 @@ def _golden_oracle_inputs(case):
 
 
 # SHA-256 of the oracle's reference census CSV, computed with the oracle that kept
-# its ledger as a dict of per-(region, sex) vectors. Every ensemble is validated
-# against this census, so a change to the oracle's bookkeeping must keep its bytes:
-# each cell adds the same terms in the same order.
+# its ledger as a dict of per-(region, sex) vectors; closed_loop's and
+# churn_monthly's with the one that booked immigrants one cell at a time. Every
+# ensemble is validated against this census, so a change to the oracle's
+# bookkeeping must keep its bytes: each cell adds the same terms in the same order.
 GOLDEN_ORACLE_SHA256 = {
+    "closed_loop": "e683504cfc0650612014ba51bd701f1832a3888fb51dfeb2c76ef2ad1dd2150f",
+    "churn_monthly": "39579f96721f81dda76e5ba622fd43adee54b588a029b47cbc613a82177d3672",
     "regional_ensemble": "0463de8eb65b2bac4929168c37a072914dc4456369d6a392b385309874ef4926",
     "unsorted_regions": "3eef2d6fb4aff6d9aa57b41f694ed310affc16cebf807d50f8665d745fe250ad",
     "births_from_age_0": "8ae2ce2c758525fea15edf8084b1c65d6e2485682060f8ee8261064b6e981b08",
