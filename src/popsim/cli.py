@@ -28,19 +28,13 @@ log = logging.getLogger(__name__)
 
 
 def load_model_parameters(cfg: RunConfig) -> ModelParameters:
-    tables = {}
-    for kind in PROBABILITY_KINDS:
-        if kind == "internal_migration" and cfg.internal_migration == "none":
-            continue
-        path = cfg.resolve(f"params_{kind}")
-        if path is not None:
-            tables[kind] = ParameterTable.from_csv(path)
+    tables = {kind: ParameterTable.from_csv(cfg.resolve(f"params_{kind}"))
+              for kind in PROBABILITY_KINDS if cfg.resolve(f"params_{kind}") is not None}
     immigration = None
     if cfg.resolve("immigration") is not None:
         immigration = ImmigrationTable.from_csv(cfg.resolve("immigration"))
-    tensor = None
-    if cfg.internal_migration == "full-regional":
-        path = cfg.resolve("migration_tensor")
+    tensor, path = None, cfg.resolve("migration_tensor")
+    if path is not None:
         tensor = MigrationTensor.from_csv(path)
         tensor.check_single_ages(path)
     return ModelParameters(tables, immigration=immigration, migration_tensor=tensor)

@@ -2,7 +2,8 @@
 
 Dates are ISO-8601; file paths are kept verbatim and resolved relative to
 the config file's directory when the run is assembled, so a config directory
-can be moved as a unit.
+can be moved as a unit. A run has internal migration exactly when it names a
+``params_internal_migration`` table, which needs a ``migration_tensor``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from pathlib import Path
 
 from .engine import MacroStepConfig
 from .errors import InputError
-from .files import parse_value, read_key_values, write_key_values
+from .files import read_settings, write_key_values
 
-IM_MODES = ("none", "full-regional")
+# the keys whose values are not kept as text
+CONVERTERS = {"step_multiplier": int, "seed": int, "runs": int, "workers": int,
+              "male_fraction": float}
 
 
 @dataclass
@@ -27,7 +30,6 @@ class RunConfig:
     seed: int = 1
     runs: int = 9
     workers: int = 1
-    internal_migration: str = "none"
     male_fraction: float = 0.5
     params_death: str | None = None
     params_emigration: str | None = None
@@ -36,7 +38,6 @@ class RunConfig:
     migration_tensor: str | None = None
     immigration: str | None = None
     initial_population: str | None = None
-    reference_census: str | None = None
     base_dir: str = "."
 
     def __post_init__(self):
@@ -47,16 +48,13 @@ class RunConfig:
             raise InputError("ensemble size must be >= 1")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
-        if self.internal_migration not in IM_MODES:
-            raise InputError(f"internal_migration must be one of {IM_MODES}")
         if not 0 <= self.male_fraction <= 1:
             raise InputError("male_fraction must be in [0, 1]")
         if self.initial_population is None:
             raise InputError("config needs an initial_population file")
-        if self.internal_migration == "full-regional":
-            if not (self.params_internal_migration and self.migration_tensor):
-                raise InputError("full-regional mode needs params_internal_migration "
-                                 "and migration_tensor files")
+        if (self.params_internal_migration is None) != (self.migration_tensor is None):
+            raise InputError("params_internal_migration and migration_tensor "
+                             "must be given together")
 
     @property
     def start_date(self) -> date:
@@ -78,23 +76,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        path = Path(path)
-        pairs = read_key_values(path)
-        valid = {f.name for f in fields(cls) if f.name != "base_dir"}
-        kwargs: dict = {"base_dir": str(path.parent)}
-        for key, raw in pairs.items():
-            if key not in valid:
-                raise InputError(f"{path}: unknown config key {key!r}")
-            if key in ("step_multiplier", "seed", "runs", "workers"):
-                kwargs[key] = parse_value(path, key, raw, int)
-            elif key == "male_fraction":
-                kwargs[key] = parse_value(path, key, raw, float)
-            else:
-                kwargs[key] = raw
-        try:
-            return cls(**kwargs)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        return read_settings(path, cls, CONVERTERS, base_dir=str(Path(path).parent))
 
     def to_file(self, path) -> None:
         write_key_values(path, [(f.name, getattr(self, f.name)) for f in fields(self)

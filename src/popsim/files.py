@@ -11,6 +11,7 @@ the readers that know the domain.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -291,37 +292,41 @@ def csv_prefix(*values) -> str:
     return "".join(csv_field(value) + "," for value in values)
 
 
-def read_key_values(path) -> dict[str, str]:
-    """Flat ``key = value`` text; '#' starts a comment.
+def read_settings(path, cls, converters, **given):
+    """The dataclass ``cls`` built from flat ``key = value`` text; '#' starts a comment.
 
-    A repeated key takes its last value, so a line appended to a generated
-    config overrides it.
+    Every field of ``cls`` not in ``given`` is a key; ``converters`` maps a key
+    to the function that turns its text into a value, ``str`` by default. A
+    repeated key takes its last value, so a line appended to a generated file
+    overrides it. An unknown key or a value its converter rejects is an
+    InputError at ``file:line``; an InputError ``cls`` raises names the file.
     """
-    pairs: dict[str, str] = {}
+    keys = {f.name for f in dataclasses.fields(cls)} - set(given)
+    values = {}
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
+                key, equals, raw = map(str.strip, line.split("#", 1)[0].partition("="))
+                if not (key or equals):
                     continue
-                if "=" not in line:
+                if not equals:
                     raise InputError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                pairs[key.strip()] = value.strip()
+                if key not in keys:
+                    raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+                try:
+                    values[key] = converters.get(key, str)(raw)
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: bad value for {key!r}: "
+                                     f"{raw!r} ({exc})") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: unreadable as text: {exc}") from None
-    return pairs
+    try:
+        return cls(**values, **given)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_key_values(path, pairs) -> None:
     with open(path, "w") as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in pairs)
 
-
-def parse_value(path, key: str, raw: str, convert):
-    """``convert(raw)`` for a key of a ``key = value`` file; a malformed value
-    is an InputError naming the file and the key."""
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise InputError(f"{path}: bad value for {key!r}: {raw!r} ({exc})") from None

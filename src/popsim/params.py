@@ -118,7 +118,7 @@ class ParameterTable:
     Regions are stored at one resolution level; queries with finer codes are
     mapped upward through the region hierarchy. Ages above ``max_age`` clamp
     to the ``max_age`` row. Sex is ``'m'``/``'f'``, or ``'all'`` in a table
-    whose every row covers both.
+    whose every row covers both; a birth table has no ``'m'`` rows.
     """
 
     def __init__(self, kind: str, max_age: int):
@@ -152,6 +152,8 @@ class ParameterTable:
             )
         if self.sexes and ("all" in self.sexes) != (sex == "all"):
             raise InputError(f"{self.kind} row ({year},{region},{sex}) mixes sex 'all' with m/f")
+        if self.kind == "birth" and sex == "m":
+            raise InputError(f"birth row ({year},{region},m): only women give birth")
         self._rows[(year, region, sex)] = arr
         self.sexes.add(sex)
         self._resolved.clear()
@@ -310,6 +312,8 @@ def _read_param_csv(path):
             raise ValueError("sex must be m, f or all")
         if text == "all" and kinds[:1] == [IMMIGRATION_KIND]:
             raise ValueError("immigration counts need sex m or f")
+        if text == "m" and kinds[:1] == ["birth"]:
+            raise ValueError("only women give birth: a birth row's sex is f or all")
         if sexes and (sexes[0] == "all") != (text == "all"):
             raise ValueError(f"mixed sexes {sexes[0]!r} and {text!r}")
         sexes.append(text)

@@ -65,8 +65,8 @@ from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
-from .files import (age, number, parse_value, read_columns, read_key_values, sex,
-                    write_key_values, write_table)
+from .files import (age, number, read_columns, read_settings, sex, write_key_values,
+                    write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
@@ -107,6 +107,9 @@ class ScenarioSpec:
                 raise InputError(f"scenario lists region {region!r} twice")
         if self.years < 1:
             raise InputError("horizon must be at least one year")
+        for name in ("initial_total", "immigration_per_year"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0 <= self.initial_age_low <= self.initial_age_high <= self.max_age:
             raise InputError("initial age window must lie within 0..max_age")
         if self.immigration_per_year and not (
@@ -141,24 +144,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioSpec":
-        pairs = read_key_values(path)
-        kwargs = {}
-        valid = {f_.name for f_ in fields(cls)}
-        for key, raw in pairs.items():
-            if key not in valid:
-                raise InputError(f"{path}: unknown scenario key {key!r}")
-            if key == "regions":
-                kwargs[key] = [r.strip() for r in raw.split(",") if r.strip()]
-            elif key.startswith("p_"):
-                kwargs[key] = parse_value(path, key, raw, parse_profile)
-            elif key == "male_fraction":
-                kwargs[key] = parse_value(path, key, raw, float)
-            else:
-                kwargs[key] = parse_value(path, key, raw, int)
-        try:
-            return cls(**kwargs)
-        except InputError as exc:
-            raise InputError(f"{path}: {exc}") from None
+        converters = {f_.name: parse_profile if f_.name.startswith("p_") else int
+                      for f_ in fields(cls)}
+        converters.update(regions=lambda text: [r.strip() for r in text.split(",") if r.strip()],
+                          male_fraction=float)
+        return read_settings(path, cls, converters)
 
 
 def profile_to_array(profile, max_age: int) -> np.ndarray:
@@ -209,7 +199,7 @@ def build_parameter_tables(spec: ScenarioSpec) -> dict[str, ParameterTable]:
         values = profile_to_array(getattr(spec, f"p_{kind}"), spec.max_age)
         if not np.any(values > 0):
             continue
-        if kind == "internal_migration" and len(spec.regions) < 2:
+        if kind == "internal_migration" and not spec.internal_migration_enabled():
             continue
         table = ParameterTable(kind, spec.max_age)
         sexes = ("f",) if kind == "birth" else ("all",)
@@ -463,7 +453,6 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
         seed=seed,
         runs=spec.ensemble_runs,
         male_fraction=spec.male_fraction,
-        internal_migration="full-regional" if params.migration_tensor is not None else "none",
         params_death=names.get("death"),
         params_emigration=names.get("emigration"),
         params_birth=names.get("birth"),
@@ -471,7 +460,6 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
         migration_tensor=names.get("migration_tensor"),
         immigration=names.get("immigration"),
         initial_population=names["initial_population"],
-        reference_census=names["reference_census"],
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -34,10 +34,10 @@ def test_config_validation():
         RunConfig(start="2030-01-01", end="2020-01-01", initial_population="x")
     with pytest.raises(InputError):
         RunConfig(initial_population=None)
-    with pytest.raises(InputError):
-        RunConfig(initial_population="x", internal_migration="full-regional")
-    with pytest.raises(InputError):
-        RunConfig(initial_population="x", internal_migration="sometimes")
+    for key in ("params_internal_migration", "migration_tensor"):
+        with pytest.raises(InputError, match="params_internal_migration and migration_tensor "
+                                             "must be given together"):
+            RunConfig(initial_population="x", **{key: "x.csv"})
 
 
 def write_small_spec(path, **overrides):
@@ -375,13 +375,16 @@ def test_gen_synthetic_rejects_bad_regions(tmp_path, capsys, regions, message):
     ("regions = AT-1, AT-1\n", "scenario lists region 'AT-1' twice"),
     ("p_death = 1.5\n", "p_death leaves [0, 1]"),
     ("p_birth = 20:0.1\nmax_age = 10\ninitial_age_high = 10\n",
-     "profile breakpoint age 20 outside 0..10")])
+     "profile breakpoint age 20 outside 0..10"),
+    ("p_death = 0.01\ninitial_total = -5\n", "initial_total must be non-negative, got -5"),
+    ("immigration_per_year = -40\n", "immigration_per_year must be non-negative, got -40")])
 def test_gen_synthetic_names_the_scenario_file(tmp_path, capsys, text, message):
     spec = tmp_path / "scenario.conf"
     spec.write_text(text)
     assert main(["--quiet", "gen-synthetic", "--spec", str(spec),
                  "--out-dir", str(tmp_path / "scen")]) == 1
     assert capsys.readouterr().err.strip() == f"error: {spec}: {message}"
+    assert not (tmp_path / "scen").exists()
 
 
 def test_config_later_key_overrides(tmp_path):
@@ -510,3 +513,50 @@ def test_validate_names_line_of_unknown_census_sex(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "census.csv:4: " in err and "sex must be m or f" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_generated_config_names_migration_files_and_no_mode(tmp_path):
+    scen = _tiny_scenario(tmp_path)
+    keys = [line.partition(" = ")[0] for line in (scen / "run.conf").read_text().splitlines()]
+    assert keys == ["start", "end", "step_unit", "step_multiplier", "seed", "runs", "workers",
+                    "male_fraction", "params_death", "params_emigration", "params_birth",
+                    "params_internal_migration", "migration_tensor", "immigration",
+                    "initial_population"]
+    assert _simulate(scen, tmp_path) == 0
+    census = (tmp_path / "runs" / "run_001.csv").read_text().splitlines()
+    metrics = {line.partition(",")[0] for line in census}
+    assert {"IM_OUT", "IM_IN"} <= metrics
+
+
+@pytest.mark.parametrize("keep", ["params_internal_migration", "migration_tensor"])
+def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
+    scen = _tiny_scenario(tmp_path)
+    config = scen / "run.conf"
+    lines = config.read_text().splitlines()
+    config.write_text("".join(line + "\n" for line in lines if line.partition(" = ")[0] in
+                              ("start", "end", "initial_population", keep)))
+    assert _simulate(scen, tmp_path) == 1
+    assert capsys.readouterr().err == (f"error: {config}: params_internal_migration and "
+                                       "migration_tensor must be given together\n")
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("run.conf", "internal_migration = full-regional", "unknown config key 'internal_migration'"),
+    ("run.conf", "reference_census = x", "unknown config key 'reference_census'"),
+    ("run.conf", "colour = red", "unknown config key 'colour'"),
+    ("run.conf", "runs = two", "bad value for 'runs': 'two'"),
+    ("run.conf", "male_fraction = half", "bad value for 'male_fraction': 'half'"),
+    ("run.conf", "seed", "expected 'key = value'"),
+    ("scenario.conf", "colour = red", "unknown config key 'colour'"),
+    ("scenario.conf", "years = abc", "bad value for 'years': 'abc'"),
+    ("scenario.conf", "p_death = 10:x", "bad value for 'p_death': '10:x'")])
+def test_settings_errors_name_file_and_line(tmp_path, capsys, name, line, message):
+    path = tmp_path / name
+    first = "initial_population = init.csv" if name == "run.conf" else "years = 2"
+    path.write_text(f"# a comment\n{first}\n\n{line}\n{first}\n")
+    out = tmp_path / "out"
+    command = (["simulate", "--config"] if name == "run.conf" else ["gen-synthetic", "--spec"])
+    assert main(["--quiet", *command, str(path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:4: {message}")
+    assert not out.exists()

@@ -532,3 +532,25 @@ def test_immigration_rejects_sex_all(tmp_path):
         ImmigrationTable.from_csv(path)
     with pytest.raises(InputError, match=r"need sex m or f: \(2020,AT-1,all,31\)"):
         ImmigrationTable().add(2020, "AT-1", "all", 31, 2)
+
+
+def test_set_row_rejects_male_birth_row():
+    table = ParameterTable("birth", 2)
+    with pytest.raises(InputError, match=r"birth row \(2020,AT-1,m\): only women give birth"):
+        table.set_row(2020, "AT-1", "m", np.full(3, 0.9))
+    table.set_row(2020, "AT-1", "f", np.full(3, 0.1))
+    assert table.sexes == {"f"}
+    table = ParameterTable("birth", 2)
+    table.set_row(2020, "AT-1", "all", np.full(3, 0.1))  # an all row answers for women
+    assert table.lookup(2020, "AT-1", "f", 1) == 0.1
+
+
+def test_param_csv_names_line_of_male_birth_row(tmp_path):
+    rows = [("birth", 2020, "AT-1", sex, a, p) for sex, p in (("f", 0.1), ("m", 0.9))
+            for a in range(2)]
+    path = _write_param_rows(tmp_path / "birth.csv", rows)
+    with pytest.raises(InputError, match=r"birth\.csv:4: .*only women give birth"):
+        ParameterTable.from_csv(path)
+    path = _write_param_rows(tmp_path / "birth_all.csv",
+                             [("birth", 2020, "AT-1", "all", a, 0.1) for a in range(2)])
+    assert ParameterTable.from_csv(path).lookup(2020, "AT-1", "f", 1) == 0.1

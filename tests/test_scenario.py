@@ -20,8 +20,8 @@ from popsim.params import ImmigrationTable, ParameterTable, derive_params_from_c
 from popsim.scenario import (MASS_EPSILON, ScenarioSpec, build_immigration_table,
                              build_initial_population, build_migration_tensor,
                              build_model_parameters, build_parameter_tables,
-                             cohort_projection, format_profile, parse_profile,
-                             profile_to_array, read_population_csv)
+                             cohort_projection, format_profile, generate_scenario_files,
+                             parse_profile, profile_to_array, read_population_csv)
 
 from conftest import reference_census_for
 
@@ -84,6 +84,21 @@ def test_tensor_uniform_off_diagonal():
     tensor = build_migration_tensor(spec)
     assert tensor.values[0, 0, :].sum() == 0
     assert tensor.values[0, 1, 0] == 1.0
+
+
+@pytest.mark.parametrize("regions, p_move", [
+    (["AT-1"], 0.1), (["AT-1", "AT-2"], 0.0), (["AT-1", "AT-2"], [(30, 0.1)]),
+    (["AT-1", "AT-2"], [(0, 0.1), (30, 0.0)]), (["AT-1", "AT-2", "AT-3"], 0.05)])
+def test_scenario_writes_both_migration_files_or_neither(tmp_path, regions, p_move):
+    spec = ScenarioSpec(regions=regions, initial_total=20, years=1, max_age=40,
+                        initial_age_high=40, p_internal_migration=p_move, ensemble_runs=1)
+    migrates = len(regions) > 1 and bool(np.any(profile_to_array(p_move, 40) > 0))
+    params = build_model_parameters(spec)
+    assert ("internal_migration" in params.tables) == migrates
+    assert (params.migration_tensor is not None) == migrates
+    paths = generate_scenario_files(spec, 1, tmp_path)
+    assert {"internal_migration", "migration_tensor"} & set(paths) == (
+        {"internal_migration", "migration_tensor"} if migrates else set())
 
 
 def test_oracle_initial_snapshot_exact():
