@@ -5,8 +5,7 @@ iterative proportional fitting of an internal-migration tensor.
 
 import numpy as np
 
-from popsim import (MigrationTensor, apportion_integer,
-                    disaggregate_proportional, farr_probability, ipf_3d,
+from popsim import (MigrationTensor, apportion_integer, farr_probability, ipf_3d,
                     marginal_residual)
 
 # --- Farr: yearly death counts to a per-life-year probability ---------------
@@ -17,8 +16,9 @@ print(f"{deaths} deaths over an average cohort of {pop_avg}:")
 print(f"  naive rate        {naive:.6f}")
 print(f"  Farr probability  {farr:.6f}   (accounts for the birthday mismatch)")
 
-# --- proportional disaggregation --------------------------------------------
-shares = disaggregate_proportional(1000, [3, 1])
+# --- proportional disaggregation: one numpy expression -----------------------
+weights = np.array([3, 1])
+shares = 1000 * weights / weights.sum()
 print(f"\n1000 people split by weights (3, 1): {shares.tolist()}")
 
 # --- integer apportionment (Huntington-Hill priorities) ----------------------

@@ -1,25 +1,22 @@
 """popsim: birthday-centred agent-based population simulation.
 
 Each agent runs its own discrete-event simulation around its annual
-birthday; a co-simulation layer synchronises the agents in macro steps.
-Parameters come from census-style aggregate data through Farr's rate
-formula, proportional and integer disaggregation, and 3D iterative
-proportional fitting. Monte Carlo ensembles are validated against reference
-censuses with signed min/max relative deviation metrics.
+birthday; a co-simulation layer (``World``) keeps the agents as columns and
+synchronises them in macro steps. Parameters come from census-style
+aggregate data through Farr's rate formula, integer apportionment and 3D
+iterative proportional fitting. Monte Carlo ensembles are validated against
+reference censuses with signed min/max relative deviation metrics.
 """
 
 from .agents import AgentEvent, EventKind, OutboxMessage
 from .census import AgeClassScheme, SyntheticCensus, count_population
 from .config import RunConfig
-from .dates import (birthdate_window, completed_age, days_since_birthday,
-                    days_until_birthday, life_year_length, next_birthday)
 from .engine import MacroStepConfig, ModelParameters, World, run_simulation
 from .errors import (ConvergenceError, CoverageError, FeasibilityError,
                      InputError, SimulationError)
 from .ipf import MarginalSet, MigrationTensor, ipf_3d, marginal_residual
 from .params import (ImmigrationTable, ParameterTable, apportion_integer,
-                     derive_params_from_census, disaggregate_proportional,
-                     farr_probability)
+                     derive_params_from_census, farr_probability)
 from .rng import agent_stream, substream, world_stream
 from .scenario import (ScenarioSpec, cohort_projection, generate_scenario_files,
                        profile_to_array)
@@ -32,14 +29,12 @@ __all__ = [
     "AgentEvent", "EventKind", "OutboxMessage",
     "AgeClassScheme", "SyntheticCensus", "count_population",
     "RunConfig",
-    "birthdate_window", "completed_age", "days_since_birthday",
-    "days_until_birthday", "life_year_length", "next_birthday",
     "MacroStepConfig", "ModelParameters", "World", "run_simulation",
     "ConvergenceError", "CoverageError", "FeasibilityError", "InputError",
     "SimulationError",
     "MarginalSet", "MigrationTensor", "ipf_3d", "marginal_residual",
     "ImmigrationTable", "ParameterTable", "apportion_integer",
-    "derive_params_from_census", "disaggregate_proportional", "farr_probability",
+    "derive_params_from_census", "farr_probability",
     "agent_stream", "substream", "world_stream",
     "ScenarioSpec", "cohort_projection", "generate_scenario_files",
     "profile_to_array",

@@ -17,6 +17,7 @@ file's rows would.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from typing import Iterable
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import csv_field, number, read_columns, sex, write_lines
+from .files import age, csv_field, number, read_columns, sex, write_lines
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
@@ -239,8 +240,14 @@ def _metric(text: str) -> str:
 
 
 def _age_label(text: str):
-    """A single-year age as an int, an age class label as text."""
-    return int(text) if text.lstrip("-").isdigit() else text
+    """A census age: an int as ``files.age`` reads it, or an AgeClassScheme label as text."""
+    label = re.fullmatch(r"([0-9]+)(?:-([0-9]+)|\+)", text)  # lo-hi with lo < hi, or lo+
+    if label and (label[2] is None or int(label[1]) < int(label[2])):
+        return text
+    try:
+        return age(text)
+    except ValueError:
+        raise ValueError(f"age {text!r} is neither a whole number nor an age class") from None
 
 
 def count_population(regions, region, sex, age) -> dict[tuple[str, str, int], int]:

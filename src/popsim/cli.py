@@ -16,7 +16,7 @@ from pathlib import Path
 from .census import SyntheticCensus
 from .config import RunConfig
 from .engine import ModelParameters, run_simulation
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, FeasibilityError, InputError
 from .files import number
 from .ipf import MigrationTensor, ipf_3d, read_marginals_csv
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
@@ -104,7 +104,12 @@ def cmd_ipf(args) -> int:
         init = MigrationTensor.from_csv(args.init)
     else:
         init = MigrationTensor(marginals.regions, marginals.ages)
-    fitted = ipf_3d(init, marginals, tol=args.tol, max_iter=args.max_iter)
+    try:
+        fitted = ipf_3d(init, marginals, tol=args.tol, max_iter=args.max_iter)
+    except InputError as exc:  # the marginals' grand totals differ, or --init's labels do
+        files = f"{args.od}, {args.emigrants}, {args.immigrants}"
+        where = files if isinstance(exc, FeasibilityError) else f"{args.init} against {files}"
+        raise type(exc)(f"{where}: {exc}") from None
     fitted.to_csv(args.out)
     print(f"wrote fitted migration tensor to {args.out}")
     return 0

@@ -1,39 +1,22 @@
 """Exact Gregorian date arithmetic for birthday-centred scheduling.
 
-All durations are whole days (``int``); dates are ``datetime.date``.
-A "1-year" delay is never a fixed 365 days: it is always the distance to
-the next observed anniversary, so leap years are handled exactly.
-
-A Feb-29 birthdate observes its anniversary on Feb 28 in non-leap years,
-so no life-year is ever longer than 366 days.
-
-The engine applies the same rules to numpy arrays of day ordinals
-(``date.toordinal()``), through ``ymd``, ``anniversaries`` and
-``birthdate_windows``.
+A "1-year" delay is never a fixed 365 days but the distance to the next
+observed anniversary; a Feb-29 birthdate observes its anniversary on Feb 28
+in non-leap years, so no life-year is longer than 366 days. The engine
+applies these rules to arrays of day ordinals (``date.toordinal()``); the
+tests check them against ``tests/reference_agent.py``, which states them for
+single dates.
 """
 
 from __future__ import annotations
 
 import calendar as _cal
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
-__all__ = [
-    "anniversary_in_year",
-    "next_birthday",
-    "last_birthday",
-    "days_until_birthday",
-    "days_since_birthday",
-    "life_year_length",
-    "completed_age",
-    "shift_years",
-    "add_months",
-    "birthdate_window",
-    "ymd",
-    "anniversaries",
-    "birthdate_windows",
-]
+__all__ = ["anniversary_in_year", "shift_years", "add_months", "ymd", "anniversaries",
+           "birthdate_windows"]
 
 _EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
 
@@ -43,52 +26,6 @@ def anniversary_in_year(birthdate: date, year: int) -> date:
     if birthdate.month == 2 and birthdate.day == 29 and not _cal.isleap(year):
         return date(year, 2, 28)
     return date(year, birthdate.month, birthdate.day)
-
-
-def next_birthday(t: date, birthdate: date) -> date:
-    """First observed anniversary strictly after ``t``."""
-    _check_order(t, birthdate)
-    cand = anniversary_in_year(birthdate, t.year)
-    if cand <= t:
-        cand = anniversary_in_year(birthdate, t.year + 1)
-    return cand
-
-
-def last_birthday(t: date, birthdate: date) -> date:
-    """Most recent observed anniversary at or before ``t``."""
-    _check_order(t, birthdate)
-    cand = anniversary_in_year(birthdate, t.year)
-    if cand > t:
-        cand = anniversary_in_year(birthdate, t.year - 1)
-    return cand
-
-
-def days_until_birthday(t: date, birthdate: date) -> int:
-    """Days from ``t`` to the next anniversary; strictly positive.
-
-    On the anniversary itself this is the distance to the anniversary one
-    year later.
-    """
-    return (next_birthday(t, birthdate) - t).days
-
-
-def days_since_birthday(t: date, birthdate: date) -> int:
-    """Days since the most recent anniversary; 0 on the anniversary."""
-    return (t - last_birthday(t, birthdate)).days
-
-
-def life_year_length(t: date, birthdate: date) -> int:
-    """Length in days of the life-year containing ``t``; 365 or 366."""
-    return days_until_birthday(t, birthdate) + days_since_birthday(t, birthdate)
-
-
-def completed_age(t: date, birthdate: date) -> int:
-    """Number of observed anniversaries at or before ``t``."""
-    _check_order(t, birthdate)
-    age = t.year - birthdate.year
-    if anniversary_in_year(birthdate, t.year) > t:
-        age -= 1
-    return age
 
 
 def shift_years(d: date, years: int) -> date:
@@ -103,28 +40,6 @@ def add_months(d: date, months: int) -> date:
     month += 1
     day = min(d.day, _cal.monthrange(year, month)[1])
     return date(year, month, day)
-
-
-def birthdate_window(ref: date, age: int) -> tuple[date, date]:
-    """Inclusive range of birthdates giving exactly ``age`` completed years at ``ref``.
-
-    The window spans 365 or 366 days.
-    """
-    if age < 0:
-        raise ValueError("age must be non-negative")
-    day = timedelta(days=1)
-    hi = shift_years(ref, -age)
-    lo = shift_years(ref, -(age + 1)) + day
-    # Feb-29 collapse can put an endpoint one day off; nudge until maximal.
-    while completed_age(ref, hi) != age:
-        hi -= day
-    while hi + day <= ref and completed_age(ref, hi + day) == age:
-        hi += day
-    while completed_age(ref, lo) != age:
-        lo += day
-    while completed_age(ref, lo - day) == age:
-        lo -= day
-    return lo, hi
 
 
 # ----- the same rules on arrays of day ordinals -----------------------------------
@@ -156,7 +71,8 @@ def anniversaries(months, days, years) -> np.ndarray:
 
 
 def birthdate_windows(refs, ages) -> tuple[np.ndarray, np.ndarray]:
-    """First ordinal and length in days of each ``birthdate_window(ref, age)``.
+    """First ordinal and length in days (365 or 366) of each window of birthdates
+    with ``ages`` completed years at ``refs``.
 
     The window holds the birthdates of years ``ref.year - age - 1`` and
     ``ref.year - age`` whose anniversary in ``ref.year`` falls after ``ref``
@@ -177,8 +93,3 @@ def birthdate_windows(refs, ages) -> tuple[np.ndarray, np.ndarray]:
     hi = last_day(ref_year - ages)
     lo = last_day(ref_year - ages - 1) + 1
     return lo, hi - lo + 1
-
-
-def _check_order(t: date, birthdate: date) -> None:
-    if birthdate > t:
-        raise ValueError(f"birthdate {birthdate} is after reference date {t}")

@@ -298,8 +298,9 @@ def read_settings(path, cls, converters, **given):
     Every field of ``cls`` not in ``given`` is a key; ``converters`` maps a key
     to the function that turns its text into a value, ``str`` by default. A
     repeated key takes its last value, so a line appended to a generated file
-    overrides it. An unknown key or a value its converter rejects is an
-    InputError at ``file:line``; an InputError ``cls`` raises names the file.
+    overrides it. An unknown key, an empty value or a value its converter
+    rejects is an InputError at ``file:line``; an InputError ``cls`` raises
+    names the file.
     """
     keys = {f.name for f in dataclasses.fields(cls)} - set(given)
     values = {}
@@ -314,6 +315,8 @@ def read_settings(path, cls, converters, **given):
                 if key not in keys:
                     raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
+                    if not raw:  # no key takes empty text; a path would name the directory
+                        raise ValueError("empty value")
                     values[key] = converters.get(key, str)(raw)
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: bad value for {key!r}: "

@@ -61,17 +61,6 @@ def farr_probability(deaths: float, pop_avg: float) -> float:
     return deaths / (pop_avg + deaths / 2.0)
 
 
-def disaggregate_proportional(aggregate: float, weights) -> np.ndarray:
-    """Split ``aggregate`` proportionally to ``weights``; zero weight gets exactly 0."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w < 0):
-        raise InputError("weights must be non-negative and non-empty")
-    total = w.sum()
-    if total == 0:
-        raise InputError("weights must not all be zero")
-    return aggregate * (w / total)
-
-
 def apportion_integer(total: int, weights) -> list[int]:
     """Distribute an integer ``total`` over cells proportionally to ``weights``.
 

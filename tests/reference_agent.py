@@ -3,7 +3,9 @@
 ``popsim.engine.World`` applies these rules to all agents at once as array
 operations; this module states them for one agent, and the engine is tested
 against it event for event and draw for draw (``test_kernel.py``,
-``test_agents.py``).
+``test_agents.py``). Its date helpers state the birthday rules on single
+dates, as the independent reference for the array forms in ``popsim.dates``
+(``test_dates.py``).
 
 Each agent runs its own event queue centred on its annual Birthday event:
 the Birthday reschedules itself one calendar year ahead (exact date
@@ -39,8 +41,86 @@ from typing import NamedTuple
 import numpy as np
 
 from popsim.agents import DRAW_ORDER, RECORD_METRIC, TERMINAL_KINDS, AgentEvent, EventKind
-from popsim.dates import completed_age, days_since_birthday, next_birthday
+from popsim.dates import anniversary_in_year, shift_years
 from popsim.errors import CoverageError, InputError
+
+
+# ----- the birthday rules on single dates ------------------------------------------
+
+def next_birthday(t: date, birthdate: date) -> date:
+    """First observed anniversary strictly after ``t``."""
+    _check_order(t, birthdate)
+    cand = anniversary_in_year(birthdate, t.year)
+    if cand <= t:
+        cand = anniversary_in_year(birthdate, t.year + 1)
+    return cand
+
+
+def last_birthday(t: date, birthdate: date) -> date:
+    """Most recent observed anniversary at or before ``t``."""
+    _check_order(t, birthdate)
+    cand = anniversary_in_year(birthdate, t.year)
+    if cand > t:
+        cand = anniversary_in_year(birthdate, t.year - 1)
+    return cand
+
+
+def days_until_birthday(t: date, birthdate: date) -> int:
+    """Days from ``t`` to the next anniversary; strictly positive.
+
+    On the anniversary itself this is the distance to the anniversary one
+    year later.
+    """
+    return (next_birthday(t, birthdate) - t).days
+
+
+def days_since_birthday(t: date, birthdate: date) -> int:
+    """Days since the most recent anniversary; 0 on the anniversary."""
+    return (t - last_birthday(t, birthdate)).days
+
+
+def life_year_length(t: date, birthdate: date) -> int:
+    """Length in days of the life-year containing ``t``; 365 or 366."""
+    return days_until_birthday(t, birthdate) + days_since_birthday(t, birthdate)
+
+
+def completed_age(t: date, birthdate: date) -> int:
+    """Number of observed anniversaries at or before ``t``."""
+    _check_order(t, birthdate)
+    age = t.year - birthdate.year
+    if anniversary_in_year(birthdate, t.year) > t:
+        age -= 1
+    return age
+
+
+def birthdate_window(ref: date, age: int) -> tuple[date, date]:
+    """Inclusive range of birthdates giving exactly ``age`` completed years at ``ref``.
+
+    The window spans 365 or 366 days.
+    """
+    if age < 0:
+        raise ValueError("age must be non-negative")
+    day = timedelta(days=1)
+    hi = shift_years(ref, -age)
+    lo = shift_years(ref, -(age + 1)) + day
+    # Feb-29 collapse can put an endpoint one day off; nudge until maximal.
+    while completed_age(ref, hi) != age:
+        hi -= day
+    while hi + day <= ref and completed_age(ref, hi + day) == age:
+        hi += day
+    while completed_age(ref, lo) != age:
+        lo += day
+    while completed_age(ref, lo - day) == age:
+        lo -= day
+    return lo, hi
+
+
+def _check_order(t: date, birthdate: date) -> None:
+    if birthdate > t:
+        raise ValueError(f"birthdate {birthdate} is after reference date {t}")
+
+
+# ----- one agent ---------------------------------------------------------------------
 
 
 class BirthRequest(NamedTuple):

@@ -18,7 +18,6 @@ from scipy.stats import chi2 as chi2_dist
 from popsim.agents import EventKind
 from popsim.census import SyntheticCensus
 from popsim.cli import main
-from popsim.dates import completed_age, days_since_birthday, days_until_birthday
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import FeasibilityError
 from popsim.ipf import MigrationTensor, ipf_3d, marginal_residual
@@ -28,6 +27,7 @@ from popsim.scenario import ScenarioSpec, build_initial_population, build_parame
 from popsim.validation import deviation_extrema, deviation_report
 
 from conftest import reference_census_for
+from reference_agent import completed_age, days_since_birthday, days_until_birthday
 
 # pinned acceptance configuration
 FARR_SEED = 36           # criterion 1

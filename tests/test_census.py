@@ -140,10 +140,21 @@ def test_csv_rejects_negative_count(tmp_path):
         SyntheticCensus.from_csv(path)
 
 
+@pytest.mark.parametrize("age", ["", "-1", "x", "1.5", "5-5", "20-10", "-19", "80-", "+", "x+",
+                                 " 0-19", "1\0"])
+def test_csv_rejects_age_neither_whole_nor_class_label(tmp_path, age):
+    path = tmp_path / "ages.csv"
+    path.write_text(f"metric,year,region,sex,age,count\nP,2020,AT-1,m,5,3\nP,2021,AT-1,m,{age},1\n",
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=r"ages\.csv:3: .*is neither a whole number nor an age "
+                                         r"class"):
+        SyntheticCensus.from_csv(path)
+
+
 def _census_over(regions):
     census = SyntheticCensus()
     for region in regions:
-        census.record_event("P", 2020, region, "f", "x y", 2.5)
+        census.record_event("P", 2020, region, "f", "0-19", 2.5)
         census.record_event("D", 2020, region, "m", 7)
     return census
 

@@ -1,6 +1,7 @@
 """Config round trips and end-to-end command-line paths."""
 
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -173,6 +174,29 @@ def test_ipf_subcommand_and_nonconvergence_exit(tmp_path):
                  "--tol", "1e-17", "--max-iter", "3"]) == 2
 
 
+def test_ipf_names_the_files_of_inputs_that_disagree(tmp_path, capsys):
+    ages = (0, 1)
+    truth = MigrationTensor(("AT-1", "AT-2"), ages, np.ones((2, 2, 2)))
+    paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
+    write_marginals_csv(truth.marginals(), *paths)
+    files = ", ".join(map(str, paths))
+    out = tmp_path / "fitted.csv"
+    args = ["--quiet", "ipf", "--od", str(paths[0]), "--emigrants", str(paths[1]),
+            "--immigrants", str(paths[2]), "--out", str(out)]
+    init = tmp_path / "init.csv"
+    MigrationTensor(("AT-1", "AT-3"), ages, np.ones((2, 2, 2))).to_csv(init)
+    assert main([*args, "--init", str(init)]) == 1
+    assert capsys.readouterr().err == (f"error: {init} against {files}: tensor and marginals "
+                                       "use different region/age labels\n")
+    marginals = truth.marginals()
+    marginals.imm_by_age[0, 0] += 1
+    write_marginals_csv(marginals, *paths)
+    assert main(args) == 1
+    assert capsys.readouterr().err == (f"error: {files}: marginal grand totals differ: "
+                                       "od=4 emig=4 imm=5\n")
+    assert not out.exists()
+
+
 def test_apportion_subcommand(tmp_path, capsys):
     assert main(["--quiet", "apportion", "--total", "10", "--weights", "6,3,1"]) == 0
     assert capsys.readouterr().out.strip() == "6,3,1"
@@ -214,6 +238,14 @@ def test_importing_the_cli_loads_numpy_random_only_if_numpy_does():
     cli = _python("-c", probe.format("popsim.cli"))
     assert numpy_alone.stdout.strip() in ("True", "False"), numpy_alone.stderr
     assert cli.stdout.strip() == numpy_alone.stdout.strip(), cli.stderr
+
+
+@pytest.mark.parametrize("module", ["popsim", "popsim.dates"])
+def test_star_import_resolves_every_exported_name(module):
+    # a name left in __all__ after its definition is gone fails the star import
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= namespace.keys()
 
 
 def _bad_marginals(tmp_path):
@@ -405,10 +437,10 @@ def test_config_has_no_max_age(tmp_path, capsys):
 def test_derive_params_names_non_integer_age(tmp_path, capsys):
     census = tmp_path / "census.csv"
     census.write_text("metric,year,region,sex,age,count\n"
-                      "P,2020,AT-1,m,5,10\nP,2020,AT-1,m,x,3\nP,2021,AT-1,m,5,10\n")
+                      "P,2020,AT-1,m,5,10\nP,2020,AT-1,m,0-19,3\nP,2021,AT-1,m,5,10\n")
     assert main(["--quiet", "derive-params", "--census", str(census), "--kind", "death",
                  "--out", str(tmp_path / "d.csv")]) == 1
-    assert "P(2020,AT-1,m,x)" in capsys.readouterr().err
+    assert "P(2020,AT-1,m,0-19)" in capsys.readouterr().err
 
 
 def test_derive_params_names_census_and_cell_of_a_certain_event(tmp_path, capsys):
@@ -548,6 +580,10 @@ def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
     ("run.conf", "runs = two", "bad value for 'runs': 'two'"),
     ("run.conf", "male_fraction = half", "bad value for 'male_fraction': 'half'"),
     ("run.conf", "seed", "expected 'key = value'"),
+    ("run.conf", "initial_population =", "bad value for 'initial_population': '' (empty value)"),
+    ("run.conf", "params_death =", "bad value for 'params_death': '' (empty value)"),
+    ("run.conf", "start =", "bad value for 'start': '' (empty value)"),
+    ("scenario.conf", "regions =", "bad value for 'regions': '' (empty value)"),
     ("scenario.conf", "colour = red", "unknown config key 'colour'"),
     ("scenario.conf", "years = abc", "bad value for 'years': 'abc'"),
     ("scenario.conf", "p_death = 10:x", "bad value for 'p_death': '10:x'")])

@@ -1,4 +1,6 @@
-"""Calendar arithmetic against an independent day-walking oracle."""
+"""Calendar arithmetic: the single-agent reference's scalar birthday rules
+against an independent day-walking oracle, and the array forms of
+``popsim.dates`` against those rules."""
 
 from calendar import isleap
 from datetime import date, timedelta
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsim.dates import (add_months, anniversaries, anniversary_in_year, birthdate_window,
-                          birthdate_windows, completed_age, days_since_birthday,
-                          days_until_birthday, life_year_length, shift_years, ymd)
+from popsim.dates import (add_months, anniversaries, anniversary_in_year, birthdate_windows,
+                          shift_years, ymd)
+
+from reference_agent import (birthdate_window, completed_age, days_since_birthday,
+                             days_until_birthday, life_year_length)
 
 
 def observes_anniversary(d: date, birthdate: date) -> bool:

@@ -278,7 +278,9 @@ def test_a_nul_is_read_as_csv_reader_reads_it(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[2][4] == "1\0"
-    assert "1\0" in SyntheticCensus.from_csv(path).labels("age")
+    # the census reader rejects the age; a column parsed as text keeps it as read
+    table = files.read_columns(path, CENSUS_CSV_HEADER, (str,) * 5 + (files.number,))
+    assert "1\0" in table.labels[4]
 
 
 def test_labels_are_parsed_once_per_distinct_text(tmp_path):

@@ -1,5 +1,5 @@
-"""Parameter computation: Farr probabilities, disaggregation, apportionment,
-table lookup with regional fallback."""
+"""Parameter computation: Farr probabilities, integer apportionment, table
+lookup with regional fallback."""
 
 import math
 from itertools import combinations
@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from popsim.census import SyntheticCensus
 from popsim.errors import CoverageError, InputError
 from popsim.params import (ImmigrationTable, ParameterTable, apportion_integer,
-                           derive_params_from_census, disaggregate_proportional,
-                           farr_probability)
+                           derive_params_from_census, farr_probability)
 
 from conftest import book_population
 
@@ -72,39 +71,6 @@ def test_farr_recovers_constant_mortality_from_replacement_cohort():
     deaths_per_year = deaths / window
     estimate = farr_probability(deaths_per_year, slots)
     assert estimate == pytest.approx(p_true, rel=0.04)
-
-
-# ----- proportional disaggregation ---------------------------------------------
-
-
-def test_disaggregate_uniform():
-    out = disaggregate_proportional(1000, [1.0] * 10)
-    assert np.allclose(out, 100.0)
-
-
-def test_disaggregate_hand_example():
-    assert np.allclose(disaggregate_proportional(1000, [3, 1]), [750.0, 250.0])
-
-
-def test_disaggregate_zero_weight_cell():
-    out = disaggregate_proportional(100, [2, 0, 2])
-    assert out[1] == 0.0
-    assert out.sum() == pytest.approx(100)
-
-
-def test_disaggregate_all_zero_rejected():
-    with pytest.raises(InputError):
-        disaggregate_proportional(10, [0, 0])
-
-
-@given(aggregate=st.floats(min_value=0, max_value=1e9),
-       weights=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=30))
-@settings(max_examples=200, deadline=None)
-def test_disaggregate_sums_back(aggregate, weights):
-    if sum(weights) == 0:
-        return
-    out = disaggregate_proportional(aggregate, weights)
-    assert out.sum() == pytest.approx(aggregate, rel=1e-9, abs=1e-9)
 
 
 # ----- integer apportionment ----------------------------------------------------
