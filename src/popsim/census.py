@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import age, csv_field, number, read_columns, sex, write_lines
+from .files import age, csv_field, integer, number, read_columns, sex, write_lines
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
@@ -149,12 +149,12 @@ class SyntheticCensus:
         hit = present.any(axis=tuple(i for i in range(5) if i != k + 1))
         return {self.axes[k][i] for i in np.flatnonzero(hit)}
 
-    def table(self, metric: str, years, regions, sexes, n_ages: int) -> np.ndarray:
-        """``metric`` as a [year, region, sex, age] array over the given labels and
-        the integer ages 0..n_ages-1; absent cells and labels read as 0."""
-        out = np.zeros((len(years), len(regions), len(sexes), n_ages))
+    def table(self, metric: str, *axes) -> np.ndarray:
+        """``metric`` as a [year, region, sex, age] array over the labels of the
+        four ``axes``; absent cells and labels read as 0."""
+        out = np.zeros([len(labels) for labels in axes])
         found = [[(j, index[label]) for j, label in enumerate(labels) if label in index]
-                 for labels, index in zip((years, regions, sexes, range(n_ages)), self.index)]
+                 for labels, index in zip(axes, self.index)]
         dst, src = ([[pair[k] for pair in axis] for axis in found] for k in (0, 1))
         out[np.ix_(*dst)] = self.values[METRIC_INDEX[metric]][np.ix_(*src)]
         return out
@@ -224,7 +224,7 @@ class SyntheticCensus:
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":
         table = read_columns(path, CENSUS_CSV_HEADER,
-                             (_metric, int, regions_mod.checked, sex, _age_label, number),
+                             (_metric, integer, regions_mod.checked, sex, _age_label, number),
                              key=range(5), check=lambda count: (count < 0, "negative count"))
         census = cls([sorted(table.labels[j], key=key) for j, key in enumerate(_AXIS_KEYS, 1)])
         at = tuple(table.positions(j, axis) for j, axis in enumerate((METRICS, *census.axes)))

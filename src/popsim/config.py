@@ -14,17 +14,17 @@ from pathlib import Path
 
 from .engine import MacroStepConfig
 from .errors import InputError
-from .files import read_settings, write_key_values
+from .files import integer, read_settings, write_key_values
 
 # the keys whose values are not kept as text
-CONVERTERS = {"step_multiplier": int, "seed": int, "runs": int, "workers": int,
-              "male_fraction": float}
+CONVERTERS = {"step_multiplier": integer, "seed": integer, "runs": integer,
+              "workers": integer, "male_fraction": float}
 
 
 @dataclass
 class RunConfig:
-    start: str = "2020-01-01"
-    end: str = "2030-01-01"
+    start: str
+    end: str
     step_unit: str = "year"
     step_multiplier: int = 1
     seed: int = 1

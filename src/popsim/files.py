@@ -15,6 +15,7 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -257,9 +258,17 @@ def sex(text: str) -> str:
     return text
 
 
+def integer(text: str) -> int:
+    """``text`` as an int if it is ASCII digits with an optional leading '-',
+    else a ValueError: ``int`` alone also takes '_', '+', spaces and other digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not a whole number: {text!r}")
+    return int(text)
+
+
 def age(text: str) -> int:
-    """``int(text)``, rejecting a negative age with a ValueError."""
-    value = int(text)
+    """``integer(text)``, rejecting a negative age with a ValueError."""
+    value = integer(text)
     if value < 0:
         raise ValueError("negative age")
     return value
@@ -299,8 +308,8 @@ def read_settings(path, cls, converters, **given):
     to the function that turns its text into a value, ``str`` by default. A
     repeated key takes its last value, so a line appended to a generated file
     overrides it. An unknown key, an empty value or a value its converter
-    rejects is an InputError at ``file:line``; an InputError ``cls`` raises
-    names the file.
+    rejects is an InputError at ``file:line``; a missing key of a field without
+    a default and an InputError ``cls`` raises name the file.
     """
     keys = {f.name for f in dataclasses.fields(cls)} - set(given)
     values = {}
@@ -323,6 +332,9 @@ def read_settings(path, cls, converters, **given):
                                      f"{raw!r} ({exc})") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: unreadable as text: {exc}") from None
+    for f in dataclasses.fields(cls):
+        if f.name in keys - values.keys() and f.default is f.default_factory is dataclasses.MISSING:
+            raise InputError(f"{path}: missing key {f.name!r}")
     try:
         return cls(**values, **given)
     except InputError as exc:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
-from .files import csv_prefix, number, read_columns, write_lines
+from .files import csv_prefix, integer, number, read_columns, write_lines
 from .regions import checked
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
@@ -129,7 +129,7 @@ class MigrationTensor:
 
     @classmethod
     def from_csv(cls, path) -> "MigrationTensor":
-        cells = read_columns(path, TENSOR_CSV_HEADER, (checked, checked, int, number),
+        cells = read_columns(path, TENSOR_CSV_HEADER, (checked, checked, integer, number),
                              key=range(3), check=lambda weight: (weight < 0, "negative weight"))
         regions = sorted({*cells.labels[0], *cells.labels[1]})
         ages = sorted(cells.labels[2])
@@ -200,8 +200,8 @@ def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) ->
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
     od = read_columns(od_path, OD_CSV_HEADER, (checked, checked, number), key=range(2))
-    emig, imm = (read_columns(path, AGE_MARGINAL_CSV_HEADER, (checked, int, number), key=range(2))
-                 for path in (emig_path, imm_path))
+    emig, imm = (read_columns(path, AGE_MARGINAL_CSV_HEADER, (checked, integer, number),
+                              key=range(2)) for path in (emig_path, imm_path))
     regions = tuple(sorted({*od.labels[0], *od.labels[1], *emig.labels[0], *imm.labels[0]}))
     ages = tuple(sorted({*emig.labels[1], *imm.labels[1]}))
     return MarginalSet(regions=regions, ages=ages, od=od.dense((regions, regions)),

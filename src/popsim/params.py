@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions
 from .errors import CoverageError, InputError
-from .files import age, csv_prefix, line_of, number, read_columns, write_lines
+from .files import age, csv_prefix, integer, line_of, number, read_columns, write_lines
 
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
@@ -314,7 +314,7 @@ def _read_param_csv(path):
                     "an immigration count must be a non-negative integer")
         return ~((0 <= value) & (value <= 1)), "a probability must lie in [0, 1]"
 
-    cells = read_columns(path, PARAM_CSV_HEADER, (kind, int, region, sex, age, number),
+    cells = read_columns(path, PARAM_CSV_HEADER, (kind, integer, region, sex, age, number),
                          key=range(1, 5), check=check)
     if not len(cells.values):
         raise InputError(f"{path}: no data rows")
@@ -349,8 +349,8 @@ def derive_params_from_census(census, kind: str, max_age: int | None = None) -> 
 
     table = ParameterTable(kind, max_age)
     years = sorted(snap_years)  # a year's successor, when a snapshot year, is next
-    pop = census.table("P", years, region_list, sexes, max_age + 1)
-    events = census.table(metric, years, region_list, sexes, max_age + 1)
+    pop = census.table("P", years, region_list, sexes, range(max_age + 1))
+    events = census.table(metric, years, region_list, sexes, range(max_age + 1))
     for year in derive_years:
         y = years.index(year)
         pop_avg = (pop[y] + pop[y + 1]) / 2.0 if year + 1 in snap_years else pop[y]

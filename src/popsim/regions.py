@@ -1,6 +1,7 @@
 """Hierarchical region codes.
 
-Codes are dash-separated paths below a country root, one segment per level:
+Codes are dash-separated paths below a country root of two ASCII capitals,
+one segment of ASCII letters or digits per level:
 
     AT              country
     AT-5            federal state
@@ -13,13 +14,16 @@ code by walking the code up to the table's level.
 
 from __future__ import annotations
 
+import re
+
 from .errors import InputError
 
+CODE = re.compile(r"[A-Z]{2}(?:-[A-Za-z0-9]+)*")
 LEVEL_NAMES = ("country", "federal-state", "district", "municipality")
 
 
 def level_of(code: str) -> int:
-    if not code or code.startswith("-") or code.endswith("-") or "--" in code:
+    if not CODE.fullmatch(code):
         raise InputError(f"malformed region code {code!r}")
     level = code.count("-")
     if level >= len(LEVEL_NAMES):

@@ -65,8 +65,8 @@ from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
-from .files import (age, number, read_columns, read_settings, sex, write_key_values,
-                    write_table)
+from .files import (age, integer, number, read_columns, read_settings, sex,
+                    write_key_values, write_table)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
@@ -144,7 +144,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioSpec":
-        converters = {f_.name: parse_profile if f_.name.startswith("p_") else int
+        converters = {f_.name: parse_profile if f_.name.startswith("p_") else integer
                       for f_ in fields(cls)}
         converters.update(regions=lambda text: [r.strip() for r in text.split(",") if r.strip()],
                           male_fraction=float)
@@ -175,7 +175,7 @@ def parse_profile(text: str):
     points = []
     for part in text.split(","):
         age, _, value = part.partition(":")
-        points.append((int(age.strip()), number(value.strip())))
+        points.append((integer(age.strip()), number(value.strip())))
     return points
 
 
@@ -485,7 +485,7 @@ def read_population_csv(path) -> list[tuple[str, str, int, int]]:
 
 
 def _count(text: str) -> int:
-    count = int(text)
+    count = integer(text)
     if count < 0:
         raise ValueError("negative count")
     return count

@@ -8,10 +8,11 @@ minimum/maximum relative deviation over a year range,
 
 which deliberately does not smooth over fluctuations: systematic under- or
 overestimation stays visible, and the max(1, .) guard keeps empty reference
-cells finite. Confidence bands come from applying the same metrics to the
-5% and 95% ensemble quantiles of each report row's aggregated year series;
-the resulting pair is reported sorted ascending.
-"""
+cells finite. Confidence bands come from applying the same metric to the
+5% and 95% ensemble quantiles of each report row's aggregated year series
+(the quantile of the aggregate, not a sum of cell-wise quantiles); the
+resulting pair is reported sorted ascending. The report works on one
+[census, block, year] array of these series."""
 
 from __future__ import annotations
 
@@ -22,6 +23,9 @@ import numpy as np
 from .census import METRIC_INDEX, AgeClassScheme, SyntheticCensus
 from .errors import InputError
 from .files import write_table
+
+# the report's age classes
+CLASSES = AgeClassScheme.twenty_year()
 
 REPORT_CSV_HEADER = ("region", "sex", "age_class", "e_min", "e_min_ci_lo",
                      "e_min_ci_hi", "e_max", "e_max_ci_lo", "e_max_ci_hi")
@@ -36,21 +40,13 @@ def ensemble_mean(ensemble: list[SyntheticCensus]) -> SyntheticCensus:
     return mean
 
 
-def deviation_extrema(sim_series, data_series, years) -> tuple[float, float]:
-    """Signed (e_min, e_max) of the relative deviation over ``years``.
-
-    Both series are mappings year -> value; the denominator guard is
-    max(1, data).
-    """
-    years = list(years)
-    if not years:
+def deviation_extrema(sim, data) -> tuple:
+    """Signed (e_min, e_max) of e = (sim - data) / max(1, data) along the last
+    axis of the arrays, the years."""
+    e = (np.asarray(sim, dtype=float) - data) / np.maximum(1.0, data)
+    if not e.shape[-1]:
         raise InputError("empty year range")
-    ratios = []
-    for y in years:
-        sim = float(sim_series.get(y, 0.0))
-        data = float(data_series.get(y, 0.0))
-        ratios.append((sim - data) / max(1.0, data))
-    return min(ratios), max(ratios)
+    return e.min(axis=-1), e.max(axis=-1)
 
 
 @dataclass
@@ -78,87 +74,66 @@ class DeviationReport:
         ] for r in self.rows))
 
 
-def _series(census: SyntheticCensus, metric: str, years, blocks) -> np.ndarray:
-    """[block, year] sums of ``metric`` over each (region, sex, age class) block,
-    None standing for every label; a block's cells are added one at a time in
-    row order, as a file-order scan over the cells would."""
-    index = census.index
-    cells = census.values[METRIC_INDEX[metric]][[index[0][y] for y in years]]
-    out = np.zeros((len(blocks), len(years)))
-    for b, block in enumerate(blocks):
-        picked = cells
-        for axis, label in enumerate(block, start=1):
-            if label is not None:
-                picked = picked.take([index[axis][label]] if label in index[axis] else [],
-                                     axis=axis)
-        flat = picked.reshape(len(years), -1)
-        if flat.size:
-            out[b] = np.cumsum(flat, axis=1)[:, -1]
-    return out
+def _series(stack: np.ndarray, index, picks: dict) -> np.ndarray:
+    """[census, block, year] sums of ``stack``, a [census, year, region, sex,
+    age] array over the labels of ``index``. ``picks`` maps label axes (1
+    region, 2 sex, 3 age) to labels: one block per combination, in row order,
+    sums every label of the other axes. A block adds its cells one at a time
+    in row order, as a file-order scan over them would."""
+    summed = [k + 1 for k in (1, 2, 3) if k not in picks]
+    cells = np.moveaxis(stack, [1, *summed], range(len(picks) + 1, 5))
+    sums = np.cumsum(cells.reshape(*cells.shape[:len(picks) + 2], -1), axis=-1)[..., -1]
+    for k, (axis, labels) in enumerate(sorted(picks.items()), start=1):
+        sums = sums.take([index[axis][label] for label in labels], axis=k)
+    return sums.reshape(len(stack), -1, stack.shape[1])
 
 
 def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus,
-                     scheme: AgeClassScheme | None = None, metric: str = "P",
-                     region_level: int | None = None) -> DeviationReport:
-    """Extrema-with-confidence-band report, one block per aggregation level.
-
-    Blocks follow the overall / per-sex / per-age-class / per-region /
-    per-region-and-age-class layout. For each row, the 5%/95% ensemble
-    quantiles are taken of the row's aggregated year series (the quantile of
-    the aggregate, not a sum of cell-wise quantiles) and the extrema applied
-    to them give the confidence band, reported sorted ascending. Rows whose
-    reference series is entirely absent are listed as coverage gaps instead
-    of failing.
-    """
+                     metric: str = "P") -> DeviationReport:
+    """Extrema-with-confidence-band report, one row per block of the overall /
+    per-sex / per-age-class / per-region / per-region-and-age-class layout over
+    CLASSES and the regions as given. A block whose reference series is
+    entirely absent is listed as a coverage gap instead of failing."""
     if not ensemble:
         raise InputError("ensemble is empty")
     if metric not in METRIC_INDEX:
         raise InputError(f"unknown census metric {metric!r}")
-    if scheme is None:
-        scheme = AgeClassScheme.twenty_year()
-    runs = [census.aggregate(scheme, region_level) for census in ensemble]
+    runs = [census.aggregate(CLASSES) for census in ensemble]
     # a reference with integer ages is single-age resolution: bin it the same way
     ref_single_age = all(isinstance(a, int) for a in reference.labels("age", metric))
-    ref = reference.aggregate(scheme if ref_single_age else None, region_level)
+    ref = reference.aggregate(CLASSES if ref_single_age else None)
 
     years = sorted(set.intersection(*(run.labels("year", metric) for run in runs))
                    & ref.labels("year", metric))
     if not years:
         raise InputError(f"no overlapping years between ensemble and reference for {metric}")
+    regions, sexes = (sorted(ref.labels(axis, metric)) for axis in ("region", "sex"))
 
-    region_list = sorted(ref.labels("region", metric))
-    sexes = sorted(ref.labels("sex", metric))
-    classes = [label for label in scheme.labels]
+    # every census over the union of the labels: a label a census lacks adds zeros
+    censuses = (ref, *runs)
+    frame = SyntheticCensus()
+    frame.extend(years, *(set().union(*(c.axes[k] for c in censuses)) for k in (1, 2)),
+                 set(CLASSES.labels).union(*(c.axes[3] for c in censuses)))
+    stack = np.stack([c.table(metric, *frame.axes) for c in censuses])
+    kinds = ({}, {2: sexes}, {3: CLASSES.labels}, {1: regions},
+             {1: regions, 3: CLASSES.labels})
+    series = np.concatenate([_series(stack, frame.index, picks) for picks in kinds], axis=1)
+    blocks = [(None, None, None), *((None, s, None) for s in sexes),
+              *((None, None, c) for c in CLASSES.labels), *((r, None, None) for r in regions),
+              *((r, None, c) for r in regions for c in CLASSES.labels)]
 
-    blocks: list[tuple] = [(None, None, None)]
-    blocks += [(None, s, None) for s in sexes]
-    blocks += [(None, None, c) for c in classes]
-    blocks += [(r, None, None) for r in region_list]
-    blocks += [(r, None, c) for r in region_list for c in classes]
-
-    ref_rows = _series(ref, metric, years, blocks)
-    run_rows = np.stack([_series(run, metric, years, blocks) for run in runs], axis=1)
+    ref_rows, run_rows = series[0], series[1:]
+    mean = run_rows.mean(axis=0)
+    lo, hi = np.quantile(run_rows, [0.05, 0.95], axis=0) if len(runs) >= 2 else (mean, mean)
+    e_min, e_max = deviation_extrema(np.stack([mean, lo, hi]), ref_rows)
+    columns = (e_min[0], *np.sort(e_min[1:], axis=0), e_max[0], *np.sort(e_max[1:], axis=0))
     report = DeviationReport()
-    for (region, sex, age_class), ref_row, matrix in zip(blocks, ref_rows, run_rows):
-        if not ref_row.any():
+    for (region, sex, age_class), covered, (a, a_lo, a_hi, b, b_lo, b_hi) in zip(
+            blocks, ref_rows.any(axis=1), np.stack(columns, axis=1).tolist()):
+        if not covered:
             report.coverage_gaps.append(
                 f"reference empty for region={region or '-'} sex={sex or '-'} "
                 f"age_class={age_class or '-'}")
             continue
-        ref_series = dict(zip(years, ref_row))
-        mean_series = dict(zip(years, matrix.mean(axis=0)))
-        e_min, e_max = deviation_extrema(mean_series, ref_series, years)
-        if len(runs) >= 2:
-            lo_series = dict(zip(years, np.quantile(matrix, 0.05, axis=0)))
-            hi_series = dict(zip(years, np.quantile(matrix, 0.95, axis=0)))
-        else:
-            lo_series = hi_series = mean_series
-        lo_min, lo_max = deviation_extrema(lo_series, ref_series, years)
-        hi_min, hi_max = deviation_extrema(hi_series, ref_series, years)
-        report.rows.append(ReportRow(
-            region=region, sex=sex,
-            age_class=None if age_class is None else str(age_class),
-            e_min=e_min, e_min_ci=tuple(sorted((lo_min, hi_min))),
-            e_max=e_max, e_max_ci=tuple(sorted((lo_max, hi_max))),
-        ))
+        report.rows.append(ReportRow(region, sex, age_class, a, (a_lo, a_hi), b, (b_lo, b_hi)))
     return report

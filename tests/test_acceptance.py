@@ -363,11 +363,9 @@ def test_criterion_6_metrics():
     max(1, .) guard exactly; a two-run toy report matches a spreadsheet
     computation to 1e-12; the report rows follow the aggregation blocks."""
     with criterion("6 metrics"):
-        sim = {2020: 100.0, 2021: 110.0}
-        data = {2020: 100.0, 2021: 100.0}
-        e_min, e_max = deviation_extrema(sim, data, [2020, 2021])
+        e_min, e_max = deviation_extrema([100.0, 110.0], [100.0, 100.0])
         assert e_min == 0.0 and abs(e_max - 0.10) < 1e-12
-        assert deviation_extrema({2020: 3.0}, {2020: 0.0}, [2020]) == (3.0, 3.0)
+        assert deviation_extrema([3.0], [0.0]) == (3.0, 3.0)
 
         def cells(values):
             census = SyntheticCensus()

@@ -33,12 +33,13 @@ def test_config_round_trip(tmp_path):
 def test_config_validation():
     with pytest.raises(InputError):
         RunConfig(start="2030-01-01", end="2020-01-01", initial_population="x")
+    horizon = dict(start="2020-01-01", end="2030-01-01")
     with pytest.raises(InputError):
-        RunConfig(initial_population=None)
+        RunConfig(**horizon, initial_population=None)
     for key in ("params_internal_migration", "migration_tensor"):
         with pytest.raises(InputError, match="params_internal_migration and migration_tensor "
                                              "must be given together"):
-            RunConfig(initial_population="x", **{key: "x.csv"})
+            RunConfig(**horizon, initial_population="x", **{key: "x.csv"})
 
 
 def write_small_spec(path, **overrides):
@@ -311,6 +312,17 @@ def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
     assert "initial_population.csv:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_run_conf_must_name_its_horizon(tmp_path, capsys, key):
+    scen = _tiny_scenario(tmp_path)
+    config = scen / "run.conf"
+    config.write_text("".join(line + "\n" for line in config.read_text().splitlines()
+                              if line.partition(" = ")[0] != key))
+    assert _simulate(scen, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {config}: missing key {key!r}\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_simulate_rejects_negative_seed(tmp_path, capsys):
     scen = _tiny_scenario(tmp_path)
     assert _simulate(scen, tmp_path, "--seed", "-3") == 1
@@ -350,7 +362,7 @@ def test_simulate_names_config_file_before_reading_inputs(tmp_path, capsys, line
 
 def test_gen_synthetic_rejects_negative_seed_before_writing(tmp_path, capsys):
     with pytest.raises(InputError, match="seed must be non-negative"):
-        RunConfig(initial_population="x", seed=-1)
+        RunConfig(start="2020-01-01", end="2030-01-01", initial_population="x", seed=-1)
     out = tmp_path / "scen"
     assert main(["--quiet", "gen-synthetic", "--seed", "-1", "--out-dir", str(out)]) == 1
     assert "error: seed must be non-negative, got -1\n" in capsys.readouterr().err
@@ -421,7 +433,8 @@ def test_gen_synthetic_names_the_scenario_file(tmp_path, capsys, text, message):
 
 def test_config_later_key_overrides(tmp_path):
     path = tmp_path / "run.conf"
-    path.write_text("initial_population = init.csv\nstep_unit = year\nstep_unit = month\n")
+    path.write_text("start = 2020-01-01\nend = 2030-01-01\ninitial_population = init.csv\n"
+                    "step_unit = year\nstep_unit = month\n")
     assert RunConfig.from_file(path).step_unit == "month"
 
 
@@ -586,7 +599,11 @@ def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
     ("scenario.conf", "regions =", "bad value for 'regions': '' (empty value)"),
     ("scenario.conf", "colour = red", "unknown config key 'colour'"),
     ("scenario.conf", "years = abc", "bad value for 'years': 'abc'"),
-    ("scenario.conf", "p_death = 10:x", "bad value for 'p_death': '10:x'")])
+    ("scenario.conf", "p_death = 10:x", "bad value for 'p_death': '10:x'"),
+    ("run.conf", "runs = 1_0", "bad value for 'runs': '1_0'"),
+    ("run.conf", "seed = \u0663", "bad value for 'seed': '\u0663'"),
+    ("scenario.conf", "years = 1_0", "bad value for 'years': '1_0'"),
+    ("scenario.conf", "p_death = \u0663:0.1", "bad value for 'p_death': '\u0663:0.1'")])
 def test_settings_errors_name_file_and_line(tmp_path, capsys, name, line, message):
     path = tmp_path / name
     first = "initial_population = init.csv" if name == "run.conf" else "years = 2"

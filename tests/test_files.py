@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from popsim import files
 from popsim.census import CENSUS_CSV_HEADER, SyntheticCensus
 from popsim.errors import InputError
-from popsim.ipf import MarginalSet, MigrationTensor, write_marginals_csv
+from popsim.ipf import MarginalSet, MigrationTensor, read_marginals_csv, write_marginals_csv
 from popsim.params import ImmigrationTable, ParameterTable
 from popsim.scenario import read_population_csv
 
@@ -129,7 +129,7 @@ def _write(path, lines):
 def test_an_error_past_the_first_block_names_its_line(tmp_path):
     lines = _census_text(3000, blank_every=7)
     # a quoted field spanning two lines before the error, so line and row part ways
-    lines[1] = lines[1].replace(",AT-1,", ',"AT-1",', 1).replace(",m,0,", ',m,"0\n",', 1)
+    lines[1] = lines[1].replace(",AT-1,", ',"AT-1",', 1).rsplit(",", 1)[0] + ',"0\n"'
     bad = next(k for k in range(2500, len(lines)) if lines[k])
     lines[bad] = lines[bad].rsplit(",", 1)[0] + ",-4"
     path = _write(tmp_path / "census.csv", lines)
@@ -311,7 +311,7 @@ def _csv_writer_bytes(path, header, rows):
 
 
 def test_writers_render_rows_as_csv_writer_does(tmp_path):
-    regions = ('A"T-1', "A,T-2")  # well-formed codes that csv must quote
+    regions = ("AT-1", "AT-2")  # a region code holds nothing csv must quote
     table = ParameterTable("death", 2)
     table.set_row(2020, regions[1], "m", [0.1, 1 / 3, 0.0])
     table.set_row(2020, regions[0], "f", [1e-17, 0.5, 1.0])
@@ -361,3 +361,60 @@ def test_population_csv_reads_rows_in_file_order(tmp_path):
     _write(path, ["region,sex,age,count", "AT-2,m,4,1", "AT-2,x,4,1"])
     with pytest.raises(InputError, match=r"pop\.csv:3: .*sex must be m or f"):
         read_population_csv(path)
+
+
+def _read_emigrants(path):
+    od = path.with_name("od.csv")
+    od.write_text("origin,destination,value\nAT-1,AT-2,1.0\n")
+    return read_marginals_csv(od, path, path)
+
+
+# per reader: the reader, its header and a good row
+READERS = {
+    "census": (SyntheticCensus.from_csv, "metric,year,region,sex,age,count", "P,2020,AT-1,m,5,3"),
+    "parameter": (ParameterTable.from_csv, "kind,year,region,sex,age,value",
+                  "death,2020,AT-1,all,0,0.1"),
+    "population": (read_population_csv, "region,sex,age,count", "AT-1,m,5,3"),
+    "tensor": (MigrationTensor.from_csv, "origin,destination,age,value", "AT-1,AT-2,0,1.0"),
+    "emigrants": (_read_emigrants, "region,age,value", "AT-1,0,1.0"),
+}
+
+
+def _read_with_field(tmp_path, reader, column, text):
+    """Read a file of ``reader``'s good row and, on line 3, that row with ``text``
+    in ``column``."""
+    read, header, good = READERS[reader]
+    fields = good.split(",")
+    fields[column] = text
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\n{good}\n{','.join(fields)}\n", encoding="utf-8")
+    return read(path)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "+1", " 1"])
+@pytest.mark.parametrize("reader, column", [
+    ("census", 1), ("census", 4), ("parameter", 1), ("parameter", 4), ("population", 2),
+    ("population", 3), ("tensor", 2), ("emigrants", 1)])
+def test_integer_columns_take_ascii_digits_only(tmp_path, reader, column, text):
+    with pytest.raises(InputError, match=rf"table\.csv:3: bad row .*{re.escape(repr(text))}"):
+        _read_with_field(tmp_path, reader, column, text)
+
+
+def test_integer_parser():
+    assert [files.integer(text) for text in ("0", "-1", "0042")] == [0, -1, 42]
+    assert files.age("10") == 10
+    for text in ("1_0", "\u0663", "+1", " 1", "1 ", "", "-", "1.0", "0x1"):
+        with pytest.raises(ValueError):
+            files.integer(text)
+    with pytest.raises(ValueError, match="negative age"):
+        files.age("-1")
+
+
+@pytest.mark.parametrize("code", ["inf", "x", "at-1", "AT-\u00fc", "ATX-1", "A"])
+@pytest.mark.parametrize("reader, column", [
+    ("census", 2), ("parameter", 2), ("population", 0), ("tensor", 0), ("tensor", 1),
+    ("emigrants", 0)])
+def test_region_columns_take_only_region_codes(tmp_path, reader, column, code):
+    with pytest.raises(InputError, match=rf"table\.csv:3: .*malformed region code '{code}'"):
+        _read_with_field(tmp_path, reader, column, code)
+

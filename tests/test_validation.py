@@ -1,5 +1,6 @@
 """Ensemble statistics and deviation metrics."""
 
+import numpy as np
 import pytest
 
 from popsim.census import AgeClassScheme, SyntheticCensus
@@ -39,36 +40,30 @@ def test_ensemble_mean_commutes_with_aggregation():
 
 
 def test_deviation_extrema_identical():
-    series = {2020: 5.0, 2021: 7.0}
-    assert deviation_extrema(series, dict(series), [2020, 2021]) == (0.0, 0.0)
+    series = [5.0, 7.0]
+    assert deviation_extrema(series, list(series)) == (0.0, 0.0)
 
 
 def test_deviation_extrema_hand_example():
-    sim = {2020: 100.0, 2021: 110.0}
-    data = {2020: 100.0, 2021: 100.0}
-    e_min, e_max = deviation_extrema(sim, data, [2020, 2021])
+    e_min, e_max = deviation_extrema([100.0, 110.0], [100.0, 100.0])
     assert (e_min, e_max) == (0.0, pytest.approx(0.10))
 
 
 def test_deviation_extrema_guard_for_zero_reference():
-    sim = {2020: 3.0}
-    data = {2020: 0.0}
-    assert deviation_extrema(sim, data, [2020]) == (3.0, 3.0)
+    assert deviation_extrema([3.0], [0.0]) == (3.0, 3.0)
 
 
 def test_deviation_extrema_keeps_sign():
-    sim = {2020: 80.0, 2021: 120.0}
-    data = {2020: 100.0, 2021: 100.0}
-    e_min, e_max = deviation_extrema(sim, data, [2020, 2021])
+    e_min, e_max = deviation_extrema([80.0, 120.0], [100.0, 100.0])
     assert e_min == pytest.approx(-0.2)
     assert e_max == pytest.approx(0.2)
 
 
 def test_deviation_extrema_antisymmetric_on_common_baseline():
-    sim = {2020: 104.0, 2021: 93.0}
-    base = {2020: 100.0, 2021: 100.0}
-    fwd = deviation_extrema(sim, base, [2020, 2021])
-    bwd = deviation_extrema(base, sim, [2020, 2021])
+    sim = [104.0, 93.0]
+    base = [100.0, 100.0]
+    fwd = deviation_extrema(sim, base)
+    bwd = deviation_extrema(base, sim)
     # same denominators only when the reference side stays >= 1 and equal;
     # asserted for the baseline-denominator direction
     assert fwd[1] == pytest.approx(0.04)
@@ -77,7 +72,18 @@ def test_deviation_extrema_antisymmetric_on_common_baseline():
 
 def test_deviation_extrema_empty_years():
     with pytest.raises(InputError):
-        deviation_extrema({}, {}, [])
+        deviation_extrema([], [])
+
+
+def test_deviation_extrema_takes_each_row_of_an_array():
+    sim = np.array([[100.0, 110.0], [80.0, 120.0], [3.0, 0.0]])
+    data = np.array([[100.0, 100.0], [100.0, 100.0], [0.0, 0.0]])
+    e_min, e_max = deviation_extrema(sim, data)
+    rows = [deviation_extrema(s.tolist(), d.tolist()) for s, d in zip(sim, data)]
+    assert (e_min.tolist(), e_max.tolist()) == tuple(map(list, zip(*rows)))
+    # one reference row against a stack of series, broadcast along the leading axis
+    e_min, e_max = deviation_extrema(np.stack([sim, sim * 2]), data)
+    assert e_min.shape == e_max.shape == (2, 3)
 
 
 def test_report_zero_when_ensemble_equals_reference():
