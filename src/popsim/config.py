@@ -21,7 +21,7 @@ CONVERTERS = {"step_multiplier": integer, "seed": integer, "runs": integer,
               "workers": integer, "male_fraction": float}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
     start: str
     end: str
@@ -37,7 +37,7 @@ class RunConfig:
     params_internal_migration: str | None = None
     migration_tensor: str | None = None
     immigration: str | None = None
-    initial_population: str | None = None
+    initial_population: str
     base_dir: str = "."
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class RunConfig:
             raise InputError("workers must be >= 1")
         if not 0 <= self.male_fraction <= 1:
             raise InputError("male_fraction must be in [0, 1]")
-        if self.initial_population is None:
-            raise InputError("config needs an initial_population file")
         if (self.params_internal_migration is None) != (self.migration_tensor is None):
             raise InputError("params_internal_migration and migration_tensor "
                              "must be given together")

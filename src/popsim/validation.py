@@ -17,6 +17,7 @@ resulting pair is reported sorted ascending. The report works on one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -115,12 +116,11 @@ def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus
     frame.extend(years, *(set().union(*(c.axes[k] for c in censuses)) for k in (1, 2)),
                  set(CLASSES.labels).union(*(c.axes[3] for c in censuses)))
     stack = np.stack([c.table(metric, *frame.axes) for c in censuses])
-    kinds = ({}, {2: sexes}, {3: CLASSES.labels}, {1: regions},
-             {1: regions, 3: CLASSES.labels})
+    kinds = ({}, {2: sexes}, {3: CLASSES.labels}, {1: regions}, {1: regions, 3: CLASSES.labels})
     series = np.concatenate([_series(stack, frame.index, picks) for picks in kinds], axis=1)
-    blocks = [(None, None, None), *((None, s, None) for s in sexes),
-              *((None, None, c) for c in CLASSES.labels), *((r, None, None) for r in regions),
-              *((r, None, c) for r in regions for c in CLASSES.labels)]
+    # each block's (region, sex, age class), None where summed, in _series's order
+    blocks = [tuple(dict(zip(sorted(picks), labels)).get(axis) for axis in (1, 2, 3))
+              for picks in kinds for labels in product(*(picks[k] for k in sorted(picks)))]
 
     ref_rows, run_rows = series[0], series[1:]
     mean = run_rows.mean(axis=0)

@@ -34,8 +34,8 @@ def test_config_validation():
     with pytest.raises(InputError):
         RunConfig(start="2030-01-01", end="2020-01-01", initial_population="x")
     horizon = dict(start="2020-01-01", end="2030-01-01")
-    with pytest.raises(InputError):
-        RunConfig(**horizon, initial_population=None)
+    with pytest.raises(TypeError, match="initial_population"):
+        RunConfig(**horizon)
     for key in ("params_internal_migration", "migration_tensor"):
         with pytest.raises(InputError, match="params_internal_migration and migration_tensor "
                                              "must be given together"):
@@ -312,8 +312,8 @@ def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
     assert "initial_population.csv:2: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["start", "end"])
-def test_run_conf_must_name_its_horizon(tmp_path, capsys, key):
+@pytest.mark.parametrize("key", ["start", "end", "initial_population"])
+def test_run_conf_must_name_its_required_keys(tmp_path, capsys, key):
     scen = _tiny_scenario(tmp_path)
     config = scen / "run.conf"
     config.write_text("".join(line + "\n" for line in config.read_text().splitlines()

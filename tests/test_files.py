@@ -311,7 +311,7 @@ def _csv_writer_bytes(path, header, rows):
 
 
 def test_writers_render_rows_as_csv_writer_does(tmp_path):
-    regions = ("AT-1", "AT-2")  # a region code holds nothing csv must quote
+    regions = ("AT-1", "AT-2")  # the tables take region codes, which csv never quotes
     table = ParameterTable("death", 2)
     table.set_row(2020, regions[1], "m", [0.1, 1 / 3, 0.0])
     table.set_row(2020, regions[0], "f", [1e-17, 0.5, 1.0])
@@ -331,25 +331,26 @@ def test_writers_render_rows_as_csv_writer_does(tmp_path):
         [["immigration", *key, immigration.counts[key]] for key in sorted(immigration.counts)])
     assert ImmigrationTable.from_csv(tmp_path / "i.csv").counts == immigration.counts
 
+    labels = ('A"T-1', "A,T-2")  # the tensor and marginals take labels csv must quote
     values = np.random.default_rng(7).random((2, 2, 3))
-    tensor = MigrationTensor(regions, (0, 1, 2), values)
+    tensor = MigrationTensor(labels, (0, 1, 2), values)
     tensor.to_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == _csv_writer_bytes(
         tmp_path / "t_ref.csv", ("origin", "destination", "age", "value"),
-        [[o, d, a, repr(float(tensor.values[i, j, k]))] for i, o in enumerate(regions)
-         for j, d in enumerate(regions) for k, a in enumerate(tensor.ages)])
+        [[o, d, a, repr(float(tensor.values[i, j, k]))] for i, o in enumerate(labels)
+         for j, d in enumerate(labels) for k, a in enumerate(tensor.ages)])
 
-    marginals = MarginalSet(regions, (0, 1, 2), values.sum(axis=2), values.sum(axis=1),
+    marginals = MarginalSet(labels, (0, 1, 2), values.sum(axis=2), values.sum(axis=1),
                             values.sum(axis=0))
     paths = [tmp_path / f"{name}.csv" for name in ("od", "emig", "imm")]
     write_marginals_csv(marginals, *paths)
     assert paths[0].read_bytes() == _csv_writer_bytes(
         tmp_path / "od_ref.csv", ("origin", "destination", "value"),
-        [[o, d, repr(float(marginals.od[i, j]))] for i, o in enumerate(regions)
-         for j, d in enumerate(regions)])
+        [[o, d, repr(float(marginals.od[i, j]))] for i, o in enumerate(labels)
+         for j, d in enumerate(labels)])
     assert paths[1].read_bytes() == _csv_writer_bytes(
         tmp_path / "emig_ref.csv", ("region", "age", "value"),
-        [[r, a, repr(float(marginals.emig_by_age[i, k]))] for i, r in enumerate(regions)
+        [[r, a, repr(float(marginals.emig_by_age[i, k]))] for i, r in enumerate(labels)
          for k, a in enumerate(marginals.ages)])
 
 
