@@ -24,6 +24,7 @@ from popsim.scenario import (MASS_EPSILON, ScenarioSpec, build_immigration_table
                              parse_profile, profile_to_array, read_population_csv)
 
 from conftest import reference_census_for
+from test_census_digests import WORKLOAD_SPECS
 
 
 def test_spec_file_round_trip(tmp_path):
@@ -402,6 +403,51 @@ def test_oracle_census_bytes_are_pinned(case, tmp_path):
     cohort_projection(params, cells, start_year, years,
                       male_fraction=male_fraction).to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ORACLE_SHA256[case]
+
+
+# SHA-256 of every table ``generate_scenario_files`` writes for perfbench's three
+# workloads at seed 1, computed with the writers that rendered one row at a time;
+# the reference census is pinned above. A faster writer must keep every byte.
+GOLDEN_INPUT_SHA256 = {
+    "closed_loop": {
+        "immigration.csv": "8704aa024dac02091e18ff648c8fb7860381129349d25411ef44d4e191157d1b",
+        "initial_population.csv":
+            "eee2082353b8f24cab51778f2dca887fdf6b70599b5721de74b493b80a275976",
+        "migration_tensor.csv": "73179cd5937eb2f8798576c748d2cb87b47e0d18ad1756ad1141ecd54b415207",
+        "params_birth.csv": "3a1cda8c281ef1f68055d75d36542ca163574032603d61eb83be99f3f29ef04a",
+        "params_death.csv": "bf617b794cfa74c2376c81f19d225f3d6ba80297e5de94711caa693f26315c8b",
+        "params_emigration.csv": "6e163f005b98749a57229b6e103c41e3d09d18cebc170d8585e883a695b564bb",
+        "params_internal_migration.csv":
+            "5382b9edb696b6efa5e2515ac9210feb63a0f26da4c0591b1c4b3ebde9297e0e",
+    },
+    "churn_monthly": {
+        "immigration.csv": "9b39ae4f2e69f428c7f327fd1d5523a161c5848f6df303faffdfcb0a2c43b950",
+        "initial_population.csv":
+            "21a9a1d663ebb9f255dfefd49e285d4a60e43e56ab9e4ef2b75d10c1611183cb",
+        "params_birth.csv": "e136a324844cbf6b452ed8c03ca2ae56f3458b3dab1001c2a9dc668255a3a4c0",
+        "params_death.csv": "d9e966b1b0171790de407cc39eb00a27a7cea3760011e11ccb3c4cfc062aae69",
+        "params_emigration.csv": "23f4f2801892152a75945856061a614854f0dc22721d01cf2cd7f4f038bcb0be",
+    },
+    "regional_ensemble": {
+        "initial_population.csv":
+            "f87e2e132450535c79f66dab77c53080fdfbf7fb43bf07e43392d9f0fc46482e",
+        "migration_tensor.csv": "e18ad5ece8f6ba7e1b806a24c8e26c2f6ebf412806226eba50c3694b1fced149",
+        "params_birth.csv": "f8665c477b1bf3d4f2dad68c800acee0ea25e92005c0282a4b9c15d7128481c6",
+        "params_death.csv": "d2715ec181e3a0afcb13250e42d3527c0c6d40fcb5f80fdae075d61efda0452e",
+        "params_emigration.csv": "f1deb469d26ca2f422817f0d196b58dc931b4f80e3cde7540d3dba83a73943ea",
+        "params_internal_migration.csv":
+            "19f69f2bfcaf76e78119c31ba1c2c58a8c73239ec8a8698c50900eb16a64263c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUT_SHA256))
+def test_scenario_input_bytes_are_pinned(name, tmp_path):
+    paths = generate_scenario_files(ScenarioSpec(**WORKLOAD_SPECS[name][0]), 1, tmp_path)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in paths.values() if path.suffix == ".csv"}
+    assert digests == {**GOLDEN_INPUT_SHA256[name],
+                       "reference_census.csv": GOLDEN_ORACLE_SHA256[name]}
 
 
 def _write_population(path, *rows):
