@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions as regions_mod
 from .errors import InputError
-from .files import age, csv_field, integer, number, read_columns, sex, write_lines
+from .files import age, integer, number, read_columns, sex, whole_or_repr, write_columns
 
 METRICS = ("P", "B", "D", "E", "I", "IM_IN", "IM_OUT")
 METRIC_INDEX = {metric: i for i, metric in enumerate(METRICS)}
@@ -129,17 +129,12 @@ class SyntheticCensus:
             return 0.0
         return float(self.values[at])
 
-    def _cells(self, metric: str, axes):
-        """(year, region, sex, age, count) of each present cell in row order, the
-        labels taken from ``axes``."""
-        m = METRIC_INDEX[metric]
-        at = np.nonzero(self.present[m])
-        return zip(*([axis[i] for i in idx.tolist()] for axis, idx in zip(axes, at)),
-                   self.values[m][at].tolist())
-
     def items(self, metric: str):
         """((year, region, sex, age), count) of each present cell, in row order."""
-        return (((y, r, s, a), n) for y, r, s, a, n in self._cells(metric, self.axes))
+        m = METRIC_INDEX[metric]
+        at = np.nonzero(self.present[m])
+        return zip(zip(*([axis[i] for i in idx.tolist()] for axis, idx in zip(self.axes, at))),
+                   self.values[m][at].tolist())
 
     def labels(self, axis: str, metric: str | None = None) -> set:
         """Labels of ``axis`` (one of AXES) holding a present cell of ``metric``,
@@ -216,10 +211,9 @@ class SyntheticCensus:
     # ----- files ---------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        fields = [[csv_field(label) for label in labels] for labels in self.axes]
-        write_lines(path, CENSUS_CSV_HEADER, (
-            f"{metric},{y},{r},{s},{a},{int(n) if n.is_integer() else repr(n)}\r\n"
-            for metric in METRICS for y, r, s, a, n in self._cells(metric, fields)))
+        # C order over [metric, year, region, sex, age] is row order
+        write_columns(path, CENSUS_CSV_HEADER, zip((METRICS, *self.axes), np.nonzero(self.present)),
+                      self.values[self.present], whole_or_repr)
 
     @classmethod
     def from_csv(cls, path) -> "SyntheticCensus":

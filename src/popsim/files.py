@@ -21,16 +21,20 @@ import numpy as np
 
 from .errors import InputError
 
+BLOCK_ROWS = 1024  # lines per block: enough to amortise, few enough to keep memory flat
+_DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?").fullmatch
+
 
 def number(text: str) -> float:
-    """``float(text)``, rejecting nan and infinities with a ValueError."""
+    """``float(text)`` if it is finite and written as ``repr`` writes floats: ASCII
+    digits with an optional leading '-', '.digits' fraction and exponent; else a
+    ValueError. ``float`` alone also takes '_', '+', spaces and other digits."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    if not _DECIMAL(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
     return value
-
-
-BLOCK_ROWS = 1024  # lines per block: enough to amortise, few enough to keep memory flat
 
 
 def read_columns(path, header, parsers, key=(), check=None) -> Columns:
@@ -39,8 +43,8 @@ def read_columns(path, header, parsers, key=(), check=None) -> Columns:
     Rows are read in blocks of BLOCK_ROWS lines. ``parsers`` holds one
     function per column. A label column's parser turns a text into its label
     and runs once per distinct text, in order of first appearance. The column
-    whose parser is ``number`` holds the values, parsed per row;
-    ``check(values)``, if given, returns a mask of bad values and its message.
+    whose parser is ``number`` holds the values, parsed once per distinct text of
+    a block; ``check(values)``, if given, returns a mask of bad values and why.
     No two rows may share their labels in the ``key`` columns. The first
     failing row is reported at its first failing column, a repeated key at its
     later copy, as an InputError naming the line.
@@ -155,7 +159,7 @@ class Columns:
             if self.parsers[j] is number:
                 arrays.append(_floats(texts, self._errors[j]))
                 checked = self.check(arrays[-1]) if self.check else checked
-                bad |= ~np.isfinite(arrays[-1]) | checked[0]
+                bad |= np.isnan(arrays[-1]) | checked[0]
             else:
                 arrays.append(self._encode(j, texts))
                 bad |= arrays[-1] < 0
@@ -166,11 +170,9 @@ class Columns:
         if first == n:
             return None
         row = [texts[first] for texts in columns]
-        for parse, errors, text, array in zip(self.parsers, self._errors, row, arrays):
+        for parse, errors, text in zip(self.parsers, self._errors, row):
             if text in errors:  # explained by its first failing column
                 return self.size, row, errors[text]
-            if parse is number and not math.isfinite(array[first]):
-                return self.size, row, f"not a finite number: {text!r}"
             if parse is number and checked[0][first]:
                 return self.size, row, checked[1]
 
@@ -240,15 +242,15 @@ class Columns:
 
 
 def _floats(texts, errors) -> np.ndarray:
-    """The texts as floats, up to the first that is not a number, which goes
-    into ``errors`` with what parsing it raised; nan from there on."""
-    values = []
-    try:
-        values.extend(map(float, texts))
-    except ValueError as exc:
-        errors[texts[len(values)]] = exc
-        values += [math.nan] * (len(texts) - len(values))
-    return np.array(values)
+    """The texts as ``number`` reads them, each distinct text parsed once (so "-0.0"
+    keeps its sign); nan for one it rejects, which goes into ``errors`` with why."""
+    parsed = dict.fromkeys(texts)
+    for text in parsed:
+        try:
+            parsed[text] = number(text)
+        except ValueError as exc:
+            parsed[text], errors[text] = math.nan, exc
+    return np.fromiter(map(parsed.__getitem__, texts), float, len(texts))
 
 
 def sex(text: str) -> str:
@@ -281,12 +283,28 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_lines(path, header, lines) -> None:
-    """``write_table`` for rows already rendered: ``csv_field`` of each field,
-    joined by commas and ended by csv's "\\r\\n"."""
+def write_columns(path, header, columns, values, render=repr) -> None:
+    """``write_table`` of ``header`` and a row per entry of ``values``: the label
+    columns, each given as its distinct labels and each row's position among them,
+    then ``render`` of the value. Rows go out BLOCK_ROWS to a join; a label is
+    rendered once, a value once per bit pattern in a block, so -0.0 keeps its text."""
+    columns = [(np.array([csv_field(label) + "," for label in labels], dtype=object), codes)
+               for labels, codes in columns]
+    values = np.ascontiguousarray(values, dtype=np.float64)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(lines)
+        for start in range(0, len(values), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            distinct, inverse = np.unique(values[block].view(np.int64), return_inverse=True)
+            texts = np.array([render(v) + "\r\n" for v in distinct.view(float).tolist()], object)
+            rows = np.stack([*(fields[codes[block]] for fields, codes in columns),
+                             texts[inverse]], axis=1)
+            fh.write("".join(rows.ravel().tolist()))
+
+
+def whole_or_repr(value: float) -> str:
+    """A count as the census writes it: a whole value as an integer, else ``repr``."""
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def csv_field(value) -> str:
@@ -294,11 +312,6 @@ def csv_field(value) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([value, ""])
     return buf.getvalue()[:-1]
-
-
-def csv_prefix(*values) -> str:
-    """The leading fields of a row, each as ``csv_field`` renders it and followed by a comma."""
-    return "".join(csv_field(value) + "," for value in values)
 
 
 def read_settings(path, cls, converters, **given):

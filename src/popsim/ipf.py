@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, FeasibilityError, InputError
-from .files import csv_prefix, integer, number, read_columns, write_lines
+from .files import integer, number, read_columns, write_columns
 from .regions import checked
 
 TENSOR_CSV_HEADER = ("origin", "destination", "age", "value")
@@ -120,12 +120,7 @@ class MigrationTensor:
         return np.cumsum(shares, axis=2, out=shares)
 
     def to_csv(self, path) -> None:
-        write_lines(path, TENSOR_CSV_HEADER, (
-            f"{prefix}{age},{value!r}\r\n"
-            for origin, plane in zip(self.regions, self.values)
-            for destination, row in zip(self.regions, plane.tolist())
-            for prefix in [csv_prefix(origin, destination)]
-            for age, value in zip(self.ages, row)))
+        _write_dense(path, TENSOR_CSV_HEADER, (self.regions, self.regions, self.ages), self.values)
 
     @classmethod
     def from_csv(cls, path) -> "MigrationTensor":
@@ -186,16 +181,16 @@ def ipf_3d(init: MigrationTensor, marginals: MarginalSet,
 
 
 def write_marginals_csv(marginals: MarginalSet, od_path, emig_path, imm_path) -> None:
-    write_lines(od_path, OD_CSV_HEADER, (
-        f"{csv_prefix(origin, destination)}{value!r}\r\n"
-        for origin, row in zip(marginals.regions, marginals.od.tolist())
-        for destination, value in zip(marginals.regions, row)))
-    for path, mat in ((emig_path, marginals.emig_by_age), (imm_path, marginals.imm_by_age)):
-        write_lines(path, AGE_MARGINAL_CSV_HEADER, (
-            f"{prefix}{age},{value!r}\r\n"
-            for region, row in zip(marginals.regions, mat.tolist())
-            for prefix in [csv_prefix(region)]
-            for age, value in zip(marginals.ages, row)))
+    regions, ages = marginals.regions, marginals.ages
+    _write_dense(od_path, OD_CSV_HEADER, (regions, regions), marginals.od)
+    _write_dense(emig_path, AGE_MARGINAL_CSV_HEADER, (regions, ages), marginals.emig_by_age)
+    _write_dense(imm_path, AGE_MARGINAL_CSV_HEADER, (regions, ages), marginals.imm_by_age)
+
+
+def _write_dense(path, header, axes, values) -> None:
+    """Every cell of ``values``, an array over the label ``axes``, one row each in C order."""
+    write_columns(path, header, zip(axes, np.unravel_index(np.arange(values.size), values.shape)),
+                  values.ravel())
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import regions
 from .errors import CoverageError, InputError
-from .files import age, csv_prefix, integer, line_of, number, read_columns, write_lines
+from .files import age, integer, line_of, number, read_columns, whole_or_repr, write_columns
 
 PROBABILITY_KINDS = ("death", "emigration", "birth", "internal_migration")
 IMMIGRATION_KIND = "immigration"
@@ -149,10 +149,8 @@ class ParameterTable:
 
     def set_constant(self, years: Iterable[int], region_list: Iterable[str],
                      sexes: Iterable[str], values) -> None:
-        for y in years:
-            for r in region_list:
-                for s in sexes:
-                    self.set_row(y, r, s, values)
+        for y, r, s in itertools.product(years, region_list, sexes):
+            self.set_row(y, r, s, values)
 
     def row(self, year: int, region: str, sex: str) -> np.ndarray:
         """The stored age row answering (year, region, sex).
@@ -183,23 +181,22 @@ class ParameterTable:
                sexes: Iterable[str]) -> list[str]:
         """Human-readable list of coverage gaps (empty when fully covered)."""
         gaps = []
-        for y in years:
-            for r in region_list:
-                for s in sexes:
-                    try:
-                        self.row(y, r, s)
-                    except CoverageError:
-                        gaps.append(f"{self.kind}: year={y} region={r} sex={s}")
-                    except InputError as exc:
-                        gaps.append(str(exc))
+        for y, r, s in itertools.product(years, region_list, sexes):
+            try:
+                self.row(y, r, s)
+            except CoverageError:
+                gaps.append(f"{self.kind}: year={y} region={r} sex={s}")
+            except InputError as exc:
+                gaps.append(str(exc))
         return gaps
 
     def to_csv(self, path) -> None:
-        write_lines(path, PARAM_CSV_HEADER, (
-            f"{prefix}{age},{value!r}\r\n"
-            for key in sorted(self._rows)
-            for prefix in [csv_prefix(self.kind, *key)]
-            for age, value in enumerate(self._rows[key].tolist())))
+        keys, ages = sorted(self._rows), np.arange(self.max_age + 1)
+        labels = [np.unique(column, return_inverse=True)
+                  for column in zip(*((self.kind, *key) for key in keys))]
+        write_columns(path, PARAM_CSV_HEADER, [
+            *((distinct, np.repeat(codes, len(ages))) for distinct, codes in labels),
+            (ages, np.tile(ages, len(keys)))], np.array([self._rows[key] for key in keys]).ravel())
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
@@ -252,12 +249,11 @@ class ImmigrationTable:
         return out
 
     def to_csv(self, path) -> None:
-        cells = itertools.groupby(sorted(self.counts.items()), key=lambda cell: cell[0][:3])
-        write_lines(path, PARAM_CSV_HEADER, (
-            f"{prefix}{age},{count}\r\n"
-            for group, by_age in cells
-            for prefix in [csv_prefix(IMMIGRATION_KIND, *group)]
-            for (*_, age), count in by_age))
+        cells = sorted(self.counts.items())
+        write_columns(path, PARAM_CSV_HEADER, [
+            np.unique(column, return_inverse=True)
+            for column in zip(*((IMMIGRATION_KIND, *key) for key, _ in cells))],
+            [count for _, count in cells], whole_or_repr)
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":

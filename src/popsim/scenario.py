@@ -65,8 +65,8 @@ from .census import METRIC_INDEX, SyntheticCensus
 from .config import RunConfig
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
-from .files import (age, integer, number, read_columns, read_settings, sex,
-                    write_key_values, write_table)
+from .files import (age, integer, number, read_columns, read_settings, sex, whole_or_repr,
+                    write_columns, write_key_values)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
                      apportion_integer)
@@ -476,7 +476,9 @@ def generate_scenario_files(spec: ScenarioSpec, seed: int, out_dir) -> dict[str,
 
 
 def write_population_csv(cells, path) -> None:
-    write_table(path, POPULATION_CSV_HEADER, sorted(cells))
+    *labels, counts = list(zip(*sorted(cells))) or [()] * 4
+    write_columns(path, POPULATION_CSV_HEADER, [np.unique(column, return_inverse=True)
+                                                for column in labels], counts, whole_or_repr)
 
 
 def read_population_csv(path) -> list[tuple[str, str, int, int]]:

@@ -128,13 +128,15 @@ def _write(path, lines):
 
 def test_an_error_past_the_first_block_names_its_line(tmp_path):
     lines = _census_text(3000, blank_every=7)
-    # a quoted field spanning two lines before the error, so line and row part ways
-    lines[1] = lines[1].replace(",AT-1,", ',"AT-1",', 1).rsplit(",", 1)[0] + ',"0\n"'
+    # a quoted field spanning two lines before the error, so line and row part ways; no
+    # census column takes a line end, so the labels are read as text
+    lines[1] = lines[1].replace(",AT-1,", ',"AT-1\n",', 1)
     bad = next(k for k in range(2500, len(lines)) if lines[k])
     lines[bad] = lines[bad].rsplit(",", 1)[0] + ",-4"
     path = _write(tmp_path / "census.csv", lines)
     with pytest.raises(InputError, match=rf"census\.csv:{bad + 2}: .*negative count"):
-        SyntheticCensus.from_csv(path)
+        files.read_columns(path, CENSUS_CSV_HEADER, (str,) * 5 + (files.number,),
+                           check=lambda count: (count < 0, "negative count"))
 
 
 def test_the_earlier_of_two_failing_rows_is_reported(tmp_path):
@@ -300,6 +302,31 @@ def test_labels_are_parsed_once_per_distinct_text(tmp_path):
     assert np.array_equal(table.values, np.arange(3000.0))
 
 
+def test_values_are_parsed_once_per_distinct_text_per_block(tmp_path):
+    seen, parse = [], files.number
+
+    def number(text):
+        seen.append(text)
+        return parse(text)
+
+    texts = ["0.5", "-0.0", "0.0", "3", "1e-05"]
+    path = _write(tmp_path / "t.csv", ["label,value"] + [f"a{i},{texts[i % 5]}"
+                                                         for i in range(250)])
+    with mock.patch.object(files, "BLOCK_ROWS", 100), mock.patch.object(files, "number", number):
+        table = files.read_columns(path, ("label", "value"), (str, files.number))
+    assert seen == texts * 3  # each block's distinct texts, in order of first appearance
+    assert table.values.tolist() == [float(texts[i % 5]) for i in range(250)]
+    assert np.signbit(table.values).tolist() == [i % 5 == 1 for i in range(250)]
+    # a bad text first seen past the first block is reported at its line
+    for bad, message in (("1_0", "not a plain decimal number"), ("1e999", "not a finite number")):
+        lines = ["label,value"] + [f"a{i},{texts[i % 5]}" for i in range(250)]
+        lines[234] = f"a233,{bad}"
+        _write(path, lines)
+        with mock.patch.object(files, "BLOCK_ROWS", 100):
+            with pytest.raises(InputError, match=rf"t\.csv:235: bad row .*{message}: '{bad}'"):
+                files.read_columns(path, ("label", "value"), (str, files.number))
+
+
 # ----- writers render as csv.writer does --------------------------------------------------
 
 def _csv_writer_bytes(path, header, rows):
@@ -354,6 +381,32 @@ def test_writers_render_rows_as_csv_writer_does(tmp_path):
          for k, a in enumerate(marginals.ages)])
 
 
+# values repr writes in every form, wholes the census rule writes as integers, and -0.0
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 2.0 ** 70, 1e-05, 1.5e16, 3.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(['A"T-1', "A,T-2", "AT-3"]), st.integers(0, 3),
+                          FLOATS), max_size=30),
+       st.integers(1, 6), st.sampled_from([repr, files.whole_or_repr]))
+def test_write_columns_writes_what_csv_writer_writes(tmp_path_factory, rows, block_rows, render):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    values = [value for *_, value in rows]
+    with mock.patch.object(files, "BLOCK_ROWS", block_rows):  # repeats straddle blocks
+        files.write_columns(path, ("region", "age", "value"),
+                            [np.unique([row[j] for row in rows], return_inverse=True)
+                             for j in range(2)], values, render)
+    assert path.read_bytes() == _csv_writer_bytes(
+        path.with_name("ref.csv"), ("region", "age", "value"),
+        [[region, age, render(value)] for region, age, value in rows])
+    # read back bitwise: -0.0 keeps its sign, which the census rule writes as 0
+    table = files.read_columns(path, ("region", "age", "value"), (str, files.age, files.number))
+    assert list(zip(table.column(0), table.column(1))) == [row[:2] for row in rows]
+    expected = np.array(values, dtype=float) + (0.0 if render is files.whole_or_repr else -0.0)
+    assert table.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_population_csv_reads_rows_in_file_order(tmp_path):
     path = _write(tmp_path / "pop.csv", ["region,sex,age,count", "AT-2,m,4,1", "",
                                          "AT-1,f,0,0", "AT-2,f,4,3"])
@@ -399,6 +452,26 @@ def _read_with_field(tmp_path, reader, column, text):
 def test_integer_columns_take_ascii_digits_only(tmp_path, reader, column, text):
     with pytest.raises(InputError, match=rf"table\.csv:3: bad row .*{re.escape(repr(text))}"):
         _read_with_field(tmp_path, reader, column, text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 7 ", "+1", ".5", "1.", "0x1"])
+@pytest.mark.parametrize("reader, column", [
+    ("census", 5), ("parameter", 5), ("tensor", 3), ("emigrants", 2)])
+def test_value_columns_take_plain_decimals_only(tmp_path, reader, column, text):
+    with pytest.raises(InputError, match=rf"table\.csv:3: bad row .*{re.escape(repr(text))}"):
+        _read_with_field(tmp_path, reader, column, text)
+
+
+def test_number_parser():
+    for text in ("0", "-0.0", "12", "0.1", "1e-05", "5e-324", "1.5e+16", "1E5", "007"):
+        assert files.number(text) == float(text)
+    assert str(files.number("-0.0")) == "-0.0"
+    for text in ("1_0", "\u0663", " 7 ", "7\n", "+1", ".5", "1.", "1e", "0x1", "", "-"):
+        with pytest.raises(ValueError):
+            files.number(text)
+    for text in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ValueError, match="not a finite number"):
+            files.number(text)
 
 
 def test_integer_parser():
