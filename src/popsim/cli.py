@@ -117,7 +117,7 @@ def cmd_ipf(args) -> int:
 
 def cmd_apportion(args) -> int:
     try:
-        weights = [number(w) for w in args.weights.split(",")]
+        weights = [number(w.strip()) for w in args.weights.split(",")]
     except ValueError as exc:
         raise InputError(f"--weights {args.weights!r}: {exc}") from None
     alloc = apportion_integer(args.total, weights)

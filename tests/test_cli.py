@@ -201,6 +201,8 @@ def test_ipf_names_the_files_of_inputs_that_disagree(tmp_path, capsys):
 def test_apportion_subcommand(tmp_path, capsys):
     assert main(["--quiet", "apportion", "--total", "10", "--weights", "6,3,1"]) == 0
     assert capsys.readouterr().out.strip() == "6,3,1"
+    assert main(["--quiet", "apportion", "--total", "10", "--weights", "6, 3.0, 1e0"]) == 0
+    assert capsys.readouterr().out.strip() == "6,3,1"
     out = tmp_path / "alloc.txt"
     assert main(["--quiet", "apportion", "--total", "2", "--weights", "5,4,3",
                  "--out", str(out)]) == 0
@@ -279,7 +281,7 @@ def test_malformed_number_exits_1_without_traceback(tmp_path, make):
     assert where in done.stderr
 
 
-@pytest.mark.parametrize("weights", ["1,x", "1,nan", "1,inf"])
+@pytest.mark.parametrize("weights", ["1,x", "1,nan", "1,inf", "1,+2", "1,1_0"])
 def test_apportion_rejects_bad_weight(weights, capsys):
     assert main(["--quiet", "apportion", "--total", "3", "--weights", weights]) == 1
     captured = capsys.readouterr()
