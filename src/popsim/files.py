@@ -286,8 +286,8 @@ def write_table(path, header, rows) -> None:
 def write_columns(path, header, columns, values, render=repr) -> None:
     """``write_table`` of ``header`` and a row per entry of ``values``: the label
     columns, each given as its distinct labels and each row's position among them,
-    then ``render`` of the value. Rows go out BLOCK_ROWS to a join; a label is
-    rendered once, a value once per bit pattern in a block, so -0.0 keeps its text."""
+    then ``render`` of the value. Rows are joined and written BLOCK_ROWS at a time; a
+    label is rendered once, a value once per bit pattern in a block (-0.0 keeps its text)."""
     columns = [(np.array([csv_field(label) + "," for label in labels], dtype=object), codes)
                for labels, codes in columns]
     values = np.ascontiguousarray(values, dtype=np.float64)
