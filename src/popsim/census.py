@@ -192,21 +192,26 @@ class SyntheticCensus:
     def add(self, *others: "SyntheticCensus") -> "SyntheticCensus":
         """Cell-wise sum of this census and ``others``, added in that order; a cell
         is present where any term has it."""
-        terms = (self, *others)
-        out = SyntheticCensus([sorted(set().union(*(t.axes[k] for t in terms)), key=key)
+        out = SyntheticCensus([sorted(set().union(*(t.axes[k] for t in (self, *others))), key=key)
                                for k, key in enumerate(_AXIS_KEYS)])
-        for term in terms:
-            if term.axes == out.axes:
-                # written only where the term has cells: np.zeros leaves a page unmapped
-                # until it is written, so the pages no term has a cell on cost no memory
-                np.add(out.values, term.values, out=out.values, where=term.present)
-                out.present[term.present] = True
-            else:
-                at = (slice(None),) + np.ix_(*([pos[label] for label in labels]
-                                               for pos, labels in zip(out.index, term.axes)))
-                out.values[at] += term.values
-                out.present[at] |= term.present
+        for term in (self, *others):
+            out += term
         return out
+
+    def __iadd__(self, term: "SyntheticCensus") -> "SyntheticCensus":
+        """Add ``term`` cell-wise in place, the axes first gaining its labels."""
+        self.extend(*term.axes)
+        if term.axes == self.axes:
+            # written only where the term has cells: np.zeros leaves a page unmapped
+            # until it is written, so the pages no term has a cell on cost no memory
+            np.add(self.values, term.values, out=self.values, where=term.present)
+            self.present[term.present] = True
+        else:
+            at = (slice(None),) + np.ix_(*([pos[label] for label in labels]
+                                           for pos, labels in zip(self.index, term.axes)))
+            self.values[at] += term.values
+            self.present[at] |= term.present
+        return self
 
     # ----- files ---------------------------------------------------------------
 

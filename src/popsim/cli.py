@@ -49,18 +49,16 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runs = []
-    for i in range(cfg.runs):
-        seed = cfg.seed + i
-        census = run_simulation(cfg.step, params, initial, seed,
-                                male_fraction=cfg.male_fraction,
-                                workers=cfg.workers)
+    def run(i: int) -> SyntheticCensus:
+        census = run_simulation(cfg.step, params, initial, cfg.seed + i,
+                                male_fraction=cfg.male_fraction, workers=cfg.workers)
         path = out_dir / f"run_{i + 1:03d}.csv"
         census.to_csv(path)
-        log.info("run %d/%d (seed %d) written to %s", i + 1, cfg.runs, seed, path)
-        runs.append(census)
+        log.info("run %d/%d (seed %d) written to %s", i + 1, cfg.runs, cfg.seed + i, path)
+        return census
+
     mean_path = out_dir / "mean.csv"
-    ensemble_mean(runs).to_csv(mean_path)
+    ensemble_mean(map(run, range(cfg.runs))).to_csv(mean_path)
     print(f"wrote {cfg.runs} run census file(s) and {mean_path}")
     return 0
 

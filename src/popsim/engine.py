@@ -72,7 +72,7 @@ from .census import METRIC_INDEX, METRICS, SyntheticCensus, count_population
 from .errors import CoverageError, InputError
 from .ipf import MigrationTensor
 from .params import KIND_SEXES, PROBABILITY_KINDS, ImmigrationTable, ParameterTable
-from .rng import StreamArray, world_stream
+from .rng import StreamArray, WorldStream
 
 # World calls none of these three: perfbench's tracer wraps them by their names in
 # this module (ROADMAP item 2 moves it onto per-step stats), so they stay bound.
@@ -300,7 +300,7 @@ class World:
         self.dropped_messages = 0
         self.counters = {"births": 0, "deaths": 0, "emigrations": 0,
                          "immigrants": 0, "initial": 0}
-        self._world_rng = world_stream(seed)
+        self._world_rng = WorldStream(seed)
         # the agent columns, lane = agent id; _n lanes are in use
         self._n = 0
         self._streams = StreamArray(seed)

@@ -4,28 +4,28 @@ Every agent owns an independent stream derived from ``(master_seed, agent id)``
 so that per-agent draw sequences do not depend on scheduling or worker count.
 World-level draws (initial birthdates, newborn sex, immigrant attributes) use
 a single reserved stream consumed only in the engine's sequential phases.
+Their references are numpy's generators ``agent_stream(master_seed, agent_id)``,
+``substream(master_seed, 0, agent_id)``, and ``world_stream(master_seed)``,
+``substream(master_seed, 1)``; the engine draws the same numbers without
+``numpy.random``, a ``StreamArray`` holding many agents' streams as columns
+and a ``WorldStream`` the world stream.
 
-An agent's stream is ``agent_stream(master_seed, agent_id)``, which is
-``substream(master_seed, 0, agent_id)``. The engine draws from a
-``StreamArray`` instead: it holds many agents' streams as columns, draws what
-their generators would draw, and seeds a block of consecutive ids at once.
-``SeedSequence`` splits its entropy into 32-bit words (seed words, then the
-tag word 0, then id words), hashes them into a pool of four words
-(``mix_entropy``), and hashes the pool into the eight words that seed a
-``PCG64`` (``generate_state(4, uint64)``). Its hash constants depend on no
-data, and every word is hashed lane by lane, so the same steps on uint32
-arrays, whose arithmetic wraps modulo 2**32 just as ``SeedSequence``'s does,
-give the state of every id of a block in one pass. Blocks are aligned to
-``_BLOCK`` ids and 2**32 is a multiple of ``_BLOCK``, so the ids of one block
-share their word count and their high words and differ only in the lowest
-word.
+``SeedSequence`` splits its entropy into 32-bit words (seed words, the tag
+word, any id words), hashes them into a pool of four words (``mix_entropy``),
+and hashes the pool into the eight words that seed a ``PCG64``
+(``generate_state(4, uint64)``). Its hash constants depend on no data, and
+every word is hashed lane by lane, so the same steps on uint32 arrays, which
+wrap modulo 2**32 as ``SeedSequence`` does, hash many keys in one pass: the
+ids of a block of ``_BLOCK`` (a divisor of 2**32) differ only in the lowest.
 
 ``PCG64`` (O'Neill 2014) is a 128-bit linear congruential generator: each
 draw steps ``state = state * MULT + inc`` modulo 2**128 and outputs the 64-bit
 xor of the state's halves, rotated right by the state's top six bits;
 ``random()`` keeps the output's top 53 bits. Seeding sets ``inc`` from the
-last two seed words and steps twice around adding the first two. The 128-bit
-words are kept as uint64 (high, low) pairs, and the high half of a 64 x 64-bit
+last two seed words and steps twice around adding the first two. ``k`` steps
+are one affine map, ``state * MULT**k + inc * (MULT**(k-1) + ... + 1)``, so
+the world stream computes its next ``_BLOCK`` states at once. The 128-bit
+words are uint64 (high, low) pairs, and the high half of a 64 x 64-bit
 product is summed from 32-bit limbs, so every operand is uint64: mixed with a
 signed integer numpy would compute in float64.
 """
@@ -33,13 +33,14 @@ signed integer numpy would compute in float64.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 _AGENT_TAG = 0
 _WORLD_TAG = 1
 
-_BLOCK = 1024  # ids per computed block; divides 2**32
+_BLOCK = 1024  # ids per computed block, and world-stream states per jump; divides 2**32
 
 # SeedSequence's hash constants
 _MASK32 = 0xFFFFFFFF
@@ -94,16 +95,8 @@ class StreamArray:
             self._words = words
         first, skip = divmod(self.size, _BLOCK)
         seeds = np.concatenate([_block_state(self.master_seed, block) for block in
-                                range(first, (size - 1) // _BLOCK + 1)])[skip:skip + n].T
-        state_hi, state_lo, inc_hi, inc_lo = self._words[:, self.size:size]
-        # PCG64's seeding: inc = (seed words 2, 3) << 1 | 1; step from state 0,
-        # add seed words 0, 1 to the state and step again
-        inc_hi[:] = (seeds[2] << _U1) | (seeds[3] >> _U63)
-        inc_lo[:] = (seeds[3] << _U1) | _U1
-        hi, lo = _step(np.zeros(n, np.uint64), np.zeros(n, np.uint64), inc_hi, inc_lo)
-        lo = lo + seeds[1]
-        hi = hi + seeds[0] + (lo < seeds[1])
-        state_hi[:], state_lo[:] = _step(hi, lo, inc_hi, inc_lo)
+                                range(first, (size - 1) // _BLOCK + 1)])[skip:skip + n]
+        self._words[:, self.size:size] = _pcg64_seeded(seeds.T)
         self.size = size
 
     def draw(self, lanes: np.ndarray) -> np.ndarray:
@@ -111,19 +104,47 @@ class StreamArray:
         distinct; the other lanes do not move."""
         state_hi, state_lo, inc_hi, inc_lo = self._words
         hi, lo = _step(state_hi[lanes], state_lo[lanes], inc_hi[lanes], inc_lo[lanes])
-        state_hi[lanes] = hi
-        state_lo[lanes] = lo
-        out = hi ^ lo
-        rot = hi >> _U58
-        out = (out >> rot) | (out << ((_U0 - rot) & _U63))
-        return (out >> _U11) * _DOUBLE_UNIT
+        state_hi[lanes], state_lo[lanes] = hi, lo
+        return _double(hi, lo)
 
 
-def _step(hi, lo, inc_hi, inc_lo):
-    """One step of PCG64's 128-bit LCG on (high, low) uint64 arrays."""
-    lo_mult = lo * _MULT_LO
-    new_lo = lo_mult + inc_lo
-    new_hi = (hi * _MULT_LO + lo * _MULT_HI + _mulhi(lo, _MULT_LO) + inc_hi
+class WorldStream:
+    """The world stream of ``master_seed``, drawing what ``world_stream`` draws."""
+
+    def __init__(self, master_seed: int):
+        seeds = _seed_sequence_state([*_words32(master_seed), _WORLD_TAG])
+        self._hi, self._lo, inc_hi, inc_lo = _pcg64_seeded(seeds.T)
+        powers_hi, powers_lo, sums_hi, sums_lo = _jump_tables()  # state k is A_k s + C_k inc
+        self._jump = (*_step(sums_hi, sums_lo, _U0, _U0, inc_hi, inc_lo), powers_hi, powers_lo)
+        self._spare = np.zeros(0)  # drawn but not yet handed out
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` ``random()`` doubles."""
+        out = np.empty(n)
+        done = min(n, len(self._spare))
+        out[:done], self._spare = self._spare[:done], self._spare[done:]
+        for start in range(done, n, _BLOCK):
+            hi, lo = _step(self._hi, self._lo, *self._jump)
+            self._hi, self._lo = hi[-1:], lo[-1:]
+            drawn = _double(hi, lo)
+            out[start:start + _BLOCK], self._spare = drawn[:n - start], drawn[n - start:]
+        return out
+
+
+def _pcg64_seeded(seeds):
+    """PCG64's (state, inc) rows (high, low) seeded from ``generate_state``'s rows."""
+    inc_hi = (seeds[2] << _U1) | (seeds[3] >> _U63)
+    inc_lo = (seeds[3] << _U1) | _U1
+    lo = inc_lo + seeds[1]  # the first step, from state 0, leaves inc
+    hi = inc_hi + seeds[0] + (lo < inc_lo)
+    return (*_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _step(hi, lo, add_hi, add_lo, mult_hi=_MULT_HI, mult_lo=_MULT_LO):
+    """``(hi, lo) * mult + add`` mod 2**128 on uint64 (high, low); by default a PCG64 step."""
+    lo_mult = lo * mult_lo
+    new_lo = lo_mult + add_lo
+    new_hi = (hi * mult_lo + lo * mult_hi + _mulhi(lo, mult_lo) + add_hi
               + (new_lo < lo_mult))
     return new_hi, new_lo
 
@@ -137,8 +158,28 @@ def _mulhi(a, b):
     return a1 * b1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
 
 
+def _double(hi, lo):
+    """PCG64's ``random()`` double of each state: the top 53 bits of its output."""
+    out = hi ^ lo
+    rot = hi >> _U58
+    out = (out >> rot) | (out << ((_U0 - rot) & _U63))
+    return (out >> _U11) * _DOUBLE_UNIT
+
+
+@lru_cache(maxsize=1)
+def _jump_tables() -> tuple:
+    """(high, low) words of A_k = MULT**k, C_k = MULT**(k-1) + ... + 1 mod 2**128, k <= _BLOCK."""
+    mult = int(_MULT_HI) << 64 | int(_MULT_LO)
+    powers = [*accumulate(range(_BLOCK), lambda power, _: power * mult % 2**128, initial=1)]
+    sums = [*accumulate(powers[:-1], lambda total, power: (total + power) % 2**128)]
+    return tuple(np.array([value >> shift & 0xFFFFFFFFFFFFFFFF for value in values], np.uint64)
+                 for values in (powers[1:], sums) for shift in (64, 0))
+
+
 def _words32(n: int) -> list[int]:
     """``n`` as little-endian 32-bit words, as SeedSequence splits an int."""
+    if n < 0:
+        raise ValueError("seed and agent id must be non-negative")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -151,13 +192,17 @@ def _block_state(master_seed: int, block: int) -> np.ndarray:
     """The seed state of ids ``block * _BLOCK`` onwards, one row of four uint64
     words per id, equal to ``SeedSequence((master_seed, 0, id))
     .generate_state(4, np.uint64)``. Read-only, since the cache shares it."""
-    if master_seed < 0 or block < 0:
-        raise ValueError("seed and agent id must be non-negative")
     low, *high = _words32(block * _BLOCK)  # only the lowest id word varies in a block
-    entropy = [np.array([word], np.uint32) for word in (*_words32(master_seed), _AGENT_TAG)]
-    entropy.append(np.arange(low, low + _BLOCK, dtype=np.uint32))
-    entropy += [np.array([word], np.uint32) for word in high]
+    out = _seed_sequence_state([*_words32(master_seed), _AGENT_TAG,
+                                np.arange(low, low + _BLOCK, dtype=np.uint32), *high])
+    out.flags.writeable = False
+    return out
 
+
+def _seed_sequence_state(words) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of many keys, a row each,
+    from their 32-bit words: per position, every key's word or one shared word."""
+    words = [np.array(word, np.uint32, ndmin=1) for word in words]
     hash_a = _INIT_A
 
     def hashmix(value):
@@ -171,23 +216,20 @@ def _block_state(master_seed: int, block: int) -> np.ndarray:
         result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
         return result ^ (result >> np.uint32(16))
 
-    zero = np.zeros(1, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in (words + [np.zeros(1, np.uint32)] * _POOL_SIZE)[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    state = np.empty((_BLOCK, 2 * _POOL_SIZE), dtype="<u4")
+    state = np.empty((max(map(len, pool)), 2 * _POOL_SIZE), dtype="<u4")
     hash_b = _INIT_B
     for i in range(2 * _POOL_SIZE):
         value = pool[i % _POOL_SIZE] ^ np.uint32(hash_b)
         hash_b = (hash_b * _MULT_B) & _MASK32
         value = value * np.uint32(hash_b)
         state[:, i] = value ^ (value >> np.uint32(16))
-    out = state.view("<u8").astype(np.uint64, copy=False)
-    out.flags.writeable = False
-    return out
+    return state.view("<u8").astype(np.uint64, copy=False)

@@ -1,6 +1,6 @@
 """Monte Carlo aggregation and deviation metrics against a reference census.
 
-An ensemble is a list of censuses from runs differing only in seed. The
+An ensemble is the censuses of runs differing only in seed. The
 cell-wise ensemble mean is compared with the reference through the signed
 minimum/maximum relative deviation over a year range,
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterable
 
 import numpy as np
 
@@ -32,12 +33,16 @@ REPORT_CSV_HEADER = ("region", "sex", "age_class", "e_min", "e_min_ci_lo",
                      "e_min_ci_hi", "e_max", "e_max_ci_lo", "e_max_ci_hi")
 
 
-def ensemble_mean(ensemble: list[SyntheticCensus]) -> SyntheticCensus:
-    """Cell-wise arithmetic mean of the runs (absent cells count as zero)."""
-    if not ensemble:
+def ensemble_mean(ensemble: Iterable[SyntheticCensus]) -> SyntheticCensus:
+    """Cell-wise mean of the runs (absent cells count as zero), summed in run order."""
+    mean, count = SyntheticCensus(), 0
+    for census in ensemble:  # no enumerate: it holds a run while it takes the next
+        mean += census
+        count += 1
+        del census  # nor is the run held here while the next one is made
+    if not count:
         raise InputError("ensemble is empty")
-    mean = ensemble[0].add(*ensemble[1:])
-    np.multiply(mean.values, 1.0 / len(ensemble), out=mean.values, where=mean.present)
+    np.multiply(mean.values, 1.0 / count, out=mean.values, where=mean.present)
     return mean
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import popsim
+from popsim.census import SyntheticCensus
 from popsim.cli import main
 from popsim.config import RunConfig
 from popsim.errors import InputError
@@ -218,12 +219,16 @@ def test_gen_synthetic_rejects_bad_spec(tmp_path, capsys):
     assert "p_death" in capsys.readouterr().err
 
 
+def _env(**extra):
+    """The environment of a fresh interpreter that imports this popsim."""
+    src = str(Path(popsim.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _python(*args):
     """A fresh interpreter that imports this popsim, run with ``args``."""
-    src = str(Path(popsim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
 
 
 def _run_cli(*args):
@@ -241,6 +246,62 @@ def test_importing_the_cli_loads_numpy_random_only_if_numpy_does():
     cli = _python("-c", probe.format("popsim.cli"))
     assert numpy_alone.stdout.strip() in ("True", "False"), numpy_alone.stderr
     assert cli.stdout.strip() == numpy_alone.stdout.strip(), cli.stderr
+
+
+def test_simulate_loads_numpy_random_only_if_numpy_does(tmp_path):
+    # the engine draws the agent and world streams on its own PCG64 kernel, so a
+    # whole run leaves numpy.random to numpy's own import
+    spec = write_small_spec(tmp_path / "scenario.conf", ensemble_runs=1)
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec),
+                 "--out-dir", str(tmp_path / "inputs")]) == 0
+    probe = ("import sys; from popsim.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy.random' in sys.modules); sys.exit(code)")
+    run = _python("-c", probe, "--quiet", "simulate", "--config",
+                  str(tmp_path / "inputs" / "run.conf"), "--out-dir", str(tmp_path / "runs"))
+    numpy_alone = _python("-c", "import sys, numpy; print('numpy.random' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-1] == numpy_alone.stdout.strip(), run.stderr
+
+
+def _resident_bytes(census):
+    """The bytes of the 4 KiB pages of ``census``'s arrays that hold a present cell:
+    np.zeros leaves the other pages unmapped."""
+    cells = np.flatnonzero(census.present)
+    return 4096 * sum(len(np.unique(cells * itemsize // 4096)) for itemsize in (8, 1))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists()
+                    or "VmHWM" not in Path("/proc/self/status").read_text(),
+                    reason="needs VmHWM in /proc/self/status")
+def test_simulate_peak_memory_is_flat_in_the_number_of_runs(tmp_path):
+    # one agent per (region, sex, age) cell and every event kind put cells on most pages
+    # of the census arrays; 16 runs must not hold more run censuses than 4 runs.
+    # glibc's dynamic mmap threshold keeps freed arrays in the heap, where fragmentation
+    # raises the high-water mark of repeated runs by about a census even when no census
+    # is kept; a fixed threshold unmaps freed arrays, so VmHWM counts what is held
+    regions = [f"AT-{state}-{district:02d}" for state in (1, 2) for district in range(1, 11)]
+    spec = write_small_spec(tmp_path / "scenario.conf", regions=regions, initial_total=20 * 202,
+                            initial_age_low=0, initial_age_high=100, p_death=0.02,
+                            p_emigration=0.02, p_birth=[(15, 0.04), (50, 0.0)],
+                            p_internal_migration=0.02, immigration_per_year=80,
+                            immigration_age_low=0, immigration_age_high=100)
+    inputs = tmp_path / "inputs"
+    assert main(["--quiet", "gen-synthetic", "--spec", str(spec), "--out-dir", str(inputs)]) == 0
+    probe = ("import sys; from popsim.cli import main; code = main(sys.argv[1:]); "
+             "print(next(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM:'))); sys.exit(code)")
+    children = {runs: subprocess.Popen(
+        [sys.executable, "-c", probe, "--quiet", "simulate", "--config", str(inputs / "run.conf"),
+         "--out-dir", str(tmp_path / f"runs{runs}"), "--runs", str(runs)],
+        env=_env(MALLOC_MMAP_THRESHOLD_="65536"), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True) for runs in (4, 16)}
+    peak = {}  # VmHWM in bytes
+    for runs, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        peak[runs] = 1024 * int(out.split()[-1])
+    census = SyntheticCensus.from_csv(tmp_path / "runs4" / "run_001.csv")
+    assert peak[16] - peak[4] < _resident_bytes(census)
 
 
 @pytest.mark.parametrize("module", ["popsim", "popsim.dates"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from popsim import engine, rng
 from popsim.agents import EventKind, OutboxMessage
@@ -421,10 +422,29 @@ def seed_sequence_block_state(master_seed, block):
         4, np.uint64) for agent_id in range(first, first + rng._BLOCK)])
 
 
+class _GivenWords(ISeedSequence):
+    """A seed sequence that hands a bit generator the given state words."""
+
+    def __init__(self, words):
+        self.words = np.ascontiguousarray(words, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def numpy_pcg64_seeding(seeds):
+    """The reference for ``rng._pcg64_seeded``: numpy's own PCG64 seeded with each
+    lane's four words, as (state high, state low, inc high, inc low) rows."""
+    states = [np.random.PCG64(_GivenWords(words)).state["state"] for words in seeds.T]
+    return np.array([[state[key] >> shift & (2**64 - 1) for key in ("state", "inc")
+                      for shift in (64, 0)] for state in states], np.uint64).T
+
+
 @pytest.mark.parametrize("seed", [31, 2**32 + 3])
 def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
     # more than one block of agent ids, with births and migration between two regions;
-    # the reference seeds every lane with numpy's SeedSequence
+    # the reference seeds every lane with numpy's SeedSequence and PCG64 and draws the
+    # world stream from numpy's generator
     regions = ("AT-1", "AT-2")
     params = constant_parameters(regions=regions, death=0.02, emigration=0.02,
                                  internal_migration=0.05)
@@ -435,6 +455,8 @@ def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
     for reference in (False, True):
         if reference:
             monkeypatch.setattr(rng, "_block_state", seed_sequence_block_state)
+            monkeypatch.setattr(rng, "_pcg64_seeded", numpy_pcg64_seeding)
+            monkeypatch.setattr(engine, "WorldStream", rng.world_stream)
         world = World(step, params, seed=seed)
         world.add_initial_population(initial)
         path = tmp_path / f"census_{reference}.csv"

@@ -1,9 +1,12 @@
-"""Agent streams: the block-wise seed derivation gives SeedSequence's draws."""
+"""Agent and world streams: the engine's seeding and PCG64 kernel give
+SeedSequence's and numpy's draws."""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popsim import rng
 from popsim.rng import agent_stream
@@ -64,3 +67,38 @@ def test_masked_draws_leave_other_lanes_alone(master_seed):
         np.testing.assert_array_equal(streams.draw(lanes), expected)
     np.testing.assert_array_equal(streams.draw(np.arange(n)),
                                   [stream.random() for stream in reference])
+
+
+# ----- the SeedSequence hash of many keys, and the world stream ------------------
+
+@settings(max_examples=50)
+@given(st.integers(2, 6).flatmap(lambda words: st.lists(
+    st.lists(st.integers(0, 2**32 - 1), min_size=words, max_size=words),
+    min_size=1, max_size=8)))
+def test_hash_of_many_keys_matches_seed_sequence(keys):
+    # keys of more than four words take SeedSequence's extra-word mixing
+    state = rng._seed_sequence_state(np.array(keys, np.uint32).T)
+    expected = [np.random.SeedSequence(key).generate_state(4, np.uint64) for key in keys]
+    np.testing.assert_array_equal(state, expected)
+
+
+B = rng._BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([0, 1, 2**32 - 1, 2**32 + 3, 2**63, 2**96 + 7]),
+       st.lists(st.sampled_from([0, 1, B - 1, B, B + 1, 3 * B + 7]), max_size=6))
+def test_world_stream_draws_match_numpy(master_seed, requests):
+    stream = rng.WorldStream(master_seed)
+    got = [stream.random(n) for n in requests]
+    assert [len(draws) for draws in got] == requests
+    np.testing.assert_array_equal(np.concatenate([np.zeros(0), *got]),
+                                  rng.world_stream(master_seed).random(sum(requests)))
+
+
+def test_world_stream_empty_draw_leaves_it_alone():
+    stream = rng.WorldStream(5)
+    assert stream.random(0).shape == (0,)
+    stream.random(3)
+    assert stream.random(0).shape == (0,)
+    np.testing.assert_array_equal(stream.random(B), rng.world_stream(5).random(B + 3)[3:])

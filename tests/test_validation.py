@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from popsim.census import AgeClassScheme, SyntheticCensus
+from popsim.census import METRICS, AgeClassScheme, SyntheticCensus
 from popsim.errors import InputError
 from popsim.validation import (deviation_extrema, deviation_report,
                                ensemble_mean)
@@ -37,6 +39,42 @@ def test_ensemble_mean_commutes_with_aggregation():
     lhs = ensemble_mean([a, b]).aggregate(scheme)
     rhs = ensemble_mean([a.aggregate(scheme), b.aggregate(scheme)])
     assert dict(lhs.items("P")) == dict(rhs.items("P"))
+
+
+@st.composite
+def ensembles(draw):
+    """1 to 4 runs of up to 12 cells, zero counts among them; a run may have
+    year, region and age labels that no other run has."""
+    runs = []
+    for k in range(draw(st.integers(1, 4))):
+        shift = 10 * (k + 1) if draw(st.booleans()) else 0
+        cells = draw(st.dictionaries(st.tuples(
+            st.sampled_from(METRICS), st.integers(2020, 2022), st.sampled_from(["AT-1", "AT-2"]),
+            st.sampled_from("fm"), st.integers(0, 3)),
+            st.just(0.0) | st.floats(0, 1e6), max_size=12))
+        runs.append(census_from({(metric, year + shift, f"{region}{shift or ''}", sex, age + shift): n
+                                 for (metric, year, region, sex, age), n in cells.items()}))
+    return runs
+
+
+@settings(max_examples=25)
+@given(ensembles())
+def test_ensemble_mean_folds_runs_as_one_sum_would(runs):
+    # the running fold over a generator gives the bytes of the one sum over the list
+    expected = runs[0].add(*runs[1:])
+    np.multiply(expected.values, 1.0 / len(runs), out=expected.values, where=expected.present)
+    first = runs[0].values.copy()
+    for mean in (ensemble_mean(run for run in runs), ensemble_mean(runs)):
+        assert mean.axes == expected.axes
+        np.testing.assert_array_equal(mean.present, expected.present)
+        np.testing.assert_array_equal(mean.values.view(np.uint64), expected.values.view(np.uint64))
+    np.testing.assert_array_equal(runs[0].values, first)
+
+
+@pytest.mark.parametrize("empty", [[], iter(())])
+def test_ensemble_mean_of_no_runs_is_an_error(empty):
+    with pytest.raises(InputError, match="ensemble is empty"):
+        ensemble_mean(empty)
 
 
 def test_deviation_extrema_identical():
