@@ -40,31 +40,147 @@ def number(text: str) -> float:
 def read_columns(path, header, parsers, key=(), check=None) -> Columns:
     """The rows csv.reader reads from a CSV table, blank ones left out, by column.
 
-    Rows are read in blocks of BLOCK_ROWS lines. ``parsers`` holds one
-    function per column. A label column's parser turns a text into its label
-    and runs once per distinct text, in order of first appearance. The column
-    whose parser is ``number`` holds the values, parsed once per distinct text of
-    a block; ``check(values)``, if given, returns a mask of bad values and why.
-    No two rows may share their labels in the ``key`` columns. The first
-    failing row is reported at its first failing column, a repeated key at its
-    later copy, as an InputError naming the line.
+    Rows are read in blocks of BLOCK_ROWS lines, split as bytes while they are
+    plain (see ``_tokens``); from the first block that is not (or a header that
+    is not) on, by csv.reader. ``parsers`` holds one function per column. A
+    label column's parser turns a text into its label and runs once per distinct
+    text, in order of first appearance. The column whose parser is ``number``
+    holds the values, parsed once per distinct text of a block; ``check(values)``,
+    if given, returns a mask of bad values and why. No two rows may share their
+    labels in the ``key`` columns. The first failing row is reported at its first
+    failing column, a repeated key at its later copy, as an InputError naming the
+    line.
     """
     table = Columns(parsers, check)
+
+    def add(bad):
+        if bad:
+            table.finish(path, key)  # a key repeated before the row is reported first
+            raise InputError(f"{path}:{line_of(path, bad[0])}: bad row {bad[1]!r}: {bad[2]}")
+
     try:
-        with open(path, newline="") as fh:
-            if [h.strip() for h in next(csv.reader(fh), ())] != list(header):
-                raise InputError(f"{path}: expected header {','.join(header)}")
-            for columns, wrong in _blocks(fh, len(header)):
-                bad = table.extend(columns) or wrong and (table.size, *wrong)
-                if bad:
-                    table.finish(path, key)  # a key repeated before the row is reported first
-                    line = line_of(path, bad[0])
-                    raise InputError(f"{path}:{line}: bad row {bad[1]!r}: {bad[2]}")
+        with open(path, "rb") as raw:
+            first, done = raw.readline(), 0  # csv.reader reads past ``done`` lines, unless None
+            if _plain_line(first):
+                _check_header(path, first.rstrip(b"\r\n").decode().split(","), header)
+                done = None
+                for columns in _plain_blocks(raw, len(header)):
+                    if columns is None:
+                        done = 1 + table.size
+                        break
+                    add(table.add(columns))
+        if done is not None:  # a text file from the start decodes as csv.reader alone would
+            with open(path, newline="") as fh:
+                if done:
+                    next(itertools.islice(fh, done - 1, None))
+                else:
+                    _check_header(path, next(csv.reader(fh), ()), header)
+                for columns, wrong in _blocks(fh, len(header)):
+                    add(table.extend(columns) or wrong and (table.size, *wrong))
     except (UnicodeDecodeError, csv.Error) as exc:
-        table.finish(path, key)
+        try:
+            table.finish(path, key)
+        except UnicodeDecodeError:  # a repeated key in text that does not decode has no line
+            pass
         raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
     table.finish(path, key)
     return table
+
+
+def _check_header(path, fields, header) -> None:
+    if [h.strip() for h in fields] != list(header):
+        raise InputError(f"{path}: expected header {','.join(header)}")
+
+
+def _plain_line(line: bytes) -> bool:
+    """Whether csv.reader reads ``line`` as ``line.split(",")``, its line end left out."""
+    return (line.isascii() and b'"' not in line and b"\0" not in line and
+            line.count(b"\r") == line.endswith(b"\r\n") and len(line) <= csv.field_size_limit())
+
+
+def _plain_blocks(raw, width):
+    """The blocks of BLOCK_ROWS lines that ``raw``, a binary file, holds from its
+    position on, each as ``_tokens`` gives it while it is plain; then None if one is not.
+
+    One buffer holds the block's bytes and the start of the next, with 8 bytes of
+    padding that the byte-strided word view of ``_tokens`` may read into.
+    """
+    buf, size, more = np.empty(2 ** 16 + 8, np.uint8), 0, True
+    while True:
+        lines = np.flatnonzero(buf[:size] == 10)
+        while more and len(lines) < BLOCK_ROWS:
+            if size + 8 == len(buf):  # a block longer than the buffer: double it
+                buf = np.concatenate([buf[:size], np.empty(size + 8, np.uint8)])
+            got = raw.readinto(memoryview(buf)[size:-8])
+            more, size = got > 0, size + got
+            lines = np.flatnonzero(buf[:size] == 10)
+        if not size:
+            return
+        if len(lines) >= BLOCK_ROWS:
+            lines = lines[:BLOCK_ROWS]
+        elif buf[size - 1] != 10:  # the last line has no line end: give it one
+            buf[size] = 10
+            lines = np.append(lines, size)
+        end = int(lines[-1]) + 1
+        columns = _tokens(buf, end, lines, width)
+        yield columns
+        if columns is None:
+            return
+        size = max(size - end, 0)
+        buf[:size] = buf[end:end + size]
+
+
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's first k bytes
+
+
+def _tokens(buf, end, lines, width):
+    """Each column of the block ``buf[:end]``, whose lines end at ``lines``, as
+    (its distinct texts in order of first appearance, each row's position among
+    them); None if the block is not plain: if a line has another width, a blank
+    line, a quote, NUL, non-ASCII byte or "\\r" but before "\\n", or more bytes
+    than csv.field_size_limit().
+
+    A field's key is its bytes read as little-endian uint64 words, masked past its
+    end: exact, as a plain field holds no NUL. A column of fields of 8 bytes or
+    fewer has one word per field, whose np.unique sorts integers, not strings.
+    """
+    data, n, limit = buf[:end], len(lines), csv.field_size_limit()
+    commas = np.flatnonzero(data == 44)
+    crlf = data[lines - 1] == 13  # lines ended by "\r\n"
+    if (len(commas) != n * (width - 1) or (data == 34).any()
+            or not 0 < data.min() <= data.max() < 128  # a NUL or a non-ASCII byte
+            or np.count_nonzero(data == 13) != np.count_nonzero(crlf)
+            or end > limit and np.diff(lines, prepend=-1).max() > limit):
+        return None
+    starts, stops = np.empty((2, width, n), np.intp)
+    stops[:-1] = commas.reshape(n, width - 1).T
+    stops[-1] = lines - crlf
+    starts[0, 0], starts[0, 1:], starts[1:] = 0, lines[:-1] + 1, stops[:-1] + 1
+    lengths = stops - starts
+    # given as many commas as the lines need, a line with more than its share holds a
+    # field that stops before it starts
+    if (lengths < 0).any() or (stops[-1] == starts[0]).any():  # or a line is blank
+        return None
+    words, top = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,)), len(buf) - 8
+    columns = []
+    for at, rest in zip(starts, lengths):
+        nwords = max(-(-int(rest.max()) // 8), 1)
+        keys = np.empty((nwords, n), np.uint64)
+        for i in range(nwords):
+            if i:  # the next word, masked off past the field's end, so read it clamped
+                at, rest = np.minimum(at + 8, top), np.maximum(rest - 8, 0)
+            keys[i] = words[at] & _MASKS[np.minimum(rest, 8)]
+        if (keys == keys[:, :1]).all():  # one text throughout, as a sorted file's first columns
+            columns.append(([keys[:, 0].tobytes().rstrip(b"\0").decode()], np.zeros(n, np.intp)))
+            continue
+        keys = keys[0] if nwords == 1 else keys.T.copy().view(f"S{8 * nwords}").ravel()
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        texts = distinct[order].view(f"S{8 * nwords}").tolist()
+        columns.append((list(map(bytes.decode, texts)), rank[inverse.ravel()]))
+    return columns
 
 
 def _blocks(fh, width):
@@ -72,15 +188,11 @@ def _blocks(fh, width):
     rows left out, as ``width`` columns of texts per block of BLOCK_ROWS lines;
     with each block, a row of another width that follows it, ``(row, error)``,
     which ends the rows. An error reading a row is raised after the block of
-    the rows before it.
-
-    A block without quotes, lone "\\r" line ends, blank lines and overlong lines
-    is split with ``str.split``; any other goes through csv.reader, which
-    reads on past the block while a quoted field is open.
+    the rows before it. csv.reader reads on past a block while a quoted field
+    is open.
     """
-    limit = csv.field_size_limit()
     while True:
-        block, failure, columns, wrong = [], None, None, None
+        block, failure, wrong = [], None, None
         try:
             block.extend(itertools.islice(fh, BLOCK_ROWS))
         except UnicodeDecodeError as exc:
@@ -89,31 +201,22 @@ def _blocks(fh, width):
             if failure:
                 raise failure
             return
-        text, n = "".join(block).replace("\r\n", "\n"), len(block)
-        if (not any(c in text for c in '"\r') and max(map(len, block)) <= limit
-                and text[0] != "\n" and "\n\n" not in text):
-            cells = (text if text[-1] == "\n" else text + "\n").replace("\n", ",\n,").split(",")
-            # every line has ``width`` cells if every (width + 1)-th cell is a line end
-            if len(cells) == n * (width + 1) + 1 and cells[width::width + 1].count("\n") == n:
-                columns = [cells[j:-1:width + 1] for j in range(width)]
-        if columns is None:
-            source = _raising(failure) if failure else fh
-            rows, reader = [], csv.reader(itertools.chain(block, source))
-            try:
-                for row in reader:
-                    if row and len(row) != width:  # worded as unpacking the row would be
-                        wrong = row, (f"too many values to unpack (expected {width})"
-                                      if len(row) > width else f"not enough values to unpack "
-                                      f"(expected {width}, got {len(row)})")
-                        break
-                    if row:
-                        rows.append(row)
-                    if reader.line_num >= n:
-                        break
-            except (UnicodeDecodeError, csv.Error) as exc:
-                failure = exc
-            columns = list(zip(*rows)) or [()] * width
-        yield columns, wrong
+        source = _raising(failure) if failure else fh
+        rows, reader = [], csv.reader(itertools.chain(block, source))
+        try:
+            for row in reader:
+                if row and len(row) != width:  # worded as unpacking the row would be
+                    wrong = row, (f"too many values to unpack (expected {width})"
+                                  if len(row) > width else f"not enough values to unpack "
+                                  f"(expected {width}, got {len(row)})")
+                    break
+                if row:
+                    rows.append(row)
+                if reader.line_num >= len(block):
+                    break
+        except (UnicodeDecodeError, csv.Error) as exc:
+            failure = exc
+        yield list(zip(*rows)) or [()] * width, wrong
         if failure:
             raise failure
         if wrong:
@@ -151,17 +254,22 @@ class Columns:
         self._parts = [[np.zeros(0, float if p is number else np.intp)] for p in parsers]
 
     def extend(self, columns):
-        """Add the rows before the first failing row; ``(index, row, error)``
-        of that row, if any."""
-        n = len(columns[0]) if columns else 0
+        """``add`` of rows given as a list of texts per column."""
+        return self.add([_distinct(texts) for texts in columns])
+
+    def add(self, columns):
+        """Add the rows before the first failing row, given per column as its
+        distinct texts in order of first appearance and each row's position among
+        them; ``(index, row, error)`` of that row, if any."""
+        n = len(columns[0][1])
         arrays, bad, checked = [], np.zeros(n, dtype=bool), (np.zeros(n, dtype=bool), None)
-        for j, texts in enumerate(columns):
+        for j, (texts, inverse) in enumerate(columns):
             if self.parsers[j] is number:
-                arrays.append(_floats(texts, self._errors[j]))
+                arrays.append(_floats(texts, self._errors[j])[inverse])
                 checked = self.check(arrays[-1]) if self.check else checked
                 bad |= np.isnan(arrays[-1]) | checked[0]
             else:
-                arrays.append(self._encode(j, texts))
+                arrays.append(self._encode(j, texts)[inverse])
                 bad |= arrays[-1] < 0
         first = int(bad.argmax()) if bad.any() else n
         for part, array in zip(self._parts, arrays):
@@ -169,20 +277,20 @@ class Columns:
         self.size += first
         if first == n:
             return None
-        row = [texts[first] for texts in columns]
-        for parse, errors, text in zip(self.parsers, self._errors, row):
-            if text in errors:  # explained by its first failing column
-                return self.size, row, errors[text]
+        row = [texts[inverse[first]] for texts, inverse in columns]
+        for parse, errors, field in zip(self.parsers, self._errors, row):
+            if field in errors:  # explained by its first failing column
+                return self.size, row, errors[field]
             if parse is number and checked[0][first]:
                 return self.size, row, checked[1]
 
     def _encode(self, j: int, texts) -> np.ndarray:
-        """Each text's code in column ``j``, parsing each new text once."""
+        """The code in column ``j`` of each of the distinct ``texts``; a new one is parsed."""
         codes, index, labels = self._codes[j], self._index[j], self.labels[j]
         try:
             return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
         except KeyError:  # parse the new texts, in order of first appearance
-            for text in dict.fromkeys(texts):
+            for text in texts:
                 if text in codes:
                     continue
                 try:
@@ -198,14 +306,19 @@ class Columns:
     def finish(self, path, key) -> None:
         """Gather the rows read so far; an InputError at the first whose labels
         in the ``key`` columns repeat an earlier row's."""
-        self.codes = list(map(np.concatenate, self._parts))
+        for part in self._parts:  # a column at a time, so that no two are held twice
+            part[:] = [np.concatenate(part)]
+        self.codes = [part[0] for part in self._parts]
         self.values = self.codes[self.parsers.index(number)] if number in self.parsers else None
-        if key:
-            group, first = self.groups(key)
-            repeats = np.flatnonzero(first[group] != np.arange(self.size)).tolist()
-            if repeats:
-                raise InputError(f"{path}:{line_of(path, repeats[0])}: duplicate row for "
-                                 f"({','.join(map(str, self.row(repeats[0], key)))})")
+        if key:  # stably sorted, a row with the key of the one before repeats an earlier row
+            keys = self._key(key)
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            repeats = order[1:][keys[1:] == keys[:-1]]
+            if len(repeats):
+                at = int(repeats.min())
+                raise InputError(f"{path}:{line_of(path, at)}: duplicate row for "
+                                 f"({','.join(map(str, self.row(at, key)))})")
 
     def row(self, i: int, columns) -> tuple:
         """The labels of row ``i`` in ``columns``."""
@@ -229,28 +342,42 @@ class Columns:
     def groups(self, columns):
         """Each row's group, the rows sharing their labels in ``columns``,
         numbered in order of first appearance; and each group's first row."""
+        _, first, group = np.unique(self._key(columns), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return np.argsort(order)[group], first[order]
+
+    def _key(self, columns) -> np.ndarray:
+        """Each row's labels in ``columns`` as one int64, equal where they are."""
         key, span = np.zeros(self.size, dtype=np.int64), 1
         for j in columns:
             size = len(self.labels[j])
             if span * size > 2 ** 62:  # renumber, as ravelling on would overflow
                 uniques, key = np.unique(key, return_inverse=True)
                 span = len(uniques)
-            key, span = key * size + self.codes[j], span * size
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        return np.argsort(order)[group], first[order]
+            key *= size
+            key += self.codes[j]
+            span *= size
+        return key
 
 
 def _floats(texts, errors) -> np.ndarray:
-    """The texts as ``number`` reads them, each distinct text parsed once (so "-0.0"
-    keeps its sign); nan for one it rejects, which goes into ``errors`` with why."""
-    parsed = dict.fromkeys(texts)
-    for text in parsed:
+    """The distinct ``texts`` as ``number`` reads them (so "-0.0" keeps its sign); nan
+    for one it rejects, which goes into ``errors`` with why."""
+    values = np.empty(len(texts))
+    for i, text in enumerate(texts):
         try:
-            parsed[text] = number(text)
+            values[i] = number(text)
         except ValueError as exc:
-            parsed[text], errors[text] = math.nan, exc
-    return np.fromiter(map(parsed.__getitem__, texts), float, len(texts))
+            values[i], errors[text] = math.nan, exc
+    return values
+
+
+def _distinct(texts):
+    """The distinct ``texts`` in order of first appearance, and each text's position
+    among them."""
+    index = {}
+    inverse = np.fromiter((index.setdefault(t, len(index)) for t in texts), np.intp, len(texts))
+    return list(index), inverse
 
 
 def sex(text: str) -> str:

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from popsim import files
 from popsim.census import CENSUS_CSV_HEADER, SyntheticCensus
+from popsim.cli import main
 from popsim.errors import InputError
 from popsim.ipf import MarginalSet, MigrationTensor, read_marginals_csv, write_marginals_csv
 from popsim.params import ImmigrationTable, ParameterTable
-from popsim.scenario import read_population_csv
+from popsim.scenario import ScenarioSpec, read_population_csv
+
+from test_census_digests import WORKLOAD_SPECS
 
 ENDINGS = ("\n", "\r\n", "\r")
 
@@ -325,6 +328,137 @@ def test_values_are_parsed_once_per_distinct_text_per_block(tmp_path):
         with mock.patch.object(files, "BLOCK_ROWS", 100):
             with pytest.raises(InputError, match=rf"t\.csv:235: bad row .*{message}: '{bad}'"):
                 files.read_columns(path, ("label", "value"), (str, files.number))
+
+
+# ----- the byte path reads what csv.reader alone reads ----------------------------------
+
+SIZES = (0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 31, 33)  # field lengths around 8-byte words
+NUMBERS = ("0", "-0.0", "0.0", "3", "1e-05", "0.1234567890123456", "-12345678.25", "1_0",
+           "1e999", "ab")
+NOT_PLAIN = ("quote", "lone cr", "blank line", "nul", "non-ascii", "undecodable", "width",
+             "widths", "overlong", "header")
+
+
+@st.composite
+def byte_tables(draw):
+    """A header and rows over a few distinct fields per column (a value column last,
+    maybe), "\\n" or "\\r\\n" line ends, maybe no final one, and maybe one line made
+    not plain; the width, whether there is a value column and the field size limit."""
+    width, values = draw(st.integers(1, 3)), draw(st.booleans())
+    limit = draw(st.sampled_from([72, csv.field_size_limit()]))  # some plain lines exceed 72
+    base = draw(st.text("ab -", min_size=SIZES[-1], max_size=SIZES[-1]))
+    fields = st.sampled_from(SIZES).flatmap(lambda n: st.text("ab -", min_size=n, max_size=n))
+    pools = [draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=4))
+             if values and j == width - 1 else  # and two labels differing in their last byte
+             draw(st.lists(fields, max_size=3)) + [base[:n - 1] + c for n in
+                                                   [draw(st.sampled_from(SIZES[1:]))] for c in "ab"]
+             for j in range(width)]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=40))
+    lines = [",".join(row) + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
+    kind = draw(st.sampled_from((None, *NOT_PLAIN)))
+    at = 0 if kind == "widths" else draw(st.integers(0, len(lines) - 1))
+    head, rest = rows[at][0], lines[at][len(rows[at][0]):]
+    if kind == "widths" and len(lines) > 1:  # as many commas as lines need, not per line
+        lines[1] = lines[1].rpartition(",")[0] + "\n"
+    lines[at] = {None: lines[at], "quote": f'"{head}"{rest}', "nul": f"{head}\0{rest}",
+                 "lone cr": f"{head}\r{rest}", "blank line": "\n" + lines[at],
+                 "non-ascii": f"{head}\u00e9{rest}", "undecodable": f"{head}\udcff{rest}",
+                 "overlong": "a" * limit + "b" + rest,
+                 "header": lines[at]}.get(kind, lines[at].rstrip("\r\n") + ",x\n")  # too wide
+    header = ",".join(f"h{j}" for j in range(width))
+    text = (f'"{header}"' if kind == "header" else header) + "\n" + "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text, width, values, limit
+
+
+def _read_logged(path, width, values, key):
+    """What ``read_columns`` returns bitwise, or the InputError it raises, and every call
+    of a parser in order."""
+    calls = []
+
+    def label(text):
+        calls.append(text)
+        if text.endswith("--"):
+            raise ValueError(f"bad label {text!r}")
+        return text.strip()
+
+    def number(text):
+        calls.append(text)
+        return parse(text)
+
+    parse = files.number
+    with mock.patch.object(files, "number", number):
+        parsers = [label] * (width - values) + [number] * values
+        try:
+            table = files.read_columns(path, [f"h{j}" for j in range(width)], parsers, key=key)
+        except InputError as exc:
+            return str(exc), calls
+    return (table.size, table.labels,
+            [codes.view(np.int64).tolist() for codes in table.codes]), calls
+
+
+@settings(max_examples=600, deadline=None)
+@given(byte_tables(), st.integers(1, 6), st.booleans())
+def test_the_byte_path_reads_what_csv_reader_reads(tmp_path_factory, table, block_rows, keyed):
+    text, width, values, limit = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode(errors="surrogateescape"))  # "\\udcff" as the byte 0xff
+    key = range(width - values) if keyed else ()
+    saved = csv.field_size_limit(limit)
+    try:
+        with mock.patch.object(files, "BLOCK_ROWS", block_rows):
+            outcome, calls = _read_logged(path, width, values, key)
+            with mock.patch.object(files, "_plain_line", lambda line: False):
+                expected, expected_calls = _read_logged(path, width, values, key)
+    finally:
+        csv.field_size_limit(saved)
+    assert outcome == expected
+    # plain blocks are parsed before an undecodable byte that fails the text layer's
+    # whole chunk, and with it the rows csv.reader would parse
+    assert calls == expected_calls or "\udcff" in text
+
+
+def test_a_repeat_read_as_bytes_before_undecodable_text_is_unreadable(tmp_path):
+    # the repeat's block is plain, but its line lies in the text chunk that fails to decode
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"h0,h1\na,1\na,1\nb\xff,1\n")
+    with mock.patch.object(files, "BLOCK_ROWS", 2):
+        with pytest.raises(InputError, match=r"t\.csv: unreadable as CSV text: .*decode"):
+            files.read_columns(path, ("h0", "h1"), (str, files.number), key=(0,))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SPECS))
+def test_every_file_the_pipeline_writes_is_read_as_bytes(tmp_path, name):
+    fields, unit = WORKLOAD_SPECS[name]
+    spec = ScenarioSpec(**fields)
+    spec.to_file(tmp_path / "scenario.conf")
+    inputs, runs = tmp_path / "inputs", tmp_path / "runs"
+    assert main(["--quiet", "gen-synthetic", "--spec", str(tmp_path / "scenario.conf"),
+                 "--seed", "1", "--out-dir", str(inputs)]) == 0
+    with open(inputs / "run.conf", "a") as fh:
+        fh.write(f"step_unit = {unit}\n")
+    assert main(["--quiet", "simulate", "--config", str(inputs / "run.conf"),
+                 "--out-dir", str(runs)]) == 0
+    assert main(["--quiet", "derive-params", "--census", str(inputs / "reference_census.csv"),
+                 "--kind", "death", "--out", str(tmp_path / "derived_death.csv")]) == 0
+    regions, ages = sorted(spec.regions), range(spec.max_age + 1)
+    tensor = MigrationTensor(regions, ages, np.random.default_rng(1).random(
+        (len(regions), len(regions), len(ages))))
+    marginals = [tmp_path / f"{part}.csv" for part in ("od", "emig", "imm")]
+    write_marginals_csv(tensor.marginals(), *marginals)
+    assert main(["--quiet", "ipf", "--od", str(marginals[0]), "--emigrants", str(marginals[1]),
+                 "--immigrants", str(marginals[2]), "--out", str(tmp_path / "fitted.csv")]) == 0
+    readers = {"params": ParameterTable.from_csv, "derived": ParameterTable.from_csv,
+               "immigration": ImmigrationTable.from_csv, "initial": read_population_csv,
+               "migration": MigrationTensor.from_csv, "fitted": MigrationTensor.from_csv,
+               "reference": SyntheticCensus.from_csv, "run": SyntheticCensus.from_csv,
+               "mean": SyntheticCensus.from_csv}
+    paths = sorted(set(tmp_path.rglob("*.csv")) - set(marginals))
+    assert len(paths) == len(list(inputs.glob("*.csv"))) + spec.ensemble_runs + 3
+    with mock.patch.object(files, "_blocks", wraps=files._blocks) as blocks:
+        for path in paths:
+            readers[path.stem.split("_")[0]](path)
+        read_marginals_csv(*marginals)
+    assert blocks.call_count == 0
 
 
 # ----- writers render as csv.writer does --------------------------------------------------
