@@ -1,19 +1,17 @@
 """Every file popsim reads or writes: CSV tables and ``key = value`` text.
 
-One input contract holds for every table. A CSV file starts with exactly the
-expected header; every data row has exactly the header's width; numbers are
-finite; no key appears twice. Blank lines are skipped. Any breach is an
-InputError naming the file and line, which the command line turns into exit
-code 1. Domain checks (kinds, sexes, age coverage, integer counts) stay with
-the readers that know the domain.
+Every table is read and written in one dialect: ASCII, ',' between fields, no
+quotes, lines ending in "\\n" or "\\r\\n" (the last one may have none). A table
+starts with exactly the expected header; every data row has exactly its width,
+so data row ``i`` is line ``i + 2``; numbers are finite; no key appears twice.
+Any other line (see ``_fault``) or breach is an InputError naming the file and
+line, which the command line turns into exit code 1. Domain checks (kinds, sexes,
+age coverage, integer counts) stay with the readers that know the domain.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import itertools
 import math
 import re
 
@@ -22,6 +20,7 @@ import numpy as np
 from .errors import InputError
 
 BLOCK_ROWS = 1024  # lines per block: enough to amortise, few enough to keep memory flat
+LINE_LIMIT = 131_072  # bytes before a line feed: bounds the key matrices _tokens builds
 _DECIMAL = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?").fullmatch
 
 
@@ -38,69 +37,58 @@ def number(text: str) -> float:
 
 
 def read_columns(path, header, parsers, key=(), check=None) -> Columns:
-    """The rows csv.reader reads from a CSV table, blank ones left out, by column.
+    """The data rows of a CSV table in the dialect, by column.
 
-    Rows are read in blocks of BLOCK_ROWS lines, split as bytes while they are
-    plain (see ``_tokens``); from the first block that is not (or a header that
-    is not) on, by csv.reader. ``parsers`` holds one function per column. A
-    label column's parser turns a text into its label and runs once per distinct
-    text, in order of first appearance. The column whose parser is ``number``
-    holds the values, parsed once per distinct text of a block; ``check(values)``,
-    if given, returns a mask of bad values and why. No two rows may share their
-    labels in the ``key`` columns. The first failing row is reported at its first
-    failing column, a repeated key at its later copy, as an InputError naming the
-    line.
+    Rows are read as bytes in blocks of BLOCK_ROWS lines and split in numpy (see
+    ``_tokens``). ``parsers`` holds one function per column. A label column's
+    parser turns a text into its label and runs once per distinct text, in order
+    of first appearance. The column whose parser is ``number`` holds the values,
+    parsed once per distinct text of a block; ``check(values)``, if given, returns
+    a mask of bad values and why. No two rows may share their labels in the
+    ``key`` columns. The first failing row is reported at its first failing
+    column, a repeated key at its later copy, and a line that is not a row (see
+    ``_fault``) only if no row before it fails, as an InputError naming the line.
     """
     table = Columns(parsers, check)
-
-    def add(bad):
-        if bad:
-            table.finish(path, key)  # a key repeated before the row is reported first
-            raise InputError(f"{path}:{line_of(path, bad[0])}: bad row {bad[1]!r}: {bad[2]}")
-
-    try:
-        with open(path, "rb") as raw:
-            first, done = raw.readline(), 0  # csv.reader reads past ``done`` lines, unless None
-            if _plain_line(first):
-                _check_header(path, first.rstrip(b"\r\n").decode().split(","), header)
-                done = None
-                for columns in _plain_blocks(raw, len(header)):
-                    if columns is None:
-                        done = 1 + table.size
-                        break
-                    add(table.add(columns))
-        if done is not None:  # a text file from the start decodes as csv.reader alone would
-            with open(path, newline="") as fh:
-                if done:
-                    next(itertools.islice(fh, done - 1, None))
-                else:
-                    _check_header(path, next(csv.reader(fh), ()), header)
-                for columns, wrong in _blocks(fh, len(header)):
-                    add(table.extend(columns) or wrong and (table.size, *wrong))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        try:
-            table.finish(path, key)
-        except UnicodeDecodeError:  # a repeated key in text that does not decode has no line
-            pass
-        raise InputError(f"{path}: unreadable as CSV text: {exc}") from None
+    with open(path, "rb") as raw:
+        first = raw.readline(LINE_LIMIT + 1)
+        why = first and _fault(first)
+        if why:
+            raise InputError(f"{path}:1: {why}")
+        if [h.strip() for h in first.rstrip(b"\r\n").decode().split(",")] != list(header):
+            raise InputError(f"{path}: expected header {','.join(header)}")
+        for columns, why in _blocks(raw, len(header)):
+            bad = columns and table.add(columns) or why and (table.size, why)
+            if bad:
+                table.finish(path, key)  # a key repeated before the row is reported first
+                raise InputError(f"{path}:{bad[0] + 2}: {bad[1]}")
     table.finish(path, key)
     return table
 
 
-def _check_header(path, fields, header) -> None:
-    if [h.strip() for h in fields] != list(header):
-        raise InputError(f"{path}: expected header {','.join(header)}")
+def _fault(line: bytes, width=0) -> str | None:
+    """Why ``line``, with its line feed if it has one, is not a line of the dialect,
+    or not of ``width`` fields if given; None if it is."""
+    text = line.removesuffix(b"\n")
+    body = text.removesuffix(b"\r") if len(text) < len(line) else text
+    for bad, why in ((len(text) > LINE_LIMIT, f"line longer than {LINE_LIMIT} bytes"),
+                     (not body, "blank line"), (b'"' in body, "line holds a quote"),
+                     (b"\0" in body, "line holds a NUL byte"),
+                     (not body.isascii(), "line holds a non-ASCII byte"),
+                     (b"\r" in body, "line holds a CR not before its line feed")):
+        if bad:
+            return why
+    row = body.decode().split(",")
+    if width and len(row) != width:  # worded as unpacking the row would be
+        return f"bad row {row!r}: " + (
+            f"too many values to unpack (expected {width})" if len(row) > width else
+            f"not enough values to unpack (expected {width}, got {len(row)})")
 
 
-def _plain_line(line: bytes) -> bool:
-    """Whether csv.reader reads ``line`` as ``line.split(",")``, its line end left out."""
-    return (line.isascii() and b'"' not in line and b"\0" not in line and
-            line.count(b"\r") == line.endswith(b"\r\n") and len(line) <= csv.field_size_limit())
-
-
-def _plain_blocks(raw, width):
-    """The blocks of BLOCK_ROWS lines that ``raw``, a binary file, holds from its
-    position on, each as ``_tokens`` gives it while it is plain; then None if one is not.
+def _blocks(raw, width):
+    """Each block of BLOCK_ROWS lines that ``raw``, a binary file, holds from its position
+    on, as ``_tokens`` gives it, and None; then at the first line ``_fault`` finds, its
+    block's lines before it (None if none) and why.
 
     One buffer holds the block's bytes and the start of the next, with 8 bytes of
     padding that the byte-strided word view of ``_tokens`` may read into.
@@ -122,10 +110,16 @@ def _plain_blocks(raw, width):
             buf[size] = 10
             lines = np.append(lines, size)
         end = int(lines[-1]) + 1
-        columns = _tokens(buf, end, lines, width)
-        yield columns
-        if columns is None:
+        # a last line ending in "\r" looks ended by "\r\n" once given its line end
+        columns = None if end > size and buf[size - 1] == 13 else _tokens(buf, end, lines, width)
+        if columns is None:  # the first line that is not a row, and the lines before it
+            starts = [0, *(lines[:-1] + 1).tolist()]
+            faults = ((i, _fault(buf[start:min(stop + 1, size)].tobytes(), width))
+                      for i, (start, stop) in enumerate(zip(starts, lines.tolist())))
+            i, why = next(fault for fault in faults if fault[1])
+            yield (_tokens(buf, starts[i], lines[:i], width) if i else None), why
             return
+        yield columns, None
         size = max(size - end, 0)
         buf[:size] = buf[end:end + size]
 
@@ -136,21 +130,19 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's f
 def _tokens(buf, end, lines, width):
     """Each column of the block ``buf[:end]``, whose lines end at ``lines``, as
     (its distinct texts in order of first appearance, each row's position among
-    them); None if the block is not plain: if a line has another width, a blank
-    line, a quote, NUL, non-ASCII byte or "\\r" but before "\\n", or more bytes
-    than csv.field_size_limit().
+    them); None if a line is not a row of ``width`` fields in the dialect (see ``_fault``).
 
     A field's key is its bytes read as little-endian uint64 words, masked past its
-    end: exact, as a plain field holds no NUL. A column of fields of 8 bytes or
-    fewer has one word per field, whose np.unique sorts integers, not strings.
+    end: exact, as a field of the dialect holds no NUL. A column of fields of 8 bytes
+    or fewer has one word per field, whose np.unique sorts integers, not strings.
     """
-    data, n, limit = buf[:end], len(lines), csv.field_size_limit()
+    data, n = buf[:end], len(lines)
     commas = np.flatnonzero(data == 44)
     crlf = data[lines - 1] == 13  # lines ended by "\r\n"
     if (len(commas) != n * (width - 1) or (data == 34).any()
             or not 0 < data.min() <= data.max() < 128  # a NUL or a non-ASCII byte
             or np.count_nonzero(data == 13) != np.count_nonzero(crlf)
-            or end > limit and np.diff(lines, prepend=-1).max() > limit):
+            or end > LINE_LIMIT and np.diff(lines, prepend=-1).max() > LINE_LIMIT + 1):
         return None
     starts, stops = np.empty((2, width, n), np.intp)
     stops[:-1] = commas.reshape(n, width - 1).T
@@ -183,62 +175,6 @@ def _tokens(buf, end, lines, width):
     return columns
 
 
-def _blocks(fh, width):
-    """The rows csv.reader reads from ``fh`` (opened with newline=""), blank
-    rows left out, as ``width`` columns of texts per block of BLOCK_ROWS lines;
-    with each block, a row of another width that follows it, ``(row, error)``,
-    which ends the rows. An error reading a row is raised after the block of
-    the rows before it. csv.reader reads on past a block while a quoted field
-    is open.
-    """
-    while True:
-        block, failure, wrong = [], None, None
-        try:
-            block.extend(itertools.islice(fh, BLOCK_ROWS))
-        except UnicodeDecodeError as exc:
-            failure = exc
-        if not block:
-            if failure:
-                raise failure
-            return
-        source = _raising(failure) if failure else fh
-        rows, reader = [], csv.reader(itertools.chain(block, source))
-        try:
-            for row in reader:
-                if row and len(row) != width:  # worded as unpacking the row would be
-                    wrong = row, (f"too many values to unpack (expected {width})"
-                                  if len(row) > width else f"not enough values to unpack "
-                                  f"(expected {width}, got {len(row)})")
-                    break
-                if row:
-                    rows.append(row)
-                if reader.line_num >= len(block):
-                    break
-        except (UnicodeDecodeError, csv.Error) as exc:
-            failure = exc
-        yield list(zip(*rows)) or [()] * width, wrong
-        if failure:
-            raise failure
-        if wrong:
-            return
-
-
-def _raising(exc):
-    """Lines that end in ``exc`` being raised."""
-    raise exc
-    yield
-
-
-def line_of(path, index: int) -> int:
-    """Line number of the ``index``-th data row (from 0) of a CSV file, as
-    csv.reader counts it; for error messages about a row found after reading."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        lines = (reader.line_num for row in reader if row)
-        return next(itertools.islice(lines, index, None))
-
-
 class Columns:
     """A table of ``size`` rows as ``read_columns`` returns it. Label column
     ``j`` lists its distinct labels in ``labels[j]``, in order of first
@@ -253,14 +189,10 @@ class Columns:
         self._errors = [{} for _ in parsers]  # per column: text -> what parsing it raised
         self._parts = [[np.zeros(0, float if p is number else np.intp)] for p in parsers]
 
-    def extend(self, columns):
-        """``add`` of rows given as a list of texts per column."""
-        return self.add([_distinct(texts) for texts in columns])
-
     def add(self, columns):
         """Add the rows before the first failing row, given per column as its
         distinct texts in order of first appearance and each row's position among
-        them; ``(index, row, error)`` of that row, if any."""
+        them; ``(index, message)`` of that row, if any."""
         n = len(columns[0][1])
         arrays, bad, checked = [], np.zeros(n, dtype=bool), (np.zeros(n, dtype=bool), None)
         for j, (texts, inverse) in enumerate(columns):
@@ -280,9 +212,9 @@ class Columns:
         row = [texts[inverse[first]] for texts, inverse in columns]
         for parse, errors, field in zip(self.parsers, self._errors, row):
             if field in errors:  # explained by its first failing column
-                return self.size, row, errors[field]
+                return self.size, f"bad row {row!r}: {errors[field]}"
             if parse is number and checked[0][first]:
-                return self.size, row, checked[1]
+                return self.size, f"bad row {row!r}: {checked[1]}"
 
     def _encode(self, j: int, texts) -> np.ndarray:
         """The code in column ``j`` of each of the distinct ``texts``; a new one is parsed."""
@@ -317,7 +249,7 @@ class Columns:
             repeats = order[1:][keys[1:] == keys[:-1]]
             if len(repeats):
                 at = int(repeats.min())
-                raise InputError(f"{path}:{line_of(path, at)}: duplicate row for "
+                raise InputError(f"{path}:{at + 2}: duplicate row for "
                                  f"({','.join(map(str, self.row(at, key)))})")
 
     def row(self, i: int, columns) -> tuple:
@@ -372,14 +304,6 @@ def _floats(texts, errors) -> np.ndarray:
     return values
 
 
-def _distinct(texts):
-    """The distinct ``texts`` in order of first appearance, and each text's position
-    among them."""
-    index = {}
-    inverse = np.fromiter((index.setdefault(t, len(index)) for t in texts), np.intp, len(texts))
-    return list(index), inverse
-
-
 def sex(text: str) -> str:
     """``text`` if it is ``m`` or ``f``, else a ValueError."""
     if text not in ("f", "m"):
@@ -403,23 +327,39 @@ def age(text: str) -> int:
     return value
 
 
+_UNWRITABLE = re.compile(r'[^\x01-\x7f]|[,"\r\n]').search  # a NUL or non-ASCII, too
+
+
+def _line(fields, end="\r\n") -> str:
+    """``fields`` as a line of the dialect ended by ``end``; a ValueError naming a
+    field that the dialect cannot hold."""
+    fields = list(map(str, fields))
+    for field in fields:
+        if _UNWRITABLE(field):
+            raise ValueError(f"label {field!r} cannot be written as a plain CSV field")
+    return ",".join(fields) + end
+
+
 def write_table(path, header, rows) -> None:
+    """``header`` and ``rows``, each a sequence of fields, as lines of the dialect."""
+    text = "".join(map(_line, [header, *rows]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 def write_columns(path, header, columns, values, render=repr) -> None:
     """``write_table`` of ``header`` and a row per entry of ``values``: the label
     columns, each given as its distinct labels and each row's position among them,
-    then ``render`` of the value. Rows are joined and written BLOCK_ROWS at a time; a
-    label is rendered once, a value once per bit pattern in a block (-0.0 keeps its text)."""
-    columns = [(np.array([csv_field(label) + "," for label in labels], dtype=object), codes)
+    then ``render`` of the value. A label the dialect cannot hold is a ValueError
+    raised before the file is opened. Rows are joined and written BLOCK_ROWS at a
+    time; a label is rendered once, a value once per bit pattern in a block (-0.0
+    keeps its text)."""
+    head = _line(header)
+    columns = [(np.array([_line([label], ",") for label in labels], dtype=object), codes)
                for labels, codes in columns]
     values = np.ascontiguousarray(values, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        fh.write(head)
         for start in range(0, len(values), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             distinct, inverse = np.unique(values[block].view(np.int64), return_inverse=True)
@@ -432,13 +372,6 @@ def write_columns(path, header, columns, values, render=repr) -> None:
 def whole_or_repr(value: float) -> str:
     """A count as the census writes it: a whole value as an integer, else ``repr``."""
     return str(int(value)) if value.is_integer() else repr(value)
-
-
-def csv_field(value) -> str:
-    """``value`` as ``write_table`` renders it within a row, quoted where needed."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([value, ""])
-    return buf.getvalue()[:-1]
 
 
 def read_settings(path, cls, converters, **given):

@@ -194,9 +194,13 @@ def _write_dense(path, header, axes, values) -> None:
 
 
 def read_marginals_csv(od_path, emig_path, imm_path) -> MarginalSet:
-    od = read_columns(od_path, OD_CSV_HEADER, (checked, checked, number), key=range(2))
+    def negative(value):
+        return value < 0, "negative value"
+
+    od = read_columns(od_path, OD_CSV_HEADER, (checked, checked, number), key=range(2),
+                      check=negative)
     emig, imm = (read_columns(path, AGE_MARGINAL_CSV_HEADER, (checked, integer, number),
-                              key=range(2)) for path in (emig_path, imm_path))
+                              key=range(2), check=negative) for path in (emig_path, imm_path))
     regions = tuple(sorted({*od.labels[0], *od.labels[1], *emig.labels[0], *imm.labels[0]}))
     ages = tuple(sorted({*emig.labels[1], *imm.labels[1]}))
     return MarginalSet(regions=regions, ages=ages, od=od.dense((regions, regions)),

@@ -1,8 +1,11 @@
-"""The columnar CSV reader: the rows csv.reader reads, errors at their lines."""
+"""The columnar CSV reader and writer: one dialect, the rows csv.reader reads from it,
+errors at their lines."""
 
+import contextlib
 import csv
 import io
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,108 +23,60 @@ from popsim.scenario import ScenarioSpec, read_population_csv
 
 from test_census_digests import WORKLOAD_SPECS
 
-ENDINGS = ("\n", "\r\n", "\r")
-
-# mostly plain labels, some with the characters csv quotes or that csv.reader alone reads
-labels = st.one_of(st.text("ab-1 ", max_size=4), st.text('ab,"\n\r\0 ', max_size=4))
-
-
-def render(row, ending):
-    """``row`` as csv.writer writes it, ended by ``ending``: fields holding a
-    "\\r" or "\\n" are quoted whatever the line end."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\r\n").writerow(row)
-    return out.getvalue()[:-2] + ending
-
-
-@st.composite
-def tables(draw):
-    """CSV text (blank lines, mixed line ends, maybe no final newline) and its width."""
-    width = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(labels, min_size=width, max_size=width), max_size=30))
-    endings = [draw(st.sampled_from(ENDINGS)) for _ in rows]
-    if endings and draw(st.booleans()):
-        endings[-1] = ""  # no final line end
-    text = ""
-    for row, ending in zip(rows, endings):
-        if draw(st.integers(0, 5)) == 0:
-            text += draw(st.sampled_from(ENDINGS))  # a blank line
-        text += render(row, ending)
-    return text, width
-
-
-def csv_rows(text):
-    """(line_num, row) of each row csv.reader reads, blank rows left out."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    return [(reader.line_num, row) for row in reader if row]
-
-
-def reader_rows(text, width, block_rows):
-    """Each row ``files._blocks`` reads, and the row of another width that ends them."""
-    rows, wrong = [], None
-    with mock.patch.object(files, "BLOCK_ROWS", block_rows):
-        for columns, wrong in files._blocks(io.StringIO(text, newline=""), width):
-            assert len(columns) == width and len({len(column) for column in columns}) == 1
-            rows += [list(row) for row in zip(*columns)]
-    return rows, wrong
-
-
-@settings(max_examples=300, deadline=None)
-@given(tables(), st.integers(1, 6))
-def test_blocks_read_the_rows_csv_reader_reads(table, block_rows):
-    text, width = table
-    assert reader_rows(text, width, block_rows) == ([row for _, row in csv_rows(text)], None)
-
-
-@settings(max_examples=200, deadline=None)
-@given(tables(), st.data())
-def test_a_row_of_another_width_ends_the_rows_at_its_line(tmp_path_factory, table, data):
-    text, width = table
-    rows = [row for _, row in csv_rows(text)] or [[""] * width]
-    at = data.draw(st.integers(0, len(rows) - 1))
-    extra = data.draw(st.sampled_from([-1, 1]) if width > 1 else st.just(1))
-    rows[at] = rows[at] + ["x"] if extra > 0 else rows[at][:-1]
-    text = "".join(render(row, data.draw(st.sampled_from(ENDINGS))) for row in rows)
-    expected = csv_rows(text)
-    block_rows = data.draw(st.integers(1, 6))
-    rows, wrong = reader_rows(text, width, block_rows)
-    assert rows == [row for _, row in expected[:at]] and wrong[0] == expected[at][1]
-    # read as a file, the row is reported at its line as csv.reader counts it
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
-    path.write_text("h" + ",h" * (width - 1) + "\n" + text, newline="")
-    with mock.patch.object(files, "BLOCK_ROWS", block_rows):
-        with pytest.raises(InputError) as error:
-            files.read_columns(path, ("h",) * width, (str,) * width)
-    assert re.fullmatch(rf".*t\.csv:{expected[at][0] + 1}: bad row .*: (too many|not enough) "
-                        r"values to unpack \(expected \d.*\)", str(error.value), re.S)
-
+# ----- errors at their lines -------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["a", "b,c", 'q"r', "x\ny"]),
-                          st.sampled_from(ENDINGS)), min_size=1, max_size=40),
+@given(st.lists(st.tuples(st.sampled_from(["a", "b-c", "x y"]), st.sampled_from(["\n", "\r\n"])),
+                min_size=1, max_size=40),
        st.data())
 def test_a_bad_value_is_reported_at_csv_line_num(tmp_path_factory, cells, data):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     bad = data.draw(st.integers(0, len(cells) - 1))
-    text = "label,value\n" + "".join(render([f"{label}{i}", "x" if i == bad else i], ending)
+    text = "label,value\n" + "".join(f"{label}{i},{'x' if i == bad else i}{ending}"
                                      for i, (label, ending) in enumerate(cells))
     path.write_text(text, newline="")
-    line = csv_rows(text)[bad + 1][0]
     with mock.patch.object(files, "BLOCK_ROWS", data.draw(st.integers(1, 6))):
-        with pytest.raises(InputError, match=rf"t\.csv:{line}: bad row .*could not convert"):
+        with pytest.raises(InputError, match=rf"t\.csv:{bad + 2}: bad row .*could not convert"):
             files.read_columns(path, ("label", "value"), (str, files.number))
+
+
+# per reason: a census's lines from line 3 on, the line that ends the read and the message
+GOOD = b"P,2021,AT-1,m,5,1\n"
+DAMAGED = {
+    "quote": (b'P,2021,"AT-1",m,5,1\n' + GOOD, 3, "line holds a quote"),
+    "nul": (b"P,2021,AT-1,m,5\0,1\n" + GOOD, 3, "line holds a NUL byte"),
+    "non-ascii": ("P,2021,AT-\u00fc,m,5,1\n".encode() + GOOD, 3, "line holds a non-ASCII byte"),
+    "undecodable": (b"P,2021,AT-1,m,5,1\xff\n" + GOOD, 3, "line holds a non-ASCII byte"),
+    "lone cr": (b"P,2021,AT-1\r,m,5,1\n" + GOOD, 3, "line holds a CR not before its line feed"),
+    "cr at the end": (GOOD + b"P,2022,AT-1,m,5,1\r", 4, "line holds a CR not before its line feed"),
+    "blank line": (b"\r\n" + GOOD, 3, "blank line"),
+    "blank line at the end": (GOOD + b"\n", 4, "blank line"),
+    "overlong": (b"P,2021,AT-1,m,5," + b"1" * files.LINE_LIMIT + b"\n" + GOOD, 3,
+                 f"line longer than {files.LINE_LIMIT} bytes"),
+    "too wide": (b"P,2021,AT-1,m,5,1,1\n" + GOOD, 3, "bad row ['P', '2021', 'AT-1', 'm', '5', "
+                 "'1', '1']: too many values to unpack (expected 6)"),
+    "too narrow": (b"P,2021,AT-1,m,5\n" + GOOD, 3, "bad row ['P', '2021', 'AT-1', 'm', '5']: "
+                   "not enough values to unpack (expected 6, got 5)"),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(DAMAGED))
+def test_a_line_outside_the_dialect_exits_1_at_its_line(tmp_path, reason):
+    tail, line, message = DAMAGED[reason]
+    path = tmp_path / "census.csv"
+    path.write_bytes(b"metric,year,region,sex,age,count\r\nP,2020,AT-1,m,5,3\r\n" + tail)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["--quiet", "derive-params", "--census", str(path), "--kind", "death",
+                     "--out", str(tmp_path / "derived.csv")])
+    assert (code, err.getvalue()) == (1, f"error: {path}:{line}: {message}\n")
 
 
 # ----- errors past the first block ------------------------------------------------------
 
-def _census_text(n, blank_every=0):
-    """A header and ``n`` distinct census rows, with a blank line after every ``blank_every``-th."""
-    lines = ["metric,year,region,sex,age,count"]
-    for i in range(n):
-        lines.append(f"P,{2000 + i // 200},AT-{1 + i // 100 % 2},{'mf'[i % 2]},{i % 100},{i}")
-        if blank_every and i % blank_every == blank_every - 1:
-            lines.append("")
-    return lines
+def _census_text(n):
+    """A header and ``n`` distinct census rows."""
+    return ["metric,year,region,sex,age,count"] + [
+        f"P,{2000 + i // 200},AT-{1 + i // 100 % 2},{'mf'[i % 2]},{i % 100},{i}" for i in range(n)]
 
 
 def _write(path, lines):
@@ -130,16 +85,24 @@ def _write(path, lines):
 
 
 def test_an_error_past_the_first_block_names_its_line(tmp_path):
-    lines = _census_text(3000, blank_every=7)
-    # a quoted field spanning two lines before the error, so line and row part ways; no
-    # census column takes a line end, so the labels are read as text
-    lines[1] = lines[1].replace(",AT-1,", ',"AT-1\n",', 1)
-    bad = next(k for k in range(2500, len(lines)) if lines[k])
-    lines[bad] = lines[bad].rsplit(",", 1)[0] + ",-4"
-    path = _write(tmp_path / "census.csv", lines)
-    with pytest.raises(InputError, match=rf"census\.csv:{bad + 2}: .*negative count"):
-        files.read_columns(path, CENSUS_CSV_HEADER, (str,) * 5 + (files.number,),
-                           check=lambda count: (count < 0, "negative count"))
+    lines = _census_text(3000)
+    lines[2500] = lines[2500].rsplit(",", 1)[0] + ",-4"
+    lines.insert(2700, "")  # a blank line after the failing row leaves the row reported
+
+    def read():
+        return files.read_columns(_write(tmp_path / "census.csv", lines), CENSUS_CSV_HEADER,
+                                  (str,) * 5 + (files.number,),
+                                  check=lambda count: (count < 0, "negative count"))
+
+    with pytest.raises(InputError, match=r"census\.csv:2501: .*negative count"):
+        read()
+    # a blank line or a quoted field before it is reported instead, at its line
+    lines.insert(2100, "")
+    with pytest.raises(InputError, match=r"census\.csv:2101: blank line$"):
+        read()
+    lines[1500] = lines[1500].replace(",AT-1,", ',"AT-1",')
+    with pytest.raises(InputError, match=r"census\.csv:1501: line holds a quote$"):
+        read()
 
 
 def test_the_earlier_of_two_failing_rows_is_reported(tmp_path):
@@ -192,7 +155,7 @@ def test_a_short_row_past_the_first_block_names_its_line(tmp_path):
 
 
 def test_a_large_census_reads_as_recorded(tmp_path):
-    lines = _census_text(3000, blank_every=11)
+    lines = _census_text(3000)
     census = SyntheticCensus.from_csv(_write(tmp_path / "census.csv", lines))
     assert census.get("P", 2014, "AT-2", "m", 98) == 2998
     assert sum(1 for _ in census.items("P")) == 3000
@@ -216,19 +179,32 @@ def test_keys_stay_distinct_when_their_codes_overflow_int64(tmp_path):
                            (str,) * 5 + (files.number,), key=range(5))
 
 
-def test_an_overlong_field_is_unreadable_as_csv_reader_finds_it(tmp_path):
-    lines = _census_text(3)
-    lines[1] = lines[1].replace(",m,", f",{'m' * (csv.field_size_limit() + 1)},", 1)
-    with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: field larger"):
-        SyntheticCensus.from_csv(_write(tmp_path / "census.csv", lines))
+def test_an_overlong_line_ends_the_read_at_its_line(tmp_path):
+    # the line's field would have a key matrix of LINE_LIMIT / 8 words by the block's
+    # 200 rows, 26 MB, and its column's copy as bytes as much again
+    lines = _census_text(200)
+    lines[150] = lines[150].replace(",f,", f",{'f' * files.LINE_LIMIT},", 1)
+    path = _write(tmp_path / "census.csv", lines)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=rf"census\.csv:151: line longer than "
+                                             rf"{files.LINE_LIMIT} bytes$"):
+            SyntheticCensus.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # a line of LINE_LIMIT bytes before its line feed, its CR included, is read
+    lines = ["h,v", "a" * (files.LINE_LIMIT - 3) + ",1\r", "b,2"]
+    table = files.read_columns(_write(tmp_path / "t.csv", lines), "hv", (str, files.number))
+    assert table.size == 2 and len(table.labels[0][0]) == files.LINE_LIMIT - 3
 
 
-@pytest.mark.parametrize("quoted", [False, True])  # read by str.split or by csv.reader
+@pytest.mark.parametrize("quoted", [False, True])  # a line with a quote, else an overlong one
 def test_rows_before_an_unreadable_one_are_checked_first(tmp_path, quoted):
     lines = _census_text(20)
-    if quoted:
-        lines[1] = lines[1].replace(",m,", ',"m",', 1)
-    lines[12] = lines[12].replace(",f,", f",{'f' * (csv.field_size_limit() + 1)},", 1)
+    lines[12] = (lines[12].replace(",f,", ',"f",', 1) if quoted else
+                 lines[12].replace(",f,", f",{'f' * (files.LINE_LIMIT + 1)},", 1))
     lines[3] = lines[3].rsplit(",", 1)[0] + ",-1"
     path = _write(tmp_path / "census.csv", lines)
     with pytest.raises(InputError, match=r"census\.csv:4: .*negative count"):
@@ -239,53 +215,51 @@ def test_rows_before_an_unreadable_one_are_checked_first(tmp_path, quoted):
         SyntheticCensus.from_csv(path)
     lines[3] = "P,2020,AT-1,m,1,1"
     path = _write(tmp_path / "census.csv", lines)
-    with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: field larger"):
+    with pytest.raises(InputError, match=r"census\.csv:13: line (holds a quote|longer than)"):
         SyntheticCensus.from_csv(path)
 
 
-@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("quoted", [False, True])  # a quote, else a byte that does not decode
 def test_rows_before_undecodable_text_are_checked_first(tmp_path, quoted):
-    # the bad byte lies past the first chunk the text layer decodes, within the first block
     lines = _census_text(900)
-    if quoted:
-        lines[1] = lines[1].replace(",m,", ',"m",', 1)
     lines[3] = lines[3].rsplit(",", 1)[0] + ",-1"
     path = tmp_path / "census.csv"
-    data = "\n".join(lines).encode()
-    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
+
+    def write():
+        data = "\n".join(lines).encode()
+        path.write_bytes(data[:-100] + (b'"' if quoted else b"\xff") + data[-100:])
+        return data[:-100].count(b"\n") + 1  # the line of the byte
+
+    write()
     with pytest.raises(InputError, match=r"census\.csv:4: .*negative count"):
         SyntheticCensus.from_csv(path)
     lines[3] = "P,2020,AT-1,m,1,1"
-    data = "\n".join(lines).encode()
-    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
-    with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: .*decode"):
+    line = write()
+    with pytest.raises(InputError, match=rf"census\.csv:{line}: line holds a "
+                                         rf"{'quote' if quoted else 'non-ASCII byte'}$"):
         SyntheticCensus.from_csv(path)
 
 
 def test_undecodable_text_at_a_block_start_is_unreadable(tmp_path):
     lines = _census_text(900)
-    data = "\n".join(lines).encode()
+    lines[301] = "\udcff" + lines[301]  # the first line of the fourth block of 100 rows
     path = tmp_path / "census.csv"
-    path.write_bytes(data[:-100] + b"\xff" + data[-100:])
-    decoded = []
-    with open(path, newline="") as fh, pytest.raises(UnicodeDecodeError):
-        decoded.extend(fh)
-    # the first block ends where decoding fails: the next one starts with the failure
-    with mock.patch.object(files, "BLOCK_ROWS", len(decoded) - 1):
-        with pytest.raises(InputError, match=r"census\.csv: unreadable as CSV text: .*decode"):
+    path.write_bytes("\n".join(lines).encode(errors="surrogateescape"))
+    with mock.patch.object(files, "BLOCK_ROWS", 100):
+        with pytest.raises(InputError, match=r"census\.csv:302: line holds a non-ASCII byte$"):
             SyntheticCensus.from_csv(path)
 
 
-def test_a_nul_is_read_as_csv_reader_reads_it(tmp_path):
+def test_a_nul_ends_the_read_at_its_line(tmp_path):
     lines = _census_text(3)
     lines[2] = lines[2].replace(",f,1,", ",f,1\0,", 1)
     path = _write(tmp_path / "census.csv", lines)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[2][4] == "1\0"
-    # the census reader rejects the age; a column parsed as text keeps it as read
-    table = files.read_columns(path, CENSUS_CSV_HEADER, (str,) * 5 + (files.number,))
-    assert "1\0" in table.labels[4]
+    assert rows[2][4] == "1\0"  # which csv.reader reads as a field
+    # a column parsed as text does not take it either
+    with pytest.raises(InputError, match=r"census\.csv:3: line holds a NUL byte$"):
+        files.read_columns(path, CENSUS_CSV_HEADER, (str,) * 5 + (files.number,))
 
 
 def test_labels_are_parsed_once_per_distinct_text(tmp_path):
@@ -330,22 +304,34 @@ def test_values_are_parsed_once_per_distinct_text_per_block(tmp_path):
                 files.read_columns(path, ("label", "value"), (str, files.number))
 
 
-# ----- the byte path reads what csv.reader alone reads ----------------------------------
+# ----- the byte path reads what csv.reader reads, in the dialect -----------------------
 
 SIZES = (0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 31, 33)  # field lengths around 8-byte words
 NUMBERS = ("0", "-0.0", "0.0", "3", "1e-05", "0.1234567890123456", "-12345678.25", "1_0",
            "1e999", "ab")
-NOT_PLAIN = ("quote", "lone cr", "blank line", "nul", "non-ascii", "undecodable", "width",
-             "widths", "overlong", "header")
+NOT_PLAIN = ("quote", "lone cr", "cr end", "blank line", "blank end", "nul", "non-ascii",
+             "undecodable", "wide", "narrow", "widths", "overlong", "header")
+REASONS = {"quote": "line holds a quote", "header": "line holds a quote",
+           "lone cr": "line holds a CR not before its line feed",
+           "cr end": "line holds a CR not before its line feed",
+           "nul": "line holds a NUL byte", "non-ascii": "line holds a non-ASCII byte",
+           "undecodable": "line holds a non-ASCII byte"}
+
+
+def _body(line: str) -> str:
+    """``line`` without its line end."""
+    return line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
 
 
 @st.composite
 def byte_tables(draw):
-    """A header and rows over a few distinct fields per column (a value column last,
-    maybe), "\\n" or "\\r\\n" line ends, maybe no final one, and maybe one line made
-    not plain; the width, whether there is a value column and the field size limit."""
+    """A header and data lines over a few distinct fields per column (a value column
+    last, maybe), "\\n" or "\\r\\n" line ends, maybe no final one, and maybe one line
+    made not a row of the dialect by ``kind``; the width, whether there is a value
+    column, the line limit, the kind and the index of the line it damaged (-1: the
+    header)."""
     width, values = draw(st.integers(1, 3)), draw(st.booleans())
-    limit = draw(st.sampled_from([72, csv.field_size_limit()]))  # some plain lines exceed 72
+    limit = draw(st.sampled_from([72, files.LINE_LIMIT]))  # some plain lines exceed 72
     base = draw(st.text("ab -", min_size=SIZES[-1], max_size=SIZES[-1]))
     fields = st.sampled_from(SIZES).flatmap(lambda n: st.text("ab -", min_size=n, max_size=n))
     pools = [draw(st.lists(st.sampled_from(NUMBERS), min_size=1, max_size=4))
@@ -355,26 +341,62 @@ def byte_tables(draw):
              for j in range(width)]
     rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=40))
     lines = [",".join(row) + draw(st.sampled_from(["\n", "\r\n"])) for row in rows]
+    if draw(st.booleans()):
+        lines[-1] = _body(lines[-1])  # no final line end
     kind = draw(st.sampled_from((None, *NOT_PLAIN)))
-    at = 0 if kind == "widths" else draw(st.integers(0, len(lines) - 1))
+    at = draw(st.integers(0, len(lines) - 1))
+    body, end = _body(lines[at]), lines[at][len(_body(lines[at])):]
     head, rest = rows[at][0], lines[at][len(rows[at][0]):]
-    if kind == "widths" and len(lines) > 1:  # as many commas as lines need, not per line
-        lines[1] = lines[1].rpartition(",")[0] + "\n"
-    lines[at] = {None: lines[at], "quote": f'"{head}"{rest}', "nul": f"{head}\0{rest}",
-                 "lone cr": f"{head}\r{rest}", "blank line": "\n" + lines[at],
-                 "non-ascii": f"{head}\u00e9{rest}", "undecodable": f"{head}\udcff{rest}",
-                 "overlong": "a" * limit + "b" + rest,
-                 "header": lines[at]}.get(kind, lines[at].rstrip("\r\n") + ",x\n")  # too wide
+    wide, narrow = body + ",x" + end, body.rpartition(",")[0] + end
+    if kind == "widths" and at + 1 < len(lines):  # the commas two lines need, not per line
+        nxt = _body(lines[at + 1]), lines[at + 1][len(_body(lines[at + 1])):]
+        if draw(st.booleans()) or width == 1:
+            lines[at + 1] = nxt[0].rpartition(",")[0] + nxt[1]
+        else:
+            wide, lines[at + 1] = narrow, nxt[0] + ",x" + nxt[1]
+    elif kind == "cr end":
+        at = len(lines) - 1
+        lines[at] = _body(lines[at]) + "\r"
+    elif kind == "blank end":
+        lines[-1] = _body(lines[-1]) + "\n"
+        at = len(lines)
+    elif kind == "blank line":
+        lines.insert(at, draw(st.sampled_from(["\n", "\r\n"])))
+    lines = lines + ["\n"] if kind == "blank end" else lines
+    lines[at] = {"quote": f'"{head}"{rest}', "nul": f"{head}\0{rest}",
+                 "lone cr": "\r" + lines[at], "non-ascii": f"{head}\u00e9{rest}",
+                 "undecodable": f"{head}\udcff{rest}", "overlong": "a" * limit + "b" + rest,
+                 "wide": wide, "widths": wide, "narrow": narrow}.get(kind, lines[at])
     header = ",".join(f"h{j}" for j in range(width))
-    text = (f'"{header}"' if kind == "header" else header) + "\n" + "".join(lines)
-    return text.rstrip("\r\n") if draw(st.booleans()) else text, width, values, limit
+    if kind == "header":
+        header, at = f'"{header}"', -1
+    return header, lines, width, values, limit, kind, at if kind else None
 
 
-def _read_logged(path, width, values, key):
-    """What ``read_columns`` returns bitwise, or the InputError it raises, and every call
-    of a parser in order."""
-    calls = []
+def _first_fault(lines, width, limit, kind, at):
+    """The index of the first of ``lines`` that is not a row of the dialect, and its
+    message after ``file:line: ``; None if every line is a row."""
+    for i, line in enumerate(lines):
+        if not line:  # a last row of one empty field and no line end is no line
+            continue
+        text = line.encode(errors="surrogateescape").removesuffix(b"\n")
+        if len(text) > limit:
+            return i, f"line longer than {limit} bytes"
+        if not _body(line):
+            return i, "blank line"
+        if i == at:
+            row = _body(line).split(",")
+            if kind not in REASONS and len(row) != width:
+                return i, f"bad row {row!r}: " + (
+                    f"too many values to unpack (expected {width})" if len(row) > width else
+                    f"not enough values to unpack (expected {width}, got {len(row)})")
+            return i, REASONS[kind]
+    return None
 
+
+def _parsers(width, values, calls):
+    """The parsers of a table with ``values`` or not, logging every call in ``calls``:
+    a label is its text stripped, and one ending in "--" is rejected."""
     def label(text):
         calls.append(text)
         if text.endswith("--"):
@@ -386,8 +408,15 @@ def _read_logged(path, width, values, key):
         return parse(text)
 
     parse = files.number
-    with mock.patch.object(files, "number", number):
-        parsers = [label] * (width - values) + [number] * values
+    return [label] * (width - values) + [number] * values
+
+
+def _read_logged(path, width, values, key):
+    """What ``read_columns`` returns bitwise, or the InputError it raises, and every call
+    of a parser in order."""
+    calls = []
+    parsers = _parsers(width, values, calls)
+    with mock.patch.object(files, "number", parsers[-1] if values else files.number):
         try:
             table = files.read_columns(path, [f"h{j}" for j in range(width)], parsers, key=key)
         except InputError as exc:
@@ -396,34 +425,78 @@ def _read_logged(path, width, values, key):
             [codes.view(np.int64).tolist() for codes in table.codes]), calls
 
 
+def _csv_reader_reads(path, text, width, values, key, block_rows):
+    """What ``_read_logged`` should give for ``text``, a header and rows of the dialect,
+    worked out row by row from csv.reader's rows: label texts parsed once per file,
+    value texts once per block, each block's new texts in order of first appearance."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    calls = []
+    parsers, parsed = _parsers(width, values, calls), [{} for _ in range(width)]
+    out, failing = [[] for _ in range(width)], None  # per column, each row's label or error
+    for start in range(0, len(rows), block_rows):
+        block = rows[start:start + block_rows]
+        for j, parse in enumerate(parsers):
+            seen = {} if values and j == width - 1 else parsed[j]
+            for field in dict.fromkeys(row[j] for row in block):
+                if field not in seen:
+                    try:
+                        seen[field] = parse(field)
+                    except ValueError as exc:
+                        seen[field] = exc
+            out[j] += [seen[row[j]] for row in block]
+        failing = next((i for i in range(start, len(out[0]))
+                        if any(isinstance(column[i], Exception) for column in out)), None)
+        if failing is not None:
+            break
+    firsts = {}
+    for i in range(len(rows) if failing is None else failing):
+        labels = tuple(out[j][i] for j in key)
+        if key and firsts.setdefault(labels, i) != i:
+            return f"{path}:{i + 2}: duplicate row for ({','.join(labels)})", calls
+    if failing is not None:
+        error = next(column[failing] for column in out if isinstance(column[failing], Exception))
+        return f"{path}:{failing + 2}: bad row {rows[failing]!r}: {error}", calls
+    labels = [[] if values and j == width - 1 else list(dict.fromkeys(column))
+              for j, column in enumerate(out)]
+    codes = [np.array(column, float).view(np.int64).tolist() if values and j == width - 1 else
+             [labels[j].index(label) for label in column] for j, column in enumerate(out)]
+    return (len(rows), labels, codes), calls
+
+
 @settings(max_examples=600, deadline=None)
 @given(byte_tables(), st.integers(1, 6), st.booleans())
 def test_the_byte_path_reads_what_csv_reader_reads(tmp_path_factory, table, block_rows, keyed):
-    text, width, values, limit = table
+    header, lines, width, values, limit, kind, at = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
+    text = header + "\n" + "".join(lines)
     path.write_bytes(text.encode(errors="surrogateescape"))  # "\\udcff" as the byte 0xff
     key = range(width - values) if keyed else ()
-    saved = csv.field_size_limit(limit)
-    try:
-        with mock.patch.object(files, "BLOCK_ROWS", block_rows):
-            outcome, calls = _read_logged(path, width, values, key)
-            with mock.patch.object(files, "_plain_line", lambda line: False):
-                expected, expected_calls = _read_logged(path, width, values, key)
-    finally:
-        csv.field_size_limit(saved)
-    assert outcome == expected
-    # plain blocks are parsed before an undecodable byte that fails the text layer's
-    # whole chunk, and with it the rows csv.reader would parse
-    assert calls == expected_calls or "\udcff" in text
+    with mock.patch.object(files, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(files, "LINE_LIMIT", limit):
+        outcome = _read_logged(path, width, values, key)
+    if kind == "header":
+        assert outcome == (f"{path}:1: line holds a quote", [])
+        return
+    fault = _first_fault(lines, width, limit, kind, at)
+    # the rows before the first line that is not one are read as a file of their own;
+    # an error among them is reported, else that line
+    before = header + "\n" + "".join(lines[:fault[0]] if fault else lines)
+    expected, calls = _csv_reader_reads(path, before, width, values, key, block_rows)
+    if fault and not isinstance(expected, str):
+        expected = f"{path}:{fault[0] + 2}: {fault[1]}"
+    assert outcome == (expected, calls)
 
 
-def test_a_repeat_read_as_bytes_before_undecodable_text_is_unreadable(tmp_path):
-    # the repeat's block is plain, but its line lies in the text chunk that fails to decode
+def test_a_repeat_before_a_line_outside_the_dialect_is_reported_first(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"h0,h1\na,1\na,1\nb\xff,1\n")
-    with mock.patch.object(files, "BLOCK_ROWS", 2):
-        with pytest.raises(InputError, match=r"t\.csv: unreadable as CSV text: .*decode"):
-            files.read_columns(path, ("h0", "h1"), (str, files.number), key=(0,))
+    for block_rows in (2, 3):  # the repeat in the block before the line, or in its block
+        with mock.patch.object(files, "BLOCK_ROWS", block_rows):
+            with pytest.raises(InputError, match=r"t\.csv:3: duplicate row for \(a\)$"):
+                files.read_columns(path, ("h0", "h1"), (str, files.number), key=(0,))
+    path.write_bytes(b"h0,h1\na,1\nb,1\nb\xff,1\n")
+    with pytest.raises(InputError, match=r"t\.csv:4: line holds a non-ASCII byte$"):
+        files.read_columns(path, ("h0", "h1"), (str, files.number), key=(0,))
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SPECS))
@@ -454,11 +527,12 @@ def test_every_file_the_pipeline_writes_is_read_as_bytes(tmp_path, name):
                "mean": SyntheticCensus.from_csv}
     paths = sorted(set(tmp_path.rglob("*.csv")) - set(marginals))
     assert len(paths) == len(list(inputs.glob("*.csv"))) + spec.ensemble_runs + 3
-    with mock.patch.object(files, "_blocks", wraps=files._blocks) as blocks:
+    # no block takes the search for a line that is not a row: each header alone is checked
+    with mock.patch.object(files, "_fault", wraps=files._fault) as fault:
         for path in paths:
             readers[path.stem.split("_")[0]](path)
         read_marginals_csv(*marginals)
-    assert blocks.call_count == 0
+    assert fault.call_count == len(paths) + len(marginals)
 
 
 # ----- writers render as csv.writer does --------------------------------------------------
@@ -492,7 +566,7 @@ def test_writers_render_rows_as_csv_writer_does(tmp_path):
         [["immigration", *key, immigration.counts[key]] for key in sorted(immigration.counts)])
     assert ImmigrationTable.from_csv(tmp_path / "i.csv").counts == immigration.counts
 
-    labels = ('A"T-1', "A,T-2")  # the tensor and marginals take labels csv must quote
+    labels = ("A T-1", "")  # the tensor and marginals take labels that are no region code
     values = np.random.default_rng(7).random((2, 2, 3))
     tensor = MigrationTensor(labels, (0, 1, 2), values)
     tensor.to_csv(tmp_path / "t.csv")
@@ -513,6 +587,15 @@ def test_writers_render_rows_as_csv_writer_does(tmp_path):
         tmp_path / "emig_ref.csv", ("region", "age", "value"),
         [[r, a, repr(float(marginals.emig_by_age[i, k]))] for i, r in enumerate(labels)
          for k, a in enumerate(marginals.ages)])
+    # a label the dialect cannot hold is rejected by name before the file is opened
+    for label in ('A"T-1', "A,T-2", "AT\r1", "AT\n1", "AT-\u00fc", "AT\x001"):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            MigrationTensor((label, "AT-2"), (0,)).to_csv(tmp_path / "rejected.csv")
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            write_marginals_csv(MarginalSet((label, "AT-2"), (0,), np.ones((2, 2)),
+                                            np.ones((2, 1)), np.ones((2, 1))),
+                                *[tmp_path / "rejected.csv"] * 3)
+        assert not (tmp_path / "rejected.csv").exists()
 
 
 # values repr writes in every form, wholes the census rule writes as integers, and -0.0
@@ -521,7 +604,7 @@ FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 2.0 ** 70, 1e-05, 1
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(['A"T-1', "A,T-2", "AT-3"]), st.integers(0, 3),
+@given(st.lists(st.tuples(st.sampled_from(["A T-1", "", "AT-3"]), st.integers(0, 3),
                           FLOATS), max_size=30),
        st.integers(1, 6), st.sampled_from([repr, files.whole_or_repr]))
 def test_write_columns_writes_what_csv_writer_writes(tmp_path_factory, rows, block_rows, render):
@@ -541,11 +624,24 @@ def test_write_columns_writes_what_csv_writer_writes(tmp_path_factory, rows, blo
     assert table.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
+def test_writers_reject_a_header_field_outside_the_dialect(tmp_path):
+    path = tmp_path / "t.csv"
+    for header in (("a,b", "v"), ('"a"', "v"), ("\u00e9", "v")):
+        with pytest.raises(ValueError, match=re.escape(repr(header[0]))):
+            files.write_columns(path, header, [(["x"], np.zeros(1, np.intp))], [1.0])
+        with pytest.raises(ValueError, match=re.escape(repr(header[0]))):
+            files.write_table(path, header, [("x", "1.0")])
+        assert not path.exists()
+
+
 def test_population_csv_reads_rows_in_file_order(tmp_path):
-    path = _write(tmp_path / "pop.csv", ["region,sex,age,count", "AT-2,m,4,1", "",
+    path = _write(tmp_path / "pop.csv", ["region,sex,age,count", "AT-2,m,4,1",
                                          "AT-1,f,0,0", "AT-2,f,4,3"])
     assert read_population_csv(path) == [("AT-2", "m", 4, 1), ("AT-1", "f", 0, 0),
                                          ("AT-2", "f", 4, 3)]
+    _write(path, ["region,sex,age,count", "AT-2,m,4,1", "", "AT-1,f,0,0"])
+    with pytest.raises(InputError, match=r"pop\.csv:3: blank line$"):
+        read_population_csv(path)
     _write(path, ["region,sex,age,count", "AT-2,m,4,1", "AT-2,x,4,1"])
     with pytest.raises(InputError, match=r"pop\.csv:3: .*sex must be m or f"):
         read_population_csv(path)
@@ -568,6 +664,12 @@ READERS = {
 }
 
 
+def _rejected(text, message):
+    """The error of a file whose line 3 holds ``text``: ``message``, or the dialect's
+    if ``text`` is not ASCII."""
+    return r"table\.csv:3: " + (message if text.isascii() else "line holds a non-ASCII byte$")
+
+
 def _read_with_field(tmp_path, reader, column, text):
     """Read a file of ``reader``'s good row and, on line 3, that row with ``text``
     in ``column``."""
@@ -584,7 +686,7 @@ def _read_with_field(tmp_path, reader, column, text):
     ("census", 1), ("census", 4), ("parameter", 1), ("parameter", 4), ("population", 2),
     ("population", 3), ("tensor", 2), ("emigrants", 1)])
 def test_integer_columns_take_ascii_digits_only(tmp_path, reader, column, text):
-    with pytest.raises(InputError, match=rf"table\.csv:3: bad row .*{re.escape(repr(text))}"):
+    with pytest.raises(InputError, match=_rejected(text, rf"bad row .*{re.escape(repr(text))}")):
         _read_with_field(tmp_path, reader, column, text)
 
 
@@ -592,7 +694,7 @@ def test_integer_columns_take_ascii_digits_only(tmp_path, reader, column, text):
 @pytest.mark.parametrize("reader, column", [
     ("census", 5), ("parameter", 5), ("tensor", 3), ("emigrants", 2)])
 def test_value_columns_take_plain_decimals_only(tmp_path, reader, column, text):
-    with pytest.raises(InputError, match=rf"table\.csv:3: bad row .*{re.escape(repr(text))}"):
+    with pytest.raises(InputError, match=_rejected(text, rf"bad row .*{re.escape(repr(text))}")):
         _read_with_field(tmp_path, reader, column, text)
 
 
@@ -623,6 +725,6 @@ def test_integer_parser():
     ("census", 2), ("parameter", 2), ("population", 0), ("tensor", 0), ("tensor", 1),
     ("emigrants", 0)])
 def test_region_columns_take_only_region_codes(tmp_path, reader, column, code):
-    with pytest.raises(InputError, match=rf"table\.csv:3: .*malformed region code '{code}'"):
+    with pytest.raises(InputError, match=_rejected(code, rf".*malformed region code '{code}'")):
         _read_with_field(tmp_path, reader, column, code)
 

@@ -3,11 +3,15 @@
 One small scenario (2 regions, 150 agents, 2 years) is generated and
 simulated once. Each example copies it, damages one input file of one
 subcommand, runs the subcommand in-process and requires exit code 0, 1 or 2:
-an exception escaping ``cli.main`` fails the test. No mutation can raise a
-count above the original (the replacement values are small or do not parse),
-so an example cannot turn into a large run.
+an exception escaping ``cli.main`` fails the test. A CSV line put outside the
+dialect (a quoted field, a blank line, a non-ASCII byte or a NUL) must end the
+command with exit code 1 and an error naming the file and that line. No
+mutation can raise a count above the original (the replacement values are small
+or do not parse), so an example cannot turn into a large run.
 """
 
+import contextlib
+import io
 import re
 import shutil
 import tempfile
@@ -23,8 +27,11 @@ from popsim.ipf import MigrationTensor, write_marginals_csv
 from popsim.scenario import ScenarioSpec
 
 REPLACEMENTS = ("", "x", "nan", "inf", "-1", "1e400", "AT--1")
+# each of these puts one line of a CSV file outside the dialect
+DIALECT = {"quote field": lambda field: f'"{field}"', "non-ascii": lambda field: field + "\u00e9",
+           "nul": lambda field: field + "\0", "blank line": None}
 MUTATIONS = ("delete line", "duplicate line", "drop column", "add column",
-             "delete header", "replace field")
+             "delete header", "replace field", *DIALECT)
 
 # subcommand -> (its arguments in a scenario copy d, the input files it reads)
 SUBCOMMANDS = {
@@ -79,14 +86,16 @@ def scenario(tmp_path_factory):
     return root
 
 
-def mutate(text: str, mutation: str, line: int, field: int, value: str) -> str:
-    """``text`` with one line or one field of a line damaged; fields are split
-    at commas and at the '=' of a ``key = value`` line."""
+def mutate(text: str, mutation: str, line: int, field: int, value: str) -> tuple[str, int]:
+    """``text`` with one line or one field of a line damaged, and the number of the
+    damaged line; fields are split at commas and at the '=' of a ``key = value`` line."""
     lines = text.splitlines()
     if mutation == "delete header":
-        return "\n".join(lines[1:]) + "\n"
-    i = line % len(lines)
-    if mutation == "delete line":
+        return "\n".join(lines[1:]) + "\n", 1
+    i = line % (len(lines) + (mutation == "blank line"))  # a blank line may end the file
+    if mutation == "blank line":
+        lines.insert(i, "")
+    elif mutation == "delete line":
         del lines[i]
     elif mutation == "duplicate line":
         lines.insert(i, lines[i])
@@ -97,10 +106,12 @@ def mutate(text: str, mutation: str, line: int, field: int, value: str) -> str:
         k = 2 * (field % ((len(pieces) + 1) // 2))
         if mutation == "replace field":
             pieces[k] = value
+        elif mutation in DIALECT:
+            pieces[k] = DIALECT[mutation](pieces[k])
         else:  # drop column: the field and one separator next to it
             del pieces[max(k - 1, 0):k + 1]
         lines[i] = "".join(pieces)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", i + 1
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
@@ -117,6 +128,11 @@ def test_corrupted_input_never_escapes(scenario, command, data):
         d = Path(tmp) / "s"
         shutil.copytree(scenario, d)
         path = d / name
-        path.write_text(mutate(path.read_text(), mutation, line, field, value))
-        code = main(["--quiet", command, *map(str, args(d))])
+        text, damaged = mutate(path.read_text(), mutation, line, field, value)
+        path.write_text(text)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["--quiet", command, *map(str, args(d))])
     assert code in (0, 1, 2)
+    if mutation in DIALECT and path.suffix == ".csv":
+        assert code == 1
+        assert err.getvalue().startswith(f"error: {path}:{damaged}: "), err.getvalue()

@@ -182,6 +182,18 @@ def test_marginals_csv_names_line_of_malformed_region(tmp_path, bad):
         read_marginals_csv(*paths)
 
 
+@pytest.mark.parametrize("bad", range(3))
+def test_marginals_csv_names_line_of_negative_value(tmp_path, bad):
+    paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
+    paths[0].write_text("origin,destination,value\nAT-1,AT-2,1.0\nAT-2,AT-1,1.0\n")
+    paths[1].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\n")
+    paths[2].write_text("region,age,value\nAT-1,0,1.0\nAT-2,0,1.0\n")
+    paths[bad].write_text(paths[bad].read_text().replace(",1.0\n", ",-1.0\n", 2))
+    # the first of two negative rows, at its line; not the file-less marginal check
+    with pytest.raises(InputError, match=rf"{paths[bad].name}:2: bad row .*: negative value$"):
+        read_marginals_csv(*paths)
+
+
 def test_marginals_csv_rejects_duplicate_row(tmp_path):
     paths = [tmp_path / n for n in ("od.csv", "emig.csv", "imm.csv")]
     paths[0].write_text("origin,destination,value\nAT-1,AT-2,1.0\nAT-2,AT-1,1.0\n")
