@@ -380,7 +380,7 @@ def read_settings(path, cls, converters, **given):
     Every field of ``cls`` not in ``given`` is a key; ``converters`` maps a key
     to the function that turns its text into a value, ``str`` by default. A
     repeated key takes its last value, so a line appended to a generated file
-    overrides it. An unknown key, an empty value or a value its converter
+    overrides it. An unknown key, an empty value, a NUL or a value its converter
     rejects is an InputError at ``file:line``; a missing key of a field without
     a default and an InputError ``cls`` raises name the file.
     """
@@ -397,8 +397,8 @@ def read_settings(path, cls, converters, **given):
                 if key not in keys:
                     raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    if not raw:  # no key takes empty text; a path would name the directory
-                        raise ValueError("empty value")
+                    if not raw or "\0" in raw:  # a path would name the directory, or not open
+                        raise ValueError("NUL byte" if raw else "empty value")
                     values[key] = converters.get(key, str)(raw)
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: bad value for {key!r}: "

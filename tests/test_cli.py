@@ -659,6 +659,7 @@ def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
     ("run.conf", "initial_population =", "bad value for 'initial_population': '' (empty value)"),
     ("run.conf", "params_death =", "bad value for 'params_death': '' (empty value)"),
     ("run.conf", "start =", "bad value for 'start': '' (empty value)"),
+    ("run.conf", "params_death = p.csv\0", "bad value for 'params_death': 'p.csv\\x00' (NUL byte)"),
     ("scenario.conf", "regions =", "bad value for 'regions': '' (empty value)"),
     ("scenario.conf", "colour = red", "unknown config key 'colour'"),
     ("scenario.conf", "years = abc", "bad value for 'years': 'abc'"),
