@@ -85,6 +85,9 @@ class StreamArray:
         self.size = 0
         # rows: PCG64 state (high, low) and increment (high, low); a column per lane
         self._words = np.zeros((4, 0), np.uint64)
+        # the seed states of the last id's block, which the next grow goes on with; kept
+        # here, not in a module cache, so that they go with the run that drew them
+        self._last = (-1, None)
 
     def grow(self, n: int) -> None:
         """Add the lanes of the next ``n`` ids."""
@@ -94,10 +97,15 @@ class StreamArray:
             words[:, :self.size] = self._words[:, :self.size]
             self._words = words
         first, skip = divmod(self.size, _BLOCK)
-        seeds = np.concatenate([_block_state(self.master_seed, block) for block in
+        seeds = np.concatenate([self._block(block) for block in
                                 range(first, (size - 1) // _BLOCK + 1)])[skip:skip + n]
         self._words[:, self.size:size] = _pcg64_seeded(seeds.T)
         self.size = size
+
+    def _block(self, block: int) -> np.ndarray:
+        if self._last[0] != block:
+            self._last = block, _block_state(self.master_seed, block)
+        return self._last[1]
 
     def draw(self, lanes: np.ndarray) -> np.ndarray:
         """The next ``random()`` double of each of ``lanes``, which must be
@@ -187,16 +195,13 @@ def _words32(n: int) -> list[int]:
     return words
 
 
-@lru_cache(maxsize=2)
 def _block_state(master_seed: int, block: int) -> np.ndarray:
     """The seed state of ids ``block * _BLOCK`` onwards, one row of four uint64
     words per id, equal to ``SeedSequence((master_seed, 0, id))
-    .generate_state(4, np.uint64)``. Read-only, since the cache shares it."""
+    .generate_state(4, np.uint64)``."""
     low, *high = _words32(block * _BLOCK)  # only the lowest id word varies in a block
-    out = _seed_sequence_state([*_words32(master_seed), _AGENT_TAG,
-                                np.arange(low, low + _BLOCK, dtype=np.uint32), *high])
-    out.flags.writeable = False
-    return out
+    return _seed_sequence_state([*_words32(master_seed), _AGENT_TAG,
+                                 np.arange(low, low + _BLOCK, dtype=np.uint32), *high])
 
 
 def _seed_sequence_state(words) -> np.ndarray:
