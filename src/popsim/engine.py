@@ -10,12 +10,13 @@ Reaching a position X means:
   phase 2  custom messages are delivered into their targets' queues
            (messages for removed agents are dropped and counted), then the
            birth requests are served in (mother id, birth date) order:
-           newborns are created with their Init dated at the birth date and
-           caught up to X;
-  phase 3  immigrants whose entry date has been reached are injected,
-           initialised at their entry date and caught up to X.
+           newborns get their Init dated at the birth date;
+  phase 3  immigrants whose entry date precedes X get their Init dated at
+           their entry date.
 
-Phases 2-3 repeat until quiescent (a caught-up newborn may itself give
+Phases 2-3 are one round: its newborns, then its immigrants, are created
+in one batch, with ids in that order, and caught up to X together. Rounds
+repeat until quiescent (a caught-up newborn or immigrant may itself give
 birth before X), so the world state at X reflects exactly the events dated
 up to X and the census conservation identities hold exactly.
 
@@ -38,10 +39,16 @@ states, and the world stream's draws (initial birthdates, newborn sexes,
 immigrant plans) are batches in the order of the scalar draws they replace.
 
 The census is booked by array position (``SyntheticCensus.record_codes``):
-the records of a macro step are counted per distinct cell with one
-``np.unique``, and a Jan-1 snapshot bincounts the alive lanes per (region,
-sex, age); the world's region codes map to census positions per booking, the
-axes gaining any label they lack. No cell passes through a label dict.
+the records are held until a sync reaches or passes the end of their calendar
+year (or the horizon's end), then counted per distinct cell with one
+``np.unique``, so ``World.census`` shows a year's events only from then on; a
+Jan-1 snapshot bincounts the alive lanes per (region, sex, age). The world's
+region codes map to census positions per booking, the axes gaining any label
+they lack. No cell passes through a label dict.
+
+The life-year probabilities come from one ``ModelParameters.rate_array`` of
+the years being stepped, kept across syncs until those years, the number of
+regions met, or a table (replaced, or edited through ``set_row``) change.
 
 Lanes do not interact in phase 1, so any split of the due lanes gives the
 same result: with ``workers`` > 1 the due lanes are cut into contiguous
@@ -161,8 +168,9 @@ class ModelParameters:
         in ``years``, kinds in DRAWN and sexes in SEXES order, each kind's rows
         stacked once from its table's resolved rows. Ages past a row's last one
         repeat it; a kind without a table, or Birth for men, is 0. The engine
-        reads it once per macro step, so replacing a table in ``tables`` or
-        calling its ``set_row`` takes effect from the next macro step on."""
+        builds it again when a table is replaced in ``tables`` or edited
+        through its ``set_row``, so either takes effect from the next macro
+        step on."""
         rates = np.zeros((len(DRAWN), len(years), len(regions), len(SEXES), n_ages))
         for k, (_, name) in enumerate(DRAW_ORDER["f"]):
             if name in self.tables:
@@ -322,6 +330,7 @@ class World:
         self._immigrant_queue = _Planned(*(np.zeros(0, np.int64),) * 5)
         self._immigrant_cursor = 0
         self._plans_through: int | None = None
+        self._rate_years: tuple | None = None  # first and last year _prepare set up
         self._prepare(step.start)
         self._tensor_rows: np.ndarray | None = None
         self._tensor_regions: np.ndarray | None = None
@@ -377,7 +386,7 @@ class World:
             if region not in self._region_at:
                 self._region_at[region] = len(self._regions)
                 self._regions.append(region)
-                self._rates = self._tensor_rows = None
+                self._rates, self._tensor_rows = (None, None), None
         return np.array([self._region_at[r] for r in regions], np.intp)
 
     def _alive_regions(self) -> list[str]:
@@ -438,12 +447,13 @@ class World:
 
     def _prepare(self, until: date) -> None:
         """Make the life-years starting from the year before the world's date
-        to ``until`` read the parameters as they are now, and ``_years`` read
-        the dates of those years."""
-        self._rate_years = (self.date.year - 1, until.year)
-        self._rates: np.ndarray | None = None
-        self._jan1 = np.array([date(year, 1, 1).toordinal()
-                               for year in range(self.date.year - 1, until.year + 1)])
+        to ``until`` the ones ``_rate_array`` covers, and ``_years`` read the
+        dates of those years."""
+        years = (self.date.year - 1, until.year)
+        if years != self._rate_years:  # the rate array of other years is freed now
+            self._rate_years, self._rates = years, (None, None)
+            self._jan1 = np.array([date(year, 1, 1).toordinal()
+                                   for year in range(years[0], years[1] + 1)])
 
     def _years(self, ordinals) -> np.ndarray:
         """The year of each day ordinal from the prepared years' first Jan 1 on,
@@ -452,13 +462,17 @@ class World:
 
     def _rate_array(self) -> np.ndarray:
         """``ModelParameters.rate_array`` of the prepared years and the world's
-        regions, as wide as the widest table."""
-        if self._rates is None:
+        regions, as wide as the widest table, kept in ``_rates`` with the tables
+        it was built from; built again only when the years, the regions or a
+        table (replaced, or edited through ``set_row``) change."""
+        tables = self.params.tables
+        key = [(kind, table, table.version) for kind, table in tables.items()]
+        if self._rates[0] != key:
             first, last = self._rate_years
-            width = max((table.max_age + 1 for table in self.params.tables.values()),
-                        default=1)
-            self._rates = self.params.rate_array(range(first, last + 1), self._regions, width)
-        return self._rates
+            width = max((table.max_age + 1 for table in tables.values()), default=1)
+            self._rates = key, self.params.rate_array(range(first, last + 1), self._regions,
+                                                      width)
+        return self._rates[1]
 
     def _draw_life_years(self, lanes, start, window, year, scale=None) -> None:
         """Draw the demographic events of the life-years of ``lanes`` that run
@@ -608,10 +622,11 @@ class World:
             for fn in self.listeners:
                 fn(agent, event)
 
-    def _exchange(self, births: list, bound: int) -> list:
-        """Phase 2: deliver the custom messages, then create the newborns of
-        ``births`` in (mother id, birth date) order and catch them up; the birth
-        requests of the newborns are returned."""
+    def _exchange(self, births: list, to: date) -> list:
+        """Phases 2 and 3 as one round: deliver the custom messages, then create
+        the newborns of ``births`` in (mother id, birth date) order followed by
+        the immigrants whose entry date precedes ``to``, and catch them all up to
+        ``to``; the birth requests of the agents created are returned."""
         msgs, self._custom_msgs = self._custom_msgs, []
         for when, target, payload in msgs:
             if target not in self.agents:
@@ -620,17 +635,38 @@ class World:
             queue = self._customs.setdefault(target, [])
             heappush(queue, (max(when, self.date).toordinal(), next(self._custom_seq), payload))
             self._due[_CUSTOM, target] = queue[0][0]
-        if not births:
+        created = []  # (birth, sex, region, creation date) per group
+        if births:
+            mothers, when, regions = (np.concatenate(column) for column in zip(*births))
+            order = np.lexsort((when, mothers))
+            when, regions = when[order], regions[order]
+            # a newborn is male (position 1 in SEXES) below male_fraction
+            sexes = (self._world_rng.random(len(order)) < self.male_fraction).astype(np.int8)
+            created.append((when, sexes, regions, when))
+        immigrants = 0
+        if self.params.immigration is not None:
+            if self._plans_through is None or to.year > self._plans_through:
+                self._plan_immigration(to.year)
+            queue, first = self._immigrant_queue, self._immigrant_cursor
+            # an entry dated exactly on a boundary belongs to the interval that
+            # starts there, like any same-day demographic event
+            stop = first + int(np.searchsorted(queue.entry[first:], to.toordinal()))
+            self._immigrant_cursor, immigrants = stop, stop - first
+            entry, region, sex, age, birth = (column[first:stop] for column in queue)
+            if immigrants:
+                created.append((birth, sex, region,
+                                np.maximum(entry, self.step.start.toordinal())))
+        if not created:
             return []
-        mothers, when, regions = (np.concatenate(column) for column in zip(*births))
-        order = np.lexsort((when, mothers))
-        when, regions = when[order], regions[order]
-        # a newborn is male (position 1 in SEXES) below male_fraction
-        sexes = (self._world_rng.random(len(order)) < self.male_fraction).astype(np.int8)
+        birth, sex, region, at = map(np.concatenate, zip(*created))
         out = _Outbox()
-        newborns = self._create(when, sexes, regions, when, out)
-        self.counters["births"] += len(newborns)
-        return self._collect(self._advance(newborns, bound, out))
+        lanes = self._create(birth, sex, region, at, out)
+        self.counters["births"] += len(lanes) - immigrants
+        self.counters["immigrants"] += immigrants
+        if immigrants:
+            out.records.append((METRIC_INDEX["I"], self._years(at[-immigrants:]),
+                                region[-immigrants:], sex[-immigrants:], age))
+        return self._collect(self._advance(lanes, to.toordinal(), out))
 
     def _plan_immigration(self, through_year: int) -> None:
         table = self.params.immigration
@@ -657,28 +693,6 @@ class World:
         self._immigrant_queue = _Planned(*map(np.concatenate, zip(*planned)))
         self._plans_through = through_year
 
-    def _inject_immigrants(self, to: date) -> list:
-        """Phase 3: create the immigrants whose entry date precedes ``to`` and
-        catch them up; their birth requests are returned."""
-        if self.params.immigration is None:
-            return []
-        if self._plans_through is None or to.year > self._plans_through:
-            self._plan_immigration(to.year)
-        queue, first = self._immigrant_queue, self._immigrant_cursor
-        # an entry dated exactly on a boundary belongs to the interval that
-        # starts there, like any same-day demographic event
-        stop = first + int(np.searchsorted(queue.entry[first:], to.toordinal()))
-        if stop == first:
-            return []
-        self._immigrant_cursor = stop
-        entry, region, sex, age, birth = (column[first:stop] for column in queue)
-        at = np.maximum(entry, self.step.start.toordinal())
-        out = _Outbox()
-        immigrants = self._create(birth, sex, region, at, out)
-        self.counters["immigrants"] += len(immigrants)
-        out.records.append((METRIC_INDEX["I"], self._years(at), region, sex, age))
-        return self._collect(self._advance(immigrants, to.toordinal(), out))
-
     def _flush_records(self) -> None:
         if not self._records:
             return
@@ -699,14 +713,11 @@ class World:
         if to < self.date:
             raise InputError(f"cannot rewind world from {self.date} to {to}")
         self._prepare(to)
-        bound = to.toordinal()
-        births = self._advance_all(bound)
-        while True:
-            births = self._exchange(births, bound)
-            births += self._inject_immigrants(to)
-            if not births and not self._custom_msgs:
-                break
-        self._flush_records()
+        births = self._exchange(self._advance_all(to.toordinal()), to)
+        while births or self._custom_msgs:
+            births = self._exchange(births, to)
+        if to.year != self.date.year or to >= self.step.end:
+            self._flush_records()
         self.date = to
 
     def _pending_events(self, lane: int) -> list[AgentEvent]:
@@ -773,8 +784,9 @@ class World:
                     self.macro_step(when)
                     if when < self.step.end:
                         heappush(queue, (self.step.next_boundary(when), 0))
-                    log.info("macro step to %s: %d agents, %.1f ms", when,
-                             len(self.agents), 1e3 * (time.perf_counter() - t0))
+                    if log.isEnabledFor(logging.INFO):
+                        log.info("macro step to %s: %d agents, %.1f ms", when,
+                                 len(self.agents), 1e3 * (time.perf_counter() - t0))
                 else:
                     self._sync(when)
                     self._record_population(when.year)

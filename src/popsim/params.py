@@ -121,6 +121,7 @@ class ParameterTable:
         self.level: int | None = None
         self.sexes: set[str] = set()
         self._resolved: dict[tuple[int, str, str], np.ndarray] = {}
+        self.version = 0  # bumped by every set_row, so a reader can tell an edit
 
     def set_row(self, year: int, region: str, sex: str, values) -> None:
         arr = np.array(values, dtype=float)
@@ -146,6 +147,7 @@ class ParameterTable:
         self._rows[(year, region, sex)] = arr
         self.sexes.add(sex)
         self._resolved.clear()
+        self.version += 1
 
     def set_constant(self, years: Iterable[int], region_list: Iterable[str],
                      sexes: Iterable[str], values) -> None:

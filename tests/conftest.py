@@ -1,10 +1,16 @@
 import numpy as np
+from hypothesis import settings
 
 from popsim.census import METRIC_INDEX
 from popsim.engine import ModelParameters
 from popsim.ipf import MigrationTensor
 from popsim.params import ParameterTable
 from popsim.scenario import build_initial_population, build_model_parameters, cohort_projection
+
+# the fuzz draws are random per run: a failure prints the @reproduce_failure blob
+# that replays it
+settings.register_profile("popsim", print_blob=True)
+settings.load_profile("popsim")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -82,6 +82,8 @@ CASES = {
     # month steps from mid-month and 10-day steps: Jan-1 snapshots fall inside steps
     "month_steps": lambda: busy(date(2020, 3, 15), date(2023, 1, 1), "month", 1),
     "ten_day_steps": lambda: busy(date(2020, 1, 1), date(2022, 6, 1), "day", 10),
+    # a sync every day: the most macro steps per census year
+    "day_steps": lambda: busy(date(2020, 1, 1), date(2021, 1, 1), "day", 1),
     "feb29_birthdates": feb29,
     "male_fraction_0": lambda: busy(date(2020, 1, 1), date(2023, 1, 1), "year", 1, 0.0),
     "male_fraction_1": lambda: busy(date(2020, 1, 1), date(2023, 1, 1), "year", 1, 1.0),
@@ -92,6 +94,7 @@ DIGESTS = {
     "churn_monthly_seed2": "c87774181f80672a9c958f3a4871a66918282fd8a4013ac00a40c36378f307c0",
     "closed_loop_seed1": "01e18bc78bcbc4c83763643f05533ac05228231b09cf75bf53b5b61c7c80e60b",
     "closed_loop_seed2": "27b62110fa510c2e72143d22cc48e2311fa68c925f3fe6aea87b141344c5a161",
+    "day_steps": "261888349738925e0cc8d8f127341edee6b0eedfadbfd3ea52a3a802ffcd8328",
     "feb29_birthdates": "f5704676e866a5c8fc3767400d11fd22188fa1b0e834b61739f60f5a4e88d915",
     "male_fraction_0": "899f4ebf24a22eab9c4496414c149c3aa6898f9210184e0ddf318bfc9c0f670e",
     "male_fraction_1": "7bdd6026d0204f1f07a7684da9f3166493527e37ff0b89c0921cee26470d915a",

@@ -1,5 +1,6 @@
 """Simulation-layer semantics: macro steps, exchange, immigration, determinism."""
 
+import collections
 import contextlib
 import itertools
 from datetime import date
@@ -386,6 +387,72 @@ def test_replaced_or_edited_table_takes_effect_after_first_draw():
     world.macro_step(date(2020, 10, 1))
     assert births_drawn() == drawn
     assert birthdays_in(date(2020, 7, 1), date(2020, 10, 1)) > 0
+
+
+def _busy_world(step, seed=5):
+    """One region with births, deaths, emigration and immigrants every year of
+    2020-2022, 200 women of 30 and 100 men of 40."""
+    params = constant_parameters(death=0.01, emigration=0.02)
+    params.tables["birth"] = _birth_table(0.3)
+    params.immigration = ImmigrationTable()
+    for year in (2020, 2021, 2022):
+        params.immigration.add(year, "AT-1", "f", 25, 60)
+    world = World(step, params, seed=seed)
+    world.add_initial_population([("AT-1", "f", 30, 200), ("AT-1", "m", 40, 100)])
+    return world
+
+
+def test_rate_array_built_at_most_twice_per_calendar_year(monkeypatch):
+    built = collections.Counter()  # per last year of the life-years it covers
+    rate_array = ModelParameters.rate_array
+
+    def counted(params, years, regions, n_ages):
+        built[years[-1]] += 1
+        return rate_array(params, years, regions, n_ages)
+
+    monkeypatch.setattr(ModelParameters, "rate_array", counted)
+    world = _busy_world(MacroStepConfig(START, date(2022, 1, 1), "month", 1))
+    census = world.run()
+    assert census.total("B", 2021) and census.total("I", 2021)
+    # 24 macro steps and 3 snapshots; the years change twice at each Jan 1: with
+    # the step that reaches it and with the snapshot taken on it
+    assert set(built) == {2020, 2021, 2022} and max(built.values()) <= 2
+
+
+def test_a_rounds_newborns_come_before_its_immigrants():
+    world = _busy_world(year_step(START, date(2023, 1, 1)))
+    rounds = []
+    exchange = world._exchange
+
+    def marked(births, to):
+        rounds.append([])
+        return exchange(births, to)
+
+    world._exchange = marked
+    world.listeners.append(lambda agent, ev: rounds[-1].append(
+        (agent.id, ev.due == agent.birthdate)) if ev.kind == EventKind.INIT else None)
+    world.run()
+    created = [inits for inits in rounds if inits]
+    assert sum(len(inits) for inits in created) == (world.counters["births"]
+                                                    + world.counters["immigrants"])
+    assert sum(any(born for _, born in inits) and not all(born for _, born in inits)
+               for inits in created) == 3  # one round a year creates both
+    for inits in created:
+        ids = [agent_id for agent_id, _ in inits]
+        assert ids == list(range(ids[0], ids[0] + len(ids)))
+        assert sorted(inits, key=lambda init: not init[1]) == inits
+
+
+def test_events_are_booked_once_their_year_ends():
+    world = _busy_world(MacroStepConfig(START, date(2022, 1, 1), "month", 3))
+    world.macro_step(date(2020, 7, 1))
+    assert world.counters["deaths"] and not world.census.total("D", 2020)
+    world.macro_step(date(2021, 1, 1))
+    deaths_2020 = world.census.total("D", 2020)
+    assert deaths_2020 == world.counters["deaths"]
+    world.macro_step(date(2021, 4, 1))
+    world.macro_step(date(2022, 1, 1))  # the end of the horizon
+    assert world.census.total("D", 2021) == world.counters["deaths"] - deaths_2020
 
 
 def test_month_steps_identical_across_workers_and_listener(tmp_path, monkeypatch):
