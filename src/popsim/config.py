@@ -14,11 +14,20 @@ from pathlib import Path
 
 from .engine import MacroStepConfig
 from .errors import InputError
-from .files import integer, read_settings, write_key_values
+from .files import integer, number, read_settings, write_key_values
+
+
+def fraction(text: str) -> float:
+    """``number(text)`` if it lies in [0, 1], as ``male_fraction`` must; else a ValueError."""
+    value = number(text)
+    if not 0 <= value <= 1:
+        raise ValueError("must be in [0, 1]")
+    return value
+
 
 # the keys whose values are not kept as text
 CONVERTERS = {"step_multiplier": integer, "seed": integer, "runs": integer,
-              "workers": integer, "male_fraction": float}
+              "workers": integer, "male_fraction": fraction}
 
 
 @dataclass(kw_only=True)

@@ -78,7 +78,7 @@ from .agents import (DRAW_ORDER, RECORD_METRIC, TERMINAL_KINDS, AgentEvent, Even
 from .census import METRIC_INDEX, METRICS, SyntheticCensus, count_population
 from .errors import CoverageError, InputError
 from .ipf import MigrationTensor
-from .params import KIND_SEXES, PROBABILITY_KINDS, ImmigrationTable, ParameterTable
+from .params import KIND_SEXES, ImmigrationTable, ParameterTable
 from .rng import StreamArray, WorldStream
 
 # World calls none of these three: perfbench's tracer wraps them by their names in
@@ -151,9 +151,7 @@ class ModelParameters:
                  migration_tensor: MigrationTensor | None = None):
         self.tables: dict[str, ParameterTable] = {}
         for kind, table in (tables or {}).items():
-            if kind not in PROBABILITY_KINDS:
-                raise InputError(f"unknown probability kind {kind!r}")
-            if table.kind != kind:
+            if table.kind != kind:  # a table's own kind is a probability kind
                 raise InputError(f"table of kind {table.kind!r} registered as {kind!r}")
             self.tables[kind] = table
         self.immigration = immigration

@@ -6,7 +6,8 @@ starts with exactly the expected header; every data row has exactly its width,
 so data row ``i`` is line ``i + 2``; numbers are finite; no key appears twice.
 Any other line (see ``_fault``) or breach is an InputError naming the file and
 line, which the command line turns into exit code 1. Domain checks (kinds, sexes,
-age coverage, integer counts) stay with the readers that know the domain.
+age coverage, integer counts) stay with the readers that know the domain: a parser
+or check is a pure function of one text or block, a rule across rows checks the columns.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ def read_columns(path, header, parsers, key=(), check=None) -> Columns:
 
     Rows are read as bytes in blocks of BLOCK_ROWS lines and split in numpy (see
     ``_tokens``). ``parsers`` holds one function per column. A label column's
-    parser turns a text into its label and runs once per distinct text, in order
-    of first appearance. The column whose parser is ``number`` holds the values,
-    parsed once per distinct text of a block; ``check(values)``, if given, returns
-    a mask of bad values and why. No two rows may share their labels in the
+    parser turns a text into its label and runs once per distinct text, in no set
+    order, so it must be a pure function of its text; the order of ``labels`` is
+    unspecified too. The column whose parser is ``number`` holds the values,
+    parsed once per distinct text of a block; ``check(values)``, if given, is as
+    pure and returns a mask of bad values and why. Rules across rows are the
+    caller's to check after the read. No two rows may share their labels in the
     ``key`` columns. The first failing row is reported at its first failing
     column, a repeated key at its later copy, and a line that is not a row (see
     ``_fault``) only if no row before it fails, as an InputError naming the line.
@@ -129,8 +132,8 @@ _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's f
 
 def _tokens(buf, end, lines, width):
     """Each column of the block ``buf[:end]``, whose lines end at ``lines``, as
-    (its distinct texts in order of first appearance, each row's position among
-    them); None if a line is not a row of ``width`` fields in the dialect (see ``_fault``).
+    (its distinct texts, in no set order, and each row's position among them); None
+    if a line is not a row of ``width`` fields in the dialect (see ``_fault``).
 
     A field's key is its bytes read as little-endian uint64 words, masked past its
     end: exact, as a field of the dialect holds no NUL. A column of fields of 8 bytes
@@ -166,20 +169,16 @@ def _tokens(buf, end, lines, width):
             columns.append(([keys[:, 0].tobytes().rstrip(b"\0").decode()], np.zeros(n, np.intp)))
             continue
         keys = keys[0] if nwords == 1 else keys.T.copy().view(f"S{8 * nwords}").ravel()
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        texts = distinct[order].view(f"S{8 * nwords}").tolist()
-        columns.append((list(map(bytes.decode, texts)), rank[inverse.ravel()]))
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        texts = distinct.view(f"S{8 * nwords}").tolist()
+        columns.append((list(map(bytes.decode, texts)), inverse.ravel()))
     return columns
 
 
 class Columns:
     """A table of ``size`` rows as ``read_columns`` returns it. Label column
-    ``j`` lists its distinct labels in ``labels[j]``, in order of first
-    appearance, and each row's position in that list in ``codes[j]``;
-    ``values`` holds the value column."""
+    ``j`` lists its distinct labels in ``labels[j]``, in no set order, and each
+    row's position in that list in ``codes[j]``; ``values`` holds the value column."""
 
     def __init__(self, parsers, check):
         self.parsers, self.check, self.size = parsers, check, 0
@@ -191,8 +190,8 @@ class Columns:
 
     def add(self, columns):
         """Add the rows before the first failing row, given per column as its
-        distinct texts in order of first appearance and each row's position among
-        them; ``(index, message)`` of that row, if any."""
+        distinct texts, in no set order, and each row's position among them;
+        ``(index, message)`` of that row, if any."""
         n = len(columns[0][1])
         arrays, bad, checked = [], np.zeros(n, dtype=bool), (np.zeros(n, dtype=bool), None)
         for j, (texts, inverse) in enumerate(columns):
@@ -217,11 +216,12 @@ class Columns:
                 return self.size, f"bad row {row!r}: {checked[1]}"
 
     def _encode(self, j: int, texts) -> np.ndarray:
-        """The code in column ``j`` of each of the distinct ``texts``; a new one is parsed."""
+        """The code in column ``j`` of each of the distinct ``texts``. A new text is parsed
+        once, by a pure parser, and a new label takes the next code: no order is set."""
         codes, index, labels = self._codes[j], self._index[j], self.labels[j]
         try:
             return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
-        except KeyError:  # parse the new texts, in order of first appearance
+        except KeyError:  # parse the new texts
             for text in texts:
                 if text in codes:
                     continue
@@ -400,7 +400,7 @@ def read_settings(path, cls, converters, **given):
                     if not raw or "\0" in raw:  # a path would name the directory, or not open
                         raise ValueError("NUL byte" if raw else "empty value")
                     values[key] = converters.get(key, str)(raw)
-                except ValueError as exc:
+                except (ValueError, InputError) as exc:
                     raise InputError(f"{path}:{lineno}: bad value for {key!r}: "
                                      f"{raw!r} ({exc})") from None
     except UnicodeDecodeError as exc:

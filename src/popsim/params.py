@@ -12,6 +12,10 @@ which corrects for the fact that roughly half of the events recorded at age
 Integer disaggregation uses a Huntington-Hill style priority method
 (priority w / sqrt(n(n+1))), the divisor method classically used for
 apportioning parliament seats.
+
+A table's rules (one region level, sex ``all`` or m/f, no birth row for men)
+are stated once, in ``ParameterTable.set_row``; ``from_csv`` sets each (year,
+region, sex) group in order of first row and reports a breach at that row.
 """
 
 from __future__ import annotations
@@ -111,8 +115,8 @@ class ParameterTable:
     """
 
     def __init__(self, kind: str, max_age: int):
-        if kind not in PROBABILITY_KINDS and kind != IMMIGRATION_KIND:
-            raise InputError(f"unknown parameter kind {kind!r}")
+        if kind not in PROBABILITY_KINDS:
+            raise InputError(f"unknown probability kind {kind!r}")
         if max_age < 0:
             raise InputError(f"max_age {max_age} is negative")
         self.kind = kind
@@ -130,16 +134,14 @@ class ParameterTable:
                 f"row for ({year},{region},{sex}) must cover ages 0..{self.max_age}"
             )
         # written as an in-range test so that NaN fails it
-        if not (np.all(arr >= 0) and (self.kind == IMMIGRATION_KIND or np.all(arr <= 1))):
+        if not (np.all(arr >= 0) and np.all(arr <= 1)):
             raise InputError(f"values out of range for kind {self.kind!r}")
         lvl = regions.level_of(region)
         if self.level is None:
             self.level = lvl
         elif lvl != self.level:
-            raise InputError(
-                f"mixed region levels in {self.kind} table: {region!r} is not "
-                f"{regions.level_name(self.level)}"
-            )
+            raise InputError(f"mixed region levels in {self.kind} table: {region!r} is "
+                             f"{regions.level_name(lvl)}, not {regions.level_name(self.level)}")
         if self.sexes and ("all" in self.sexes) != (sex == "all"):
             raise InputError(f"{self.kind} row ({year},{region},{sex}) mixes sex 'all' with m/f")
         if self.kind == "birth" and sex == "m":
@@ -202,9 +204,8 @@ class ParameterTable:
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
-        cells, kind = _read_param_csv(path)
-        if kind == IMMIGRATION_KIND:
-            raise InputError(f"{path}: use ImmigrationTable.from_csv for immigration counts")
+        cells = _read_param_csv(path, _probability_kind, _sex_or_all, lambda p: (
+            ~((0 <= p) & (p <= 1)), "a probability must lie in [0, 1]"))
         max_age = max(cells.labels[4])
         group, first = cells.groups((1, 2, 3))
         ages = cells.positions(4, range(max_age + 1))
@@ -216,9 +217,12 @@ class ParameterTable:
             raise InputError(f"{path}:{first[short[0]] + 2}: row "
                              f"({','.join(map(str, cells.row(first[short[0]], (1, 2, 3))))}) "
                              f"lacks ages {missing} of 0..{max_age}")
-        table = cls(kind, max_age)
+        table = cls(cells.row(0, (0,))[0], max_age)
         for g, row in enumerate(first.tolist()):
-            table.set_row(*cells.row(row, (1, 2, 3)), rows[g])
+            try:
+                table.set_row(*cells.row(row, (1, 2, 3)), rows[g])
+            except InputError as exc:
+                raise InputError(f"{path}:{row + 2}: {exc}") from None
         return table
 
 
@@ -259,64 +263,52 @@ class ImmigrationTable:
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":
-        cells, kind = _read_param_csv(path)
-        if kind != IMMIGRATION_KIND:
-            raise InputError(f"{path}: expected immigration counts, found kind {kind!r}")
+        cells = _read_param_csv(path, _immigration_kind, _count_sex, lambda n: (
+            (n < 0) | (n != np.trunc(n)), "an immigration count must be a non-negative integer"))
         table = cls()
         table.counts = {key: int(count) for key, count in zip(
             zip(*(cells.column(j) for j in range(1, 5))), cells.values.tolist()) if count}
         return table
 
 
-def _read_param_csv(path):
-    """The file's cells as ``read_columns`` reads them, and its one kind."""
-    kinds = []
-    first_level = []  # (code, level) of the first region of a probability table
-    sexes = []
-
-    def kind(text):
-        if not kinds:
-            if text not in PROBABILITY_KINDS and text != IMMIGRATION_KIND:
-                raise ValueError(f"unknown parameter kind {text!r}")
-            kinds.append(text)
-        elif text != kinds[0]:
-            raise ValueError(f"mixed kinds {kinds[0]!r} and {text!r}")
-        return text
-
-    def region(text):
-        level = regions.level_of(text)
-        if kinds[:1] != [IMMIGRATION_KIND]:
-            if not first_level:
-                first_level.append((text, level))
-            first, first_at = first_level[0]
-            if level != first_at:
-                raise ValueError(f"mixed region levels: {text!r} is {regions.level_name(level)}, "
-                                 f"{first!r} above is {regions.level_name(first_at)}")
-        return text
-
-    def sex(text):
-        if text not in ("m", "f", "all"):
-            raise ValueError("sex must be m, f or all")
-        if text == "all" and kinds[:1] == [IMMIGRATION_KIND]:
-            raise ValueError("immigration counts need sex m or f")
-        if text == "m" and kinds[:1] == ["birth"]:
-            raise ValueError("only women give birth: a birth row's sex is f or all")
-        if sexes and (sexes[0] == "all") != (text == "all"):
-            raise ValueError(f"mixed sexes {sexes[0]!r} and {text!r}")
-        sexes.append(text)
-        return text
-
-    def check(value):
-        if kinds[:1] == [IMMIGRATION_KIND]:
-            return ((value < 0) | (value != np.trunc(value)),
-                    "an immigration count must be a non-negative integer")
-        return ~((0 <= value) & (value <= 1)), "a probability must lie in [0, 1]"
-
-    cells = read_columns(path, PARAM_CSV_HEADER, (kind, integer, region, sex, age, number),
-                         key=range(1, 5), check=check)
-    if not len(cells.values):
+def _read_param_csv(path, kind, sex, check):
+    """The cells of a parameter or immigration file, as ``read_columns`` reads them with
+    the parsers ``kind`` and ``sex`` and the value check ``check``; an InputError if
+    there are none, or at the first row whose kind is not the first row's."""
+    cells = read_columns(path, PARAM_CSV_HEADER, (kind, integer, regions.checked, sex, age,
+                                                  number), key=range(1, 5), check=check)
+    if not cells.size:
         raise InputError(f"{path}: no data rows")
-    return cells, kinds[0]
+    if len(cells.labels[0]) > 1:  # at the first row of another kind than the first's
+        at = int(np.argmax(cells.codes[0] != cells.codes[0][0]))
+        raise InputError(f"{path}:{at + 2}: mixed kinds {cells.row(0, (0,))[0]!r} and "
+                         f"{cells.row(at, (0,))[0]!r}")
+    return cells
+
+
+def _probability_kind(text):
+    if text not in PROBABILITY_KINDS:
+        raise ValueError("immigration counts are not probabilities" if text == IMMIGRATION_KIND
+                         else f"unknown parameter kind {text!r}")
+    return text
+
+
+def _immigration_kind(text):
+    if text != IMMIGRATION_KIND:
+        raise ValueError(f"expected immigration counts, found kind {text!r}")
+    return text
+
+
+def _sex_or_all(text):
+    if text not in ("m", "f", "all"):
+        raise ValueError("sex must be m, f or all")
+    return text
+
+
+def _count_sex(text):
+    if text not in ("m", "f"):
+        raise ValueError("immigration counts need sex m or f")
+    return text
 
 
 def derive_params_from_census(census, kind: str, max_age: int | None = None) -> ParameterTable:

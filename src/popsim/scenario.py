@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .census import METRIC_INDEX, SyntheticCensus
-from .config import RunConfig
+from .config import RunConfig, fraction
 from .engine import SEXES, ModelParameters, check_initial_cells
 from .errors import InputError
 from .files import (age, integer, number, read_columns, read_settings, sex, whole_or_repr,
@@ -146,8 +146,8 @@ class ScenarioSpec:
     def from_file(cls, path) -> "ScenarioSpec":
         converters = {f_.name: parse_profile if f_.name.startswith("p_") else integer
                       for f_ in fields(cls)}
-        converters.update(regions=lambda text: [r.strip() for r in text.split(",") if r.strip()],
-                          male_fraction=float)
+        converters.update(regions=lambda text: [checked(r.strip()) for r in text.split(",")
+                                                if r.strip()], male_fraction=fraction)
         return read_settings(path, cls, converters)
 
 

@@ -364,6 +364,17 @@ def _simulate(scen, tmp_path, *extra):
                  "--out-dir", str(tmp_path / "runs"), *extra])
 
 
+@pytest.mark.parametrize("key, other", [("params_death", "immigration"),
+                                        ("immigration", "params_death")])
+def test_simulate_names_line_2_of_a_table_of_the_wrong_kind(tmp_path, capsys, key, other):
+    scen = _tiny_scenario(tmp_path)
+    settings = dict(line.split(" = ") for line in (scen / "run.conf").read_text().splitlines())
+    settings[key] = name = settings[other]
+    (scen / "run.conf").write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert _simulate(scen, tmp_path) == 1
+    assert capsys.readouterr().err.startswith(f"error: {scen / name}:2: bad row ")
+
+
 def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
     scen = _tiny_scenario(tmp_path)
     path = scen / "initial_population.csv"
@@ -667,7 +678,17 @@ def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
     ("run.conf", "runs = 1_0", "bad value for 'runs': '1_0'"),
     ("run.conf", "seed = \u0663", "bad value for 'seed': '\u0663'"),
     ("scenario.conf", "years = 1_0", "bad value for 'years': '1_0'"),
-    ("scenario.conf", "p_death = \u0663:0.1", "bad value for 'p_death': '\u0663:0.1'")])
+    ("scenario.conf", "p_death = \u0663:0.1", "bad value for 'p_death': '\u0663:0.1'"),
+    ("run.conf", "male_fraction = +0.5", "bad value for 'male_fraction': '+0.5' (not a plain"),
+    ("run.conf", "male_fraction = 0.5_0", "bad value for 'male_fraction': '0.5_0' (not a plain"),
+    ("run.conf", "male_fraction = nan", "bad value for 'male_fraction': 'nan' (not a finite"),
+    ("run.conf", "male_fraction = 1_0", "bad value for 'male_fraction': '1_0' (not a plain"),
+    ("run.conf", "male_fraction = 1.5", "bad value for 'male_fraction': '1.5' (must be in [0, 1])"),
+    ("scenario.conf", "male_fraction = .5", "bad value for 'male_fraction': '.5' (not a plain"),
+    ("scenario.conf", "male_fraction = -0.1",
+     "bad value for 'male_fraction': '-0.1' (must be in [0, 1])"),
+    ("scenario.conf", "regions = AT-1, AT-1-",
+     "bad value for 'regions': 'AT-1, AT-1-' (malformed region code 'AT-1-')")])
 def test_settings_errors_name_file_and_line(tmp_path, capsys, name, line, message):
     path = tmp_path / name
     first = "initial_population = init.csv" if name == "run.conf" else "years = 2"

@@ -284,6 +284,22 @@ def test_dropped_message_for_removed_agent():
     assert 1 not in world.agents
 
 
+def test_death_cancels_a_pending_custom_event():
+    params = constant_parameters(death=0.0)
+    world = World(year_step(START, date(2023, 1, 1)), params, seed=41)
+    _add_agents(world, (date(1990, 5, 5), "m", "AT-1"), (date(1991, 6, 6), "f", "AT-1"))
+    world.send_event(0, 1, date(2021, 7, 1), payload="ping")
+    seen = []
+    world.listeners.append(lambda a, ev: seen.append(ev) if ev.kind == EventKind.CUSTOM else None)
+    world.macro_step(date(2021, 1, 1))
+    assert 1 in world._customs  # delivered, and due after the death forced below
+    world._due[engine._COLUMN[EventKind.DEATH], 1] = date(2021, 3, 1).toordinal()
+    world.macro_step(date(2022, 1, 1))
+    world.macro_step(date(2023, 1, 1))
+    assert 1 not in world.agents and 1 not in world._customs
+    assert not seen and world.dropped_messages == 0
+
+
 def test_cross_agent_event_delivered_next_step():
     params = constant_parameters(death=0.0)
     world = World(year_step(START, date(2023, 1, 1)), params, seed=43)

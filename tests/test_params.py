@@ -2,16 +2,18 @@
 lookup with regional fallback."""
 
 import math
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from popsim.census import SyntheticCensus
+from popsim.engine import ModelParameters
 from popsim.errors import CoverageError, InputError
-from popsim.params import (ImmigrationTable, ParameterTable, apportion_integer,
+from popsim.params import (PROBABILITY_KINDS, ImmigrationTable, ParameterTable, apportion_integer,
                            derive_params_from_census, farr_probability)
 
 from conftest import book_population
@@ -451,8 +453,8 @@ def test_param_csv_names_line_of_malformed_region(tmp_path):
 def test_param_csv_names_line_of_mixed_region_levels(tmp_path):
     path = _write_param_rows(tmp_path / "mixed.csv", [("death", 2020, "AT-1", "all", 0, 0.01),
                                                       ("death", 2020, "AT-1-01", "all", 0, 0.01)])
-    with pytest.raises(InputError, match=r"mixed\.csv:3: .*mixed region levels: 'AT-1-01' "
-                                         r"is district, 'AT-1' above is federal-state"):
+    with pytest.raises(InputError, match=r"mixed\.csv:3: mixed region levels in death table: "
+                                         r"'AT-1-01' is district, not federal-state$"):
         ParameterTable.from_csv(path)
 
 
@@ -486,7 +488,8 @@ def test_set_row_rejects_mixing_all_with_sex_rows():
 def test_param_csv_names_line_of_mixed_sexes(tmp_path, first, later):
     rows = [("death", 2020, "AT-1", sex, a, 0.1) for sex in (first, later) for a in range(2)]
     path = _write_param_rows(tmp_path / "sexes.csv", rows)
-    with pytest.raises(InputError, match=rf"sexes\.csv:4: .*mixed sexes '{first}' and '{later}'"):
+    with pytest.raises(InputError, match=rf"sexes\.csv:4: death row \(2020,AT-1,{later}\) "
+                                         r"mixes sex 'all' with m/f$"):
         ParameterTable.from_csv(path)
 
 
@@ -520,3 +523,87 @@ def test_param_csv_names_line_of_male_birth_row(tmp_path):
     path = _write_param_rows(tmp_path / "birth_all.csv",
                              [("birth", 2020, "AT-1", "all", a, 0.1) for a in range(2)])
     assert ParameterTable.from_csv(path).lookup(2020, "AT-1", "f", 1) == 0.1
+
+
+def test_parameter_tables_hold_only_probability_kinds(tmp_path):
+    with pytest.raises(InputError, match="unknown probability kind 'immigration'"):
+        ParameterTable("immigration", 3)
+    with pytest.raises(InputError, match="registered as 'immigration'"):
+        ModelParameters({"immigration": ParameterTable("death", 3)})
+    with pytest.raises(InputError, match="cannot derive parameters of kind 'immigration'"):
+        derive_params_from_census(SyntheticCensus(), "immigration")
+    counts = _write_param_rows(tmp_path / "imm.csv", [("immigration", 2020, "AT-1", "m", 0, 2)])
+    with pytest.raises(InputError, match=r"imm\.csv:2: .*immigration counts are not probabilities"):
+        ParameterTable.from_csv(counts)
+    rates = _write_param_rows(tmp_path / "death.csv", [("death", 2020, "AT-1", "m", 0, 0.1)])
+    with pytest.raises(InputError, match=r"death\.csv:2: .*expected immigration counts, "
+                                         r"found kind 'death'"):
+        ImmigrationTable.from_csv(rates)
+
+
+def test_param_csv_names_line_of_mixed_kinds(tmp_path):
+    rows = [(kind, year, "AT-1", "all", a, 0.1)
+            for kind, year in (("death", 2020), ("emigration", 2021)) for a in range(2)]
+    path = _write_param_rows(tmp_path / "kinds.csv", rows)
+    with pytest.raises(InputError, match=r"kinds\.csv:4: mixed kinds 'death' and 'emigration'$"):
+        ParameterTable.from_csv(path)
+
+
+# regions of one level each; a code of the next level breaks a table of them
+LEVEL_REGIONS = (["AT"], ["AT-1", "AT-2", "AT-3"], ["AT-1-01", "AT-1-02", "AT-2-01"])
+
+
+@st.composite
+def broken_param_files(draw):
+    """The rows of a valid probability-table file in random order, with one rule broken
+    in one (year, region, sex) group, and the index of that group's first row."""
+    kind = draw(st.sampled_from(PROBABILITY_KINDS))
+    level = draw(st.integers(0, 2))
+    years = draw(st.lists(st.integers(2019, 2031), min_size=1, max_size=3, unique=True))
+    regions = draw(st.lists(st.sampled_from(LEVEL_REGIONS[level]), min_size=1, max_size=3,
+                            unique=True))
+    sexes = draw(st.sampled_from([("all",), ("f",)] if kind == "birth" else [("all",), ("m", "f")]))
+    groups = list(product(years, regions, sexes))
+    ages = range(draw(st.integers(2, 4)))
+    rows = draw(st.permutations([[kind, *group, a, 0.1] for group in groups for a in ages]))
+    rule = draw(st.sampled_from(["level", "sex", "kind"] + ["male birth"] * (kind == "birth")))
+    # the group of the first row sets the table's level, sexes and kind, so another one
+    # breaks them; a male birth row breaks the table wherever it is
+    broken = [g for g in groups if rule == "male birth" or g != tuple(rows[0][1:4])]
+    assume(broken)
+    group = draw(st.sampled_from(broken))
+    at = [i for i, row in enumerate(rows) if tuple(row[1:4]) == group]
+    for i in at:
+        if rule == "level":
+            rows[i][2] = LEVEL_REGIONS[(level + 1) % 3][0]
+        elif rule == "sex":
+            rows[i][3] = {"all": "f" if kind == "birth" else "m", "m": "all", "f": "all"}[rows[i][3]]
+        elif rule == "kind":
+            rows[i][0] = next(other for other in PROBABILITY_KINDS if other != kind)
+        else:
+            rows[i][3] = "m"
+    return rows, at[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(broken_param_files())
+def test_a_broken_table_rule_is_reported_at_its_groups_first_row(tmp_path_factory, case):
+    rows, first = case
+    path = _write_param_rows(tmp_path_factory.mktemp("params") / "p.csv", rows)
+    with pytest.raises(InputError) as caught:
+        ParameterTable.from_csv(path)
+    assert str(caught.value).startswith(f"{path}:{first + 2}: ")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(2019, 2021), st.sampled_from(["AT-1", "AT-2-01"]),
+                          st.sampled_from("mf"), st.integers(0, 3)), min_size=1, max_size=12,
+                unique=True), st.data())
+def test_an_immigration_row_of_sex_all_is_reported_at_its_line(tmp_path_factory, keys, data):
+    rows = [["immigration", *key, 2] for key in keys]
+    at = data.draw(st.integers(0, len(rows) - 1))
+    rows[at][3] = "all"
+    path = _write_param_rows(tmp_path_factory.mktemp("imm") / "imm.csv", rows)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:{at + 2}: .*immigration "
+                                         "counts need sex m or f"):
+        ImmigrationTable.from_csv(path)
