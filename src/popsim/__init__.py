@@ -17,7 +17,7 @@ from .errors import (ConvergenceError, CoverageError, FeasibilityError,
 from .ipf import MarginalSet, MigrationTensor, ipf_3d, marginal_residual
 from .params import (ImmigrationTable, ParameterTable, apportion_integer,
                      derive_params_from_census, farr_probability)
-from .rng import agent_stream, substream, world_stream
+from .rng import agent_stream
 from .scenario import (ScenarioSpec, cohort_projection, generate_scenario_files,
                        profile_to_array)
 from .validation import (DeviationReport, ReportRow, deviation_extrema,
@@ -35,7 +35,7 @@ __all__ = [
     "MarginalSet", "MigrationTensor", "ipf_3d", "marginal_residual",
     "ImmigrationTable", "ParameterTable", "apportion_integer",
     "derive_params_from_census", "farr_probability",
-    "agent_stream", "substream", "world_stream",
+    "agent_stream",
     "ScenarioSpec", "cohort_projection", "generate_scenario_files",
     "profile_to_array",
     "DeviationReport", "ReportRow", "deviation_extrema", "deviation_report",

@@ -15,22 +15,9 @@ from datetime import date
 
 import numpy as np
 
-__all__ = ["anniversary_in_year", "shift_years", "add_months", "ymd", "anniversaries",
-           "birthdate_windows"]
+__all__ = ["add_months", "ymd", "anniversaries", "birthdate_windows"]
 
 _EPOCH = date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
-
-
-def anniversary_in_year(birthdate: date, year: int) -> date:
-    """The observed anniversary of ``birthdate`` within ``year``."""
-    if birthdate.month == 2 and birthdate.day == 29 and not _cal.isleap(year):
-        return date(year, 2, 28)
-    return date(year, birthdate.month, birthdate.day)
-
-
-def shift_years(d: date, years: int) -> date:
-    """``d`` moved by whole calendar years, Feb 29 collapsing to Feb 28."""
-    return anniversary_in_year(d, d.year + years)
 
 
 def add_months(d: date, months: int) -> date:
@@ -42,7 +29,7 @@ def add_months(d: date, months: int) -> date:
     return date(year, month, day)
 
 
-# ----- the same rules on arrays of day ordinals -----------------------------------
+# ----- the birthday rules on arrays of day ordinals -----------------------------
 
 def ymd(ordinals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Year, month and day of each day ordinal."""
@@ -65,7 +52,7 @@ def _is_leap(years) -> np.ndarray:
 
 def anniversaries(months, days, years) -> np.ndarray:
     """Ordinal of the observed anniversary of a (month, day) birthdate within
-    each year, as ``anniversary_in_year``."""
+    each year: that month and day, but Feb 28 for Feb 29 in a year without it."""
     feb29 = (months == 2) & (days == 29) & ~_is_leap(years)
     return _ordinals(years, months, days - feb29)
 

@@ -131,8 +131,9 @@ class MacroStepConfig:
             nxt = d + timedelta(days=self.multiplier)
         elif self.unit == "month":
             nxt = dates.add_months(d, self.multiplier)
-        else:
-            nxt = dates.shift_years(d, self.multiplier)
+        else:  # the anniversary of d's month and day ``multiplier`` years on
+            nxt = date.fromordinal(int(dates.anniversaries(
+                *np.array([d.month, d.day, d.year + self.multiplier]))))
         return min(nxt, self.end)
 
 

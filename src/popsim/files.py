@@ -340,15 +340,8 @@ def _line(fields, end="\r\n") -> str:
     return ",".join(fields) + end
 
 
-def write_table(path, header, rows) -> None:
-    """``header`` and ``rows``, each a sequence of fields, as lines of the dialect."""
-    text = "".join(map(_line, [header, *rows]))
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def write_columns(path, header, columns, values, render=repr) -> None:
-    """``write_table`` of ``header`` and a row per entry of ``values``: the label
+    """``header`` and a row per entry of ``values``, as lines of the dialect: the label
     columns, each given as its distinct labels and each row's position among them,
     then ``render`` of the value. A label the dialect cannot hold is a ValueError
     raised before the file is opened. Rows are joined and written BLOCK_ROWS at a

@@ -142,6 +142,8 @@ class ParameterTable:
         elif lvl != self.level:
             raise InputError(f"mixed region levels in {self.kind} table: {region!r} is "
                              f"{regions.level_name(lvl)}, not {regions.level_name(self.level)}")
+        if sex not in ("m", "f", "all"):
+            raise InputError(f"{self.kind} row ({year},{region},{sex}): sex must be m, f or all")
         if self.sexes and ("all" in self.sexes) != (sex == "all"):
             raise InputError(f"{self.kind} row ({year},{region},{sex}) mixes sex 'all' with m/f")
         if self.kind == "birth" and sex == "m":
@@ -204,7 +206,7 @@ class ParameterTable:
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
-        cells = _read_param_csv(path, _probability_kind, _sex_or_all, lambda p: (
+        cells = _read_param_csv(path, _probability_kind, str, lambda p: (
             ~((0 <= p) & (p <= 1)), "a probability must lie in [0, 1]"))
         max_age = max(cells.labels[4])
         group, first = cells.groups((1, 2, 3))
@@ -296,12 +298,6 @@ def _probability_kind(text):
 def _immigration_kind(text):
     if text != IMMIGRATION_KIND:
         raise ValueError(f"expected immigration counts, found kind {text!r}")
-    return text
-
-
-def _sex_or_all(text):
-    if text not in ("m", "f", "all"):
-        raise ValueError("sex must be m, f or all")
     return text
 
 

@@ -4,11 +4,10 @@ Every agent owns an independent stream derived from ``(master_seed, agent id)``
 so that per-agent draw sequences do not depend on scheduling or worker count.
 World-level draws (initial birthdates, newborn sex, immigrant attributes) use
 a single reserved stream consumed only in the engine's sequential phases.
-Their references are numpy's generators ``agent_stream(master_seed, agent_id)``,
-``substream(master_seed, 0, agent_id)``, and ``world_stream(master_seed)``,
-``substream(master_seed, 1)``; the engine draws the same numbers without
-``numpy.random``, a ``StreamArray`` holding many agents' streams as columns
-and a ``WorldStream`` the world stream.
+Their references are numpy's generators seeded by ``SeedSequence`` with the
+keys ``(master_seed, 0, agent_id)`` (``agent_stream``) and ``(master_seed, 1)``;
+the engine draws the same numbers without ``numpy.random``, a ``StreamArray``
+holding many agents' streams as columns and a ``WorldStream`` the world stream.
 
 ``SeedSequence`` splits its entropy into 32-bit words (seed words, the tag
 word, any id words), hashes them into a pool of four words (``mix_entropy``),
@@ -60,20 +59,11 @@ _U0, _U1, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (0, 1, 11, 32, 58, 63)
 _DOUBLE_UNIT = 2.0 ** -53
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for ``(master_seed, *key)``; same key, same draws."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
-
-
 def agent_stream(master_seed: int, agent_id: int) -> np.random.Generator:
-    """The stream of agent ``agent_id``: ``substream(master_seed, 0, agent_id)``,
-    numpy's own ``SeedSequence`` seeding of that key, whose draws lane
-    ``agent_id`` of a ``StreamArray`` reproduces."""
-    return substream(master_seed, _AGENT_TAG, agent_id)
-
-
-def world_stream(master_seed: int) -> np.random.Generator:
-    return substream(master_seed, _WORLD_TAG)
+    """The stream of agent ``agent_id``: numpy's own ``SeedSequence`` seeding of
+    ``(master_seed, 0, agent_id)``, whose draws lane ``agent_id`` of a
+    ``StreamArray`` reproduces."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, _AGENT_TAG, agent_id)))
 
 
 class StreamArray:
@@ -117,7 +107,8 @@ class StreamArray:
 
 
 class WorldStream:
-    """The world stream of ``master_seed``, drawing what ``world_stream`` draws."""
+    """The world stream of ``master_seed``, drawing what numpy's generator
+    seeded by ``SeedSequence((master_seed, 1))`` draws."""
 
     def __init__(self, master_seed: int):
         seeds = _seed_sequence_state([*_words32(master_seed), _WORLD_TAG])

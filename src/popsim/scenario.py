@@ -42,8 +42,10 @@ cohort halves between a first birthday before and after New Year), which
 keeps the oracle within O(p^2) of the truth on the small immigration flows
 synthetic scenarios use.
 
-The bookkeeping is Farr-consistent: deriving probabilities from the oracle
-census via Farr's formula recovers the generating probabilities.
+Deriving probabilities from the oracle census via Farr's formula recovers the
+generating death and emigration probabilities. Birth and internal migration
+come out at p/(1+p/2): neither event removes its agent from the population
+the formula averages (ROADMAP item 13).
 
 The ledger is arrays laid out like a census year, ``values[metric, year]``:
 a year's life-year cohorts and its immigrants are [region, sex, age] arrays,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .census import METRIC_INDEX, AgeClassScheme, SyntheticCensus
 from .errors import InputError
-from .files import write_table
+from .files import write_columns
 
 # the report's age classes
 CLASSES = AgeClassScheme.twenty_year()
@@ -72,12 +72,12 @@ class DeviationReport:
     coverage_gaps: list[str] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        write_table(path, REPORT_CSV_HEADER, ([
-            r.region or "-", r.sex or "-",
-            "-" if r.age_class is None else r.age_class,
-            repr(r.e_min), repr(r.e_min_ci[0]), repr(r.e_min_ci[1]),
-            repr(r.e_max), repr(r.e_max_ci[0]), repr(r.e_max_ci[1]),
-        ] for r in self.rows))
+        """A row per report row; all but the last value are written as label texts."""
+        labels = [(r.region or "-", r.sex or "-", "-" if r.age_class is None else r.age_class,
+                   *map(repr, (r.e_min, *r.e_min_ci, r.e_max, r.e_max_ci[0]))) for r in self.rows]
+        write_columns(path, REPORT_CSV_HEADER,
+                      [np.unique(column, return_inverse=True) for column in zip(*labels)],
+                      [r.e_max_ci[1] for r in self.rows])
 
 
 def _series(stack: np.ndarray, index, picks: dict) -> np.ndarray:

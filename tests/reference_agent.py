@@ -5,7 +5,8 @@ operations; this module states them for one agent, and the engine is tested
 against it event for event and draw for draw (``test_kernel.py``,
 ``test_agents.py``). Its date helpers state the birthday rules on single
 dates, as the independent reference for the array forms in ``popsim.dates``
-(``test_dates.py``).
+(``test_dates.py``), and ``world_stream`` seeds the world stream as numpy
+does, the reference for ``popsim.rng.WorldStream`` (``test_rng.py``).
 
 Each agent runs its own event queue centred on its annual Birthday event:
 the Birthday reschedules itself one calendar year ahead (exact date
@@ -34,6 +35,7 @@ directly.
 
 from __future__ import annotations
 
+import calendar
 from datetime import date, timedelta
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -41,11 +43,23 @@ from typing import NamedTuple
 import numpy as np
 
 from popsim.agents import DRAW_ORDER, RECORD_METRIC, TERMINAL_KINDS, AgentEvent, EventKind
-from popsim.dates import anniversary_in_year, shift_years
 from popsim.errors import CoverageError, InputError
 
 
 # ----- the birthday rules on single dates ------------------------------------------
+
+def anniversary_in_year(birthdate: date, year: int) -> date:
+    """The observed anniversary of ``birthdate`` within ``year``: Feb 28 for a
+    Feb-29 birthdate in a year without Feb 29."""
+    if birthdate.month == 2 and birthdate.day == 29 and not calendar.isleap(year):
+        return date(year, 2, 28)
+    return date(year, birthdate.month, birthdate.day)
+
+
+def shift_years(d: date, years: int) -> date:
+    """``d`` moved by whole calendar years, Feb 29 collapsing to Feb 28."""
+    return anniversary_in_year(d, d.year + years)
+
 
 def next_birthday(t: date, birthdate: date) -> date:
     """First observed anniversary strictly after ``t``."""
@@ -118,6 +132,14 @@ def birthdate_window(ref: date, age: int) -> tuple[date, date]:
 def _check_order(t: date, birthdate: date) -> None:
     if birthdate > t:
         raise ValueError(f"birthdate {birthdate} is after reference date {t}")
+
+
+# ----- the world stream ----------------------------------------------------------------
+
+def world_stream(master_seed: int) -> np.random.Generator:
+    """The world stream of ``master_seed`` as numpy seeds it, from the key
+    ``(master_seed, 1)``; ``popsim.rng.WorldStream`` draws the same numbers."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, 1)))
 
 
 # ----- one agent ---------------------------------------------------------------------

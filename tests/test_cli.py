@@ -386,6 +386,72 @@ def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
     assert "initial_population.csv:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("region, count, message", [
+    ("AT-1", "-1", "negative count"),
+    ("AT-1-01-001-1", "1", "region code 'AT-1-01-001-1' is deeper than municipality level")])
+def test_simulate_names_line_of_a_bad_initial_population_row(tmp_path, capsys, region, count,
+                                                             message):
+    scen = _tiny_scenario(tmp_path)
+    path = scen / "initial_population.csv"
+    lines = path.read_text().splitlines()
+    _, sex, age, _ = lines[3].split(",")
+    lines[3] = f"{region},{sex},{age},{count}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4: bad row ") and err.endswith(f": {message}\n")
+
+
+def test_simulate_rejects_a_parameter_file_with_only_a_header(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    path = scen / "params_death.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {path}: no data rows\n"
+
+
+def test_simulate_names_first_line_of_a_parameter_group_of_unknown_sex(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    path = scen / "params_death.csv"
+    lines = path.read_text().splitlines()
+    year, region, sex = lines[-1].split(",")[1:4]  # the last (year, region, sex) group
+    at = [i for i, line in enumerate(lines) if line.split(",")[1:4] == [year, region, sex]]
+    for i in at:
+        lines[i] = lines[i].replace(f",{region},{sex},", f",{region},x,")
+    path.write_text("\n".join(lines) + "\n")
+    assert _simulate(scen, tmp_path) == 1
+    assert capsys.readouterr().err == (f"error: {path}:{at[0] + 1}: death row "
+                                       f"({year},{region},x): sex must be m, f or all\n")
+
+
+def test_derive_params_needs_population_snapshots(tmp_path, capsys):
+    path = _tiny_scenario(tmp_path) / "reference_census.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines if not line.startswith("P,")))
+    out = tmp_path / "derived.csv"
+    assert main(["--quiet", "derive-params", "--census", str(path), "--kind", "death",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: census holds no population snapshots\n"
+    assert not out.exists()
+
+
+def test_validate_needs_overlapping_years(tmp_path, capsys):
+    scen = _tiny_scenario(tmp_path)
+    assert _simulate(scen, tmp_path) == 0
+    path = scen / "reference_census.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [row.split(",", 2) for row in rows]  # the reference, ten years later
+    path.write_text("".join(f"{line}\n" for line in [
+        header, *(f"{metric},{int(year) + 10},{rest}" for metric, year, rest in rows)]))
+    capsys.readouterr()
+    out = tmp_path / "report.csv"
+    assert main(["--quiet", "validate", "--runs-dir", str(tmp_path / "runs"),
+                 "--reference", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: no overlapping years between ensemble and "
+                                       "reference for P\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["start", "end", "initial_population"])
 def test_run_conf_must_name_its_required_keys(tmp_path, capsys, key):
     scen = _tiny_scenario(tmp_path)

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popsim.dates import (add_months, anniversaries, anniversary_in_year, birthdate_windows,
-                          shift_years, ymd)
+from popsim.dates import add_months, anniversaries, birthdate_windows, ymd
 
-from reference_agent import (birthdate_window, completed_age, days_since_birthday,
-                             days_until_birthday, life_year_length)
+from reference_agent import (anniversary_in_year, birthdate_window, completed_age,
+                             days_since_birthday, days_until_birthday, life_year_length,
+                             shift_years)
 
 
 def observes_anniversary(d: date, birthdate: date) -> bool:

@@ -15,7 +15,7 @@ from numpy.random.bit_generator import ISeedSequence
 from popsim import engine, rng
 from popsim.agents import EventKind, OutboxMessage
 from popsim.census import METRICS, SyntheticCensus
-from popsim.dates import anniversary_in_year, ymd
+from popsim.dates import ymd
 from popsim.engine import MacroStepConfig, ModelParameters, World, run_simulation
 from popsim.errors import CoverageError, InputError
 from popsim.ipf import MigrationTensor
@@ -25,7 +25,7 @@ from popsim.scenario import (ScenarioSpec, build_initial_population,
                              build_parameter_tables, cohort_projection)
 
 from conftest import book_by_label, constant_parameters
-from reference_agent import life_year_rates
+from reference_agent import anniversary_in_year, life_year_rates, shift_years, world_stream
 
 START, END = date(2020, 1, 1), date(2030, 1, 1)
 
@@ -539,7 +539,7 @@ def test_census_same_with_seed_sequence_streams(tmp_path, monkeypatch, seed):
         if reference:
             monkeypatch.setattr(rng, "_block_state", seed_sequence_block_state)
             monkeypatch.setattr(rng, "_pcg64_seeded", numpy_pcg64_seeding)
-            monkeypatch.setattr(engine, "WorldStream", rng.world_stream)
+            monkeypatch.setattr(engine, "WorldStream", world_stream)
         world = World(step, params, seed=seed)
         world.add_initial_population(initial)
         path = tmp_path / f"census_{reference}.csv"
@@ -554,6 +554,37 @@ def test_macro_step_requires_forward_target():
     world = World(year_step(), params, seed=1)
     with pytest.raises(InputError):
         world.macro_step(date(2020, 1, 1))
+
+
+@pytest.mark.parametrize("keywords, message", [
+    (dict(male_fraction=1.5), r"male_fraction must be in \[0, 1\]"),
+    (dict(workers=0), "workers must be >= 1"),
+    (dict(seed=-1), "seed must be non-negative, got -1")])
+def test_world_rejects_bad_settings(keywords, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        World(year_step(), constant_parameters(death=0.0), **{"seed": 1, **keywords})
+
+
+def test_world_takes_its_initial_population_before_the_first_step():
+    world = World(year_step(), constant_parameters(death=0.0), seed=1)
+    world.macro_step(date(2021, 1, 1))
+    with pytest.raises(InputError, match="^initial population must precede the first step$"):
+        world.add_initial_population([("AT-1", "f", 30, 1)])
+    assert world.counters["initial"] == 0
+
+
+def test_world_cannot_take_a_snapshot_in_its_past():
+    world = World(year_step(), constant_parameters(death=0.0), seed=1)
+    world.add_initial_population([("AT-1", "f", 30, 2)])
+    assert sum(world.snapshot_population(date(2021, 6, 1)).values()) == 2
+    with pytest.raises(InputError, match="^cannot rewind world from 2021-06-01 to 2021-01-01$"):
+        world.snapshot_population(date(2021, 1, 1))
+
+
+def test_internal_migration_needs_a_migration_tensor():
+    tables = constant_parameters(internal_migration=0.1).tables
+    with pytest.raises(InputError, match="^internal_migration table requires a migration tensor$"):
+        ModelParameters(tables)
 
 
 def test_coverage_gap_detected_upfront():
@@ -676,6 +707,19 @@ def test_step_units_align_to_calendar():
         MacroStepConfig(START, START)
     with pytest.raises(InputError):
         MacroStepConfig(START, END, "week", 1)
+
+
+def test_year_steps_from_feb_29_observe_it_on_feb_28():
+    for multiplier, boundary in ((1, date(2021, 2, 28)), (4, date(2024, 2, 29))):
+        cfg = MacroStepConfig(date(2020, 2, 29), END, "year", multiplier)
+        assert cfg.next_boundary(date(2020, 2, 29)) == boundary
+
+
+@given(st.dates(date(1900, 1, 1), date(2200, 12, 31)), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_year_steps_match_the_reference(d, multiplier):
+    cfg = MacroStepConfig(d, date(2300, 1, 1), "year", multiplier)
+    assert cfg.next_boundary(d) == shift_years(d, multiplier)
 
 
 # ----- the destination rule the engine and the oracle share ------------------------

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from popsim import engine
 from popsim.agents import EventKind
-from popsim.dates import anniversary_in_year
 from popsim.engine import MacroStepConfig, ModelParameters, World
 from popsim.ipf import MigrationTensor
 from popsim.params import ParameterTable
 from popsim.rng import agent_stream
 
-from reference_agent import advance, init_agent
+from reference_agent import advance, anniversary_in_year, init_agent
 
 REGIONS = ("AT-1", "AT-2")
 MAX_AGE = 100

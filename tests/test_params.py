@@ -484,6 +484,36 @@ def test_set_row_rejects_mixing_all_with_sex_rows():
         table.set_row(2021, "AT-1", "all", np.full(4, 0.9))
 
 
+@pytest.mark.parametrize("sex", ["x", "M", "", "all "])
+def test_set_row_rejects_an_unknown_sex(sex):
+    table = ParameterTable("death", 1)
+    with pytest.raises(InputError, match=rf"^death row \(2020,AT-1,{sex}\): sex must be m, f "
+                                         r"or all$"):
+        table.set_row(2020, "AT-1", sex, [0.1, 0.1])
+    assert table.sexes == set() and table.version == 0
+    table.set_row(2020, "AT-1", "m", [0.1, 0.1])
+    with pytest.raises(InputError, match="sex must be m, f or all"):
+        table.set_row(2020, "AT-1", sex, [0.1, 0.1])
+    assert table.sexes == {"m"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(2019, 2021), st.sampled_from(["AT-1", "AT-2"]),
+                          st.sampled_from(["m", "f"])), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_an_unknown_sex_is_reported_at_its_groups_first_row(tmp_path_factory, groups, data):
+    rows = data.draw(st.permutations([["death", *group, a, 0.1] for group in groups
+                                      for a in range(3)]))
+    bad = data.draw(st.sampled_from(groups))
+    at = [i for i, row in enumerate(rows) if tuple(row[1:4]) == bad]
+    for i in at:
+        rows[i][3] = "x"
+    path = _write_param_rows(tmp_path_factory.mktemp("params") / "p.csv", rows)
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}:{at[0] + 2}: death row "
+                                         rf"\({bad[0]},{bad[1]},x\): sex must be m, f or all$"):
+        ParameterTable.from_csv(path)
+
+
 @pytest.mark.parametrize("first, later", [("all", "m"), ("f", "all")])
 def test_param_csv_names_line_of_mixed_sexes(tmp_path, first, later):
     rows = [("death", 2020, "AT-1", sex, a, 0.1) for sex in (first, later) for a in range(2)]

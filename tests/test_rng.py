@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from popsim import rng
 from popsim.rng import agent_stream
 
+from reference_agent import world_stream
+
 _rand = random.Random(20261018)
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5] + [_rand.randrange(2**40) for _ in range(3)]
 
@@ -93,7 +95,7 @@ def test_world_stream_draws_match_numpy(master_seed, requests):
     got = [stream.random(n) for n in requests]
     assert [len(draws) for draws in got] == requests
     np.testing.assert_array_equal(np.concatenate([np.zeros(0), *got]),
-                                  rng.world_stream(master_seed).random(sum(requests)))
+                                  world_stream(master_seed).random(sum(requests)))
 
 
 def test_world_stream_empty_draw_leaves_it_alone():
@@ -101,4 +103,4 @@ def test_world_stream_empty_draw_leaves_it_alone():
     assert stream.random(0).shape == (0,)
     stream.random(3)
     assert stream.random(0).shape == (0,)
-    np.testing.assert_array_equal(stream.random(B), rng.world_stream(5).random(B + 3)[3:])
+    np.testing.assert_array_equal(stream.random(B), world_stream(5).random(B + 3)[3:])

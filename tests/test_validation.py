@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from popsim.census import METRICS, AgeClassScheme, SyntheticCensus
 from popsim.errors import InputError
-from popsim.validation import (deviation_extrema, deviation_report,
-                               ensemble_mean)
+from popsim.validation import (REPORT_CSV_HEADER, DeviationReport, ReportRow,
+                               deviation_extrema, deviation_report, ensemble_mean)
 
 
 def census_from(cells):
@@ -200,6 +200,23 @@ def test_report_layout_mirrors_block_structure():
     ]
     # empty reference groupings are reported as coverage gaps, not rows
     assert any("40-59" in gap for gap in report.coverage_gaps)
+
+
+_label = st.sampled_from([None, "AT-1", "f", "0-19", "80+"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_label, _label, _label, st.lists(
+    st.sampled_from([0.0, -0.0, 0.1, -1.0, 1e-300, 2.5, float("nan")]) | st.floats(),
+    min_size=6, max_size=6)), max_size=8))
+def test_report_csv_writes_each_field_as_its_text(tmp_path_factory, rows):
+    report = DeviationReport([ReportRow(region, sex, age_class, a, (a_lo, a_hi), b, (b_lo, b_hi))
+                              for region, sex, age_class, (a, a_lo, a_hi, b, b_lo, b_hi) in rows])
+    path = tmp_path_factory.mktemp("report") / "report.csv"
+    report.to_csv(path)
+    lines = [REPORT_CSV_HEADER] + [[label or "-" for label in labels] + list(map(repr, values))
+                                   for *labels, values in rows]
+    assert path.read_bytes() == "".join(",".join(fields) + "\r\n" for fields in lines).encode()
 
 
 def test_report_csv_layout(tmp_path):
