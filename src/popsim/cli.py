@@ -16,7 +16,7 @@ from pathlib import Path
 from .census import SyntheticCensus
 from .config import RunConfig
 from .engine import ModelParameters, run_simulation
-from .errors import ConvergenceError, FeasibilityError, InputError
+from .errors import ConvergenceError, CoverageError, FeasibilityError, InputError
 from .files import number
 from .ipf import MigrationTensor, ipf_3d, read_marginals_csv
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
@@ -80,7 +80,10 @@ def cmd_validate(args) -> int:
         raise InputError(f"no run_*.csv files in {args.runs_dir}")
     ensemble = [SyntheticCensus.from_csv(p) for p in run_files]
     reference = SyntheticCensus.from_csv(args.reference)
-    report = deviation_report(ensemble, reference, metric=args.metric)
+    try:
+        report = deviation_report(ensemble, reference, metric=args.metric)
+    except CoverageError as exc:  # no year in common: name both sides, not --metric
+        raise CoverageError(f"{args.reference} against {args.runs_dir}: {exc}") from None
     report.to_csv(args.out)
     for gap in report.coverage_gaps:
         print(f"coverage gap: {gap}", file=sys.stderr)

@@ -12,22 +12,24 @@ from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
-from .engine import MacroStepConfig
+from .engine import MacroStepConfig, check_settings
 from .errors import InputError
 from .files import integer, number, read_settings, write_key_values
 
 
-def fraction(text: str) -> float:
-    """``number(text)`` if it lies in [0, 1], as ``male_fraction`` must; else a ValueError."""
-    value = number(text)
-    if not 0 <= value <= 1:
-        raise ValueError("must be in [0, 1]")
-    return value
+def _setting(key: str, parse):
+    """The converter of ``key``: its text as ``parse`` reads it, held to its rule."""
+    def convert(text: str):
+        check_settings(**{key: (value := parse(text))})
+        return value
+    return convert
 
 
-# the keys whose values are not kept as text
-CONVERTERS = {"step_multiplier": integer, "seed": integer, "runs": integer,
-              "workers": integer, "male_fraction": fraction}
+# the keys whose text is checked or converted, so that a bad value fails at its line
+CONVERTERS = {**dict.fromkeys(("start", "end"), lambda text: _parse_date(text) and text), **{
+    key: _setting(key, parse) for key, parse in (
+        ("step_unit", str), ("step_multiplier", integer), ("seed", integer),
+        ("runs", integer), ("workers", integer), ("male_fraction", number))}}
 
 
 @dataclass(kw_only=True)
@@ -51,14 +53,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.step  # MacroStepConfig checks the dates and the step settings
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
-        if self.runs < 1:
-            raise InputError("ensemble size must be >= 1")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
-        if not 0 <= self.male_fraction <= 1:
-            raise InputError("male_fraction must be in [0, 1]")
+        check_settings(seed=self.seed, runs=self.runs, workers=self.workers,
+                       male_fraction=self.male_fraction)
         if (self.params_internal_migration is None) != (self.migration_tensor is None):
             raise InputError("params_internal_migration and migration_tensor "
                              "must be given together")

@@ -59,7 +59,7 @@ def anniversaries(months, days, years) -> np.ndarray:
 
 def birthdate_windows(refs, ages) -> tuple[np.ndarray, np.ndarray]:
     """First ordinal and length in days (365 or 366) of each window of birthdates
-    with ``ages`` completed years at ``refs``.
+    with ``ages`` (non-negative) completed years at ``refs``.
 
     The window holds the birthdates of years ``ref.year - age - 1`` and
     ``ref.year - age`` whose anniversary in ``ref.year`` falls after ``ref``
@@ -69,8 +69,6 @@ def birthdate_windows(refs, ages) -> tuple[np.ndarray, np.ndarray]:
     leap day.
     """
     ages = np.asarray(ages, np.int64)
-    if np.any(ages < 0):
-        raise ValueError("age must be non-negative")
     ref_year, month, day = ymd(refs)
     feb28 = (month == 2) & (day == 28) & ~_is_leap(ref_year)
 

@@ -78,7 +78,7 @@ from .agents import (DRAW_ORDER, RECORD_METRIC, TERMINAL_KINDS, AgentEvent, Even
 from .census import METRIC_INDEX, METRICS, SyntheticCensus, count_population
 from .errors import CoverageError, InputError
 from .ipf import MigrationTensor
-from .params import KIND_SEXES, ImmigrationTable, ParameterTable
+from .params import KIND_SEXES, ImmigrationTable, ParameterTable, checked_cells
 from .rng import StreamArray, WorldStream
 
 # World calls none of these three: perfbench's tracer wraps them by their names in
@@ -119,10 +119,7 @@ class MacroStepConfig:
     multiplier: int = 1
 
     def __post_init__(self):
-        if self.unit not in STEP_UNITS:
-            raise InputError(f"step unit must be one of {STEP_UNITS}, got {self.unit!r}")
-        if self.multiplier < 1:
-            raise InputError("step multiplier must be >= 1")
+        check_settings(step_unit=self.unit, step_multiplier=self.multiplier)
         if self.start >= self.end:
             raise InputError(f"start {self.start} must precede end {self.end}")
 
@@ -290,12 +287,7 @@ class World:
 
     def __init__(self, step: MacroStepConfig, params: ModelParameters, seed: int,
                  *, male_fraction: float = 0.5, workers: int = 1):
-        if not 0 <= male_fraction <= 1:
-            raise InputError("male_fraction must be in [0, 1]")
-        if workers < 1:
-            raise InputError("workers must be >= 1")
-        if seed < 0:
-            raise InputError(f"seed must be non-negative, got {seed}")
+        check_settings(male_fraction=male_fraction, workers=workers, seed=seed)
         self.step = step
         self.params = params
         self.seed = seed
@@ -352,17 +344,14 @@ class World:
         """
         if self.date != self.step.start:
             raise InputError("initial population must precede the first step")
-        cells = sorted(cells)
-        check_initial_cells(cells)
-        self._check_coverage(self.params.run_regions(
-            [*self._alive_regions(), *(c[0] for c in cells if c[3] > 0)]))
-        cells = [cell for cell in cells if cell[3] > 0]
-        if not cells:
+        columns = checked_cells(*(list(zip(*sorted(cells))) or [()] * 4))
+        regions, sexes, ages, counts = (column[columns[3] > 0] for column in columns)
+        self._check_coverage(self.params.run_regions([*self._alive_regions(), *regions]))
+        if not len(counts):
             return
-        regions, sexes, ages, counts = zip(*cells)
         start = self.step.start.toordinal()
-        lo, length = dates.birthdate_windows(np.full(len(cells), start), ages)
-        birth = np.repeat(lo, counts) + (self._world_rng.random(sum(counts))
+        lo, length = dates.birthdate_windows(np.full(len(counts), start), ages)
+        birth = np.repeat(lo, counts) + (self._world_rng.random(int(counts.sum()))
                                          * np.repeat(length, counts)).astype(np.int64)
         self._prepare(self.date)
         out = _Outbox()
@@ -677,7 +666,6 @@ class World:
             if not cells:
                 continue
             regions, sexes, ages, counts = zip(*cells)
-            check_initial_cells(cells)
             # per immigrant, an entry draw then a birthdate draw
             u = self._world_rng.random(2 * sum(counts))
             first, following = (date(y, 1, 1).toordinal() for y in (year, year + 1))
@@ -813,16 +801,20 @@ class _Planned(NamedTuple):
     birth: np.ndarray   # day ordinal
 
 
-def check_initial_cells(cells) -> None:
-    """Raise InputError for a (region, sex, age, count) cell whose sex is not
-    ``m`` or ``f`` or whose age or count is negative."""
-    for region, sex, age, count in cells:
-        if sex not in SEXES:
-            raise InputError(f"sex must be 'm' or 'f', got {sex!r}")
-        if age < 0:
-            raise InputError(f"negative age for ({region},{sex},{age})")
-        if count < 0:
-            raise InputError(f"negative population count for ({region},{sex},{age})")
+def check_settings(*, step_unit="year", step_multiplier=1, seed=0, runs=1, workers=1,
+                   male_fraction=0.5) -> None:
+    """Raise InputError for the first setting given that breaks its rule; MacroStepConfig,
+    World, RunConfig, the converters of its file and ScenarioSpec all check through here."""
+    for broken, message in (
+            (step_unit not in STEP_UNITS,
+             f"step unit must be one of {STEP_UNITS}, got {step_unit!r}"),
+            (step_multiplier < 1, "step multiplier must be >= 1"),
+            (seed < 0, f"seed must be non-negative, got {seed}"),
+            (runs < 1, "ensemble size must be >= 1"),
+            (workers < 1, "workers must be >= 1"),
+            (not 0 <= male_fraction <= 1, "male_fraction must be in [0, 1]")):
+        if broken:
+            raise InputError(message)
 
 
 def run_simulation(step: MacroStepConfig, params: ModelParameters,

@@ -10,7 +10,7 @@ class InputError(SimulationError):
 
 
 class CoverageError(InputError):
-    """A parameter lookup fell outside the table's declared coverage."""
+    """Input lacks what is asked of it: a parameter lookup, or a year to compare."""
 
 
 class FeasibilityError(InputError):

@@ -256,9 +256,9 @@ class Columns:
         """The labels of row ``i`` in ``columns``."""
         return tuple(self.labels[j][self.codes[j][i]] for j in columns)
 
-    def column(self, j: int) -> list:
-        """Each row's label in column ``j``."""
-        return [self.labels[j][i] for i in self.codes[j].tolist()]
+    def column(self, j: int) -> np.ndarray:
+        """Each row's label in column ``j``: an object array of the labels themselves."""
+        return np.array(self.labels[j], dtype=object)[self.codes[j]]
 
     def positions(self, j: int, axis) -> np.ndarray:
         """Each row's position on ``axis``, which holds every label of column ``j``."""

@@ -206,7 +206,7 @@ class ParameterTable:
 
     @classmethod
     def from_csv(cls, path) -> "ParameterTable":
-        cells = _read_param_csv(path, _probability_kind, str, lambda p: (
+        cells = _read_param_csv(path, _probability_kind, age, lambda p: (
             ~((0 <= p) & (p <= 1)), "a probability must lie in [0, 1]"))
         max_age = max(cells.labels[4])
         group, first = cells.groups((1, 2, 3))
@@ -232,23 +232,25 @@ class ImmigrationTable:
     """Integer immigrant counts per (year, region, sex, age).
 
     Counts are exact: the engine creates precisely this many agents per cell,
-    randomising only entry date and birthdate.
+    randomising only entry date and birthdate. Every cell keeps ``checked_cells``.
     """
 
     def __init__(self):
         self.counts: dict[tuple[int, str, str, int], int] = {}
 
-    def add(self, year: int, region: str, sex: str, age: int, count: int) -> None:
-        if count < 0:
-            raise InputError(f"negative immigration count for ({year},{region},{sex},{age})")
-        if age < 0:
-            raise InputError(f"negative immigration age for ({year},{region},{sex},{age})")
-        if sex not in ("m", "f"):
-            raise InputError(f"immigration counts need sex m or f: ({year},{region},{sex},{age})")
-        regions.level_of(region)  # validates the code
-        if count:
-            key = (year, region, sex, age)
-            self.counts[key] = self.counts.get(key, 0) + int(count)
+    def add(self, year, region, sex, age, count) -> None:
+        """Add ``count`` immigrants to (year, region, sex, age), or, given lists, each cell's."""
+        cells = (year, region, sex, age, count)
+        self._add(*(cells if isinstance(count, list) else ([value] for value in cells)))
+
+    def _add(self, years, *cells, at=None) -> None:
+        region, sex, age, count = checked_cells(*cells, at)
+        for code in set(region):
+            regions.level_of(code)  # validates the code
+        keys = zip(np.asarray(years).tolist(), region.tolist(), sex.tolist(), age.tolist())
+        for key, n in zip(keys, count.tolist()):
+            if n:
+                self.counts[key] = self.counts.get(key, 0) + n
 
     def cells_for_year(self, year: int) -> list[tuple[str, str, int, int]]:
         """(region, sex, age, count) cells of ``year`` in deterministic order."""
@@ -265,19 +267,42 @@ class ImmigrationTable:
 
     @classmethod
     def from_csv(cls, path) -> "ImmigrationTable":
-        cells = _read_param_csv(path, _immigration_kind, _count_sex, lambda n: (
-            (n < 0) | (n != np.trunc(n)), "an immigration count must be a non-negative integer"))
+        cells = _read_param_csv(path, _immigration_kind, integer)
         table = cls()
-        table.counts = {key: int(count) for key, count in zip(
-            zip(*(cells.column(j) for j in range(1, 5))), cells.values.tolist()) if count}
+        table._add(*(cells.column(j) for j in range(1, 5)), cells.values,
+                   at=lambda i: f"{path}:{i + 2}: ")
         return table
 
 
-def _read_param_csv(path, kind, sex, check):
+def checked_cells(region_list, sexes, ages, counts, at=None):
+    """Population cells, initial or immigrant, given as columns (region, sex, age, count),
+    as numpy columns with integer ages and counts, if each has sex ``m`` or ``f`` and a
+    whole age and count, both non-negative; else an InputError for the first that has
+    not, prefixed with ``at(i)``, if given, where cell ``i`` was read."""
+    region, sex = np.asarray(region_list, dtype=object), np.asarray(sexes, dtype=object)
+    age, count = np.asarray(ages, dtype=float), np.asarray(counts, dtype=float)
+    rules = (((sex != "f") & (sex != "m"), "sex must be 'm' or 'f', got {1!r}"),
+             (age < 0, "negative age for ({0},{1},{2})"),
+             (~_whole(age), "non-integer age for ({0},{1},{2})"),
+             (count < 0, "negative population count for ({0},{1},{2})"),
+             (~_whole(count), "non-integer population count for ({0},{1},{2})"))
+    bad = np.array([broken for broken, _ in rules])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        message = rules[int(bad[:, i].argmax())][1].format(region[i], sex[i], ages[i])
+        raise InputError(f"{at(i) if at else ''}{message}")
+    return region, sex, age.astype(np.int64), count.astype(np.int64)
+
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values == np.trunc(values))
+
+
+def _read_param_csv(path, kind, age, check=None):
     """The cells of a parameter or immigration file, as ``read_columns`` reads them with
-    the parsers ``kind`` and ``sex`` and the value check ``check``; an InputError if
+    the parsers ``kind`` and ``age`` and the value check ``check``; an InputError if
     there are none, or at the first row whose kind is not the first row's."""
-    cells = read_columns(path, PARAM_CSV_HEADER, (kind, integer, regions.checked, sex, age,
+    cells = read_columns(path, PARAM_CSV_HEADER, (kind, integer, regions.checked, str, age,
                                                   number), key=range(1, 5), check=check)
     if not cells.size:
         raise InputError(f"{path}: no data rows")
@@ -298,12 +323,6 @@ def _probability_kind(text):
 def _immigration_kind(text):
     if text != IMMIGRATION_KIND:
         raise ValueError(f"expected immigration counts, found kind {text!r}")
-    return text
-
-
-def _count_sex(text):
-    if text not in ("m", "f"):
-        raise ValueError("immigration counts need sex m or f")
     return text
 
 

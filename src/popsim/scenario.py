@@ -64,14 +64,14 @@ from pathlib import Path
 import numpy as np
 
 from .census import METRIC_INDEX, SyntheticCensus
-from .config import RunConfig, fraction
-from .engine import SEXES, ModelParameters, check_initial_cells
+from .config import CONVERTERS, RunConfig
+from .engine import SEXES, ModelParameters, check_settings
 from .errors import InputError
-from .files import (age, integer, number, read_columns, read_settings, sex, whole_or_repr,
-                    write_columns, write_key_values)
+from .files import (integer, number, read_columns, read_settings, whole_or_repr, write_columns,
+                    write_key_values)
 from .ipf import MigrationTensor
 from .params import (ImmigrationTable, ParameterTable, PROBABILITY_KINDS,
-                     apportion_integer)
+                     apportion_integer, checked_cells)
 from .regions import checked, level_of
 
 MASS_EPSILON = 1e-12
@@ -117,10 +117,7 @@ class ScenarioSpec:
         if self.immigration_per_year and not (
                 0 <= self.immigration_age_low <= self.immigration_age_high <= self.max_age):
             raise InputError("immigration age window must lie within 0..max_age")
-        if not 0 <= self.male_fraction <= 1:
-            raise InputError("male_fraction must be in [0, 1]")
-        if self.ensemble_runs < 1:
-            raise InputError("ensemble_runs must be >= 1")
+        check_settings(male_fraction=self.male_fraction, runs=self.ensemble_runs)
         for name in ("p_death", "p_emigration", "p_birth", "p_internal_migration"):
             arr = profile_to_array(getattr(self, name), self.max_age)
             if not np.all((arr >= 0) & (arr <= 1)):
@@ -148,8 +145,8 @@ class ScenarioSpec:
     def from_file(cls, path) -> "ScenarioSpec":
         converters = {f_.name: parse_profile if f_.name.startswith("p_") else integer
                       for f_ in fields(cls)}
-        converters.update(regions=lambda text: [checked(r.strip()) for r in text.split(",")
-                                                if r.strip()], male_fraction=fraction)
+        converters.update(male_fraction=CONVERTERS["male_fraction"], regions=lambda text: [
+            checked(r.strip()) for r in text.split(",") if r.strip()])
         return read_settings(path, cls, converters)
 
 
@@ -229,10 +226,9 @@ def build_immigration_table(spec: ScenarioSpec) -> ImmigrationTable | None:
              for sex in ("f", "m")
              for age in range(spec.immigration_age_low, spec.immigration_age_high + 1)]
     counts = apportion_integer(spec.immigration_per_year, [1.0] * len(cells))
-    for year in range(spec.start_year, spec.end_year):
-        for (region, sex, age), count in zip(cells, counts):
-            if count > 0:
-                table.add(year, region, sex, age, count)
+    rows = [(year, *cell, count) for year in range(spec.start_year, spec.end_year)
+            for cell, count in zip(cells, counts)]
+    table.add(*map(list, zip(*rows)))
     return table
 
 
@@ -259,15 +255,15 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
     census year; each census cell adds the terms above MASS_EPSILON that
     reach it, in the order the ledger produces them.
     """
-    check_initial_cells(initial_cells)
-    max_age = max((t.max_age for t in params.tables.values()), default=0)
-    max_age = max(max_age, max((a for (_, _, a, _) in initial_cells), default=0))
+    initial = checked_cells(*(list(zip(*initial_cells)) or [()] * 4))
+    check_settings(male_fraction=male_fraction)
     immigration = params.immigration or ImmigrationTable()
-    max_age = max(max_age, max((a for (_, _, _, a) in immigration.counts), default=0))
+    max_age = max(0, *(t.max_age for t in params.tables.values()), *initial[2].tolist(),
+                  *(a for (_, _, _, a) in immigration.counts))
     track = max_age + years + 2
     end_year = start_year + years
 
-    regions = params.run_regions(r for r, _, _, _ in initial_cells)
+    regions = params.run_regions(initial[0])
     params.validate_coverage(range(start_year - 1, end_year + 1), regions)
     census = SyntheticCensus((range(start_year, end_year + 1), regions, SEXES, range(track + 1)))
     values, present = census.values, census.present
@@ -333,7 +329,7 @@ def cohort_projection(params: ModelParameters, initial_cells, start_year: int, y
 
     # --- initial population: alive on Jan 1 of start_year --------------------
     n0 = np.zeros(shape)
-    for region, sex, age, count in initial_cells:
+    for region, sex, age, count in zip(*(column.tolist() for column in initial)):
         n0[at_region[region], at_sex[sex], age] += count
         present[METRIC_INDEX["P"], 0, at_region[region], at_sex[sex], age] = True
     values[METRIC_INDEX["P"], 0] += n0
@@ -484,12 +480,7 @@ def write_population_csv(cells, path) -> None:
 
 
 def read_population_csv(path) -> list[tuple[str, str, int, int]]:
-    cells = read_columns(path, POPULATION_CSV_HEADER, (checked, sex, age, _count), key=range(3))
-    return list(zip(*(cells.column(j) for j in range(4))))
-
-
-def _count(text: str) -> int:
-    count = integer(text)
-    if count < 0:
-        raise ValueError("negative count")
-    return count
+    cells = read_columns(path, POPULATION_CSV_HEADER, (checked, str, integer, integer),
+                         key=range(3))
+    columns = checked_cells(*(cells.column(j) for j in range(4)), lambda i: f"{path}:{i + 2}: ")
+    return list(zip(*(column.tolist() for column in columns)))

@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .census import METRIC_INDEX, AgeClassScheme, SyntheticCensus
-from .errors import InputError
+from .errors import CoverageError, InputError
 from .files import write_columns
 
 # the report's age classes
@@ -112,7 +112,7 @@ def deviation_report(ensemble: list[SyntheticCensus], reference: SyntheticCensus
     years = sorted(set.intersection(*(run.labels("year", metric) for run in runs))
                    & ref.labels("year", metric))
     if not years:
-        raise InputError(f"no overlapping years between ensemble and reference for {metric}")
+        raise CoverageError(f"no overlapping years between ensemble and reference for {metric}")
     regions, sexes = (sorted(ref.labels(axis, metric)) for axis in ("region", "sex"))
 
     # every census over the union of the labels: a label a census lacks adds zeros

@@ -387,8 +387,11 @@ def test_simulate_rejects_negative_initial_age(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("region, count, message", [
-    ("AT-1", "-1", "negative count"),
-    ("AT-1-01-001-1", "1", "region code 'AT-1-01-001-1' is deeper than municipality level")])
+    pytest.param("AT-1", "-1", "negative population count for (AT-1,{sex},{age})",
+                 id="AT-1--1-negative count"),
+    pytest.param("AT-1-01-001-1", "1", "bad row {row!r}: region code 'AT-1-01-001-1' is deeper "
+                 "than municipality level", id="AT-1-01-001-1-1-region code 'AT-1-01-001-1' is "
+                 "deeper than municipality level")])
 def test_simulate_names_line_of_a_bad_initial_population_row(tmp_path, capsys, region, count,
                                                              message):
     scen = _tiny_scenario(tmp_path)
@@ -398,8 +401,8 @@ def test_simulate_names_line_of_a_bad_initial_population_row(tmp_path, capsys, r
     lines[3] = f"{region},{sex},{age},{count}"
     path.write_text("\n".join(lines) + "\n")
     assert _simulate(scen, tmp_path) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:4: bad row ") and err.endswith(f": {message}\n")
+    message = message.format(sex=sex, age=age, row=lines[3].split(","))
+    assert capsys.readouterr().err == f"error: {path}:4: {message}\n"
 
 
 def test_simulate_rejects_a_parameter_file_with_only_a_header(tmp_path, capsys):
@@ -447,8 +450,8 @@ def test_validate_needs_overlapping_years(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert main(["--quiet", "validate", "--runs-dir", str(tmp_path / "runs"),
                  "--reference", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: no overlapping years between ensemble and "
-                                       "reference for P\n")
+    assert capsys.readouterr().err == (f"error: {path} against {tmp_path / 'runs'}: no "
+                                       "overlapping years between ensemble and reference for P\n")
     assert not out.exists()
 
 
@@ -493,10 +496,14 @@ def test_simulate_checks_overrides_before_reading_inputs(tmp_path, capsys, overr
 def test_simulate_names_config_file_before_reading_inputs(tmp_path, capsys, line, message):
     scen = _tiny_scenario(tmp_path)
     (scen / "initial_population.csv").unlink()
-    with open(scen / "run.conf", "a") as fh:
+    config = scen / "run.conf"
+    at = len(config.read_text().splitlines()) + 1
+    with open(config, "a") as fh:
         fh.write(line + "\n")
     assert _simulate(scen, tmp_path) == 1
-    assert f"error: {scen / 'run.conf'}: {message}" in capsys.readouterr().err
+    key, _, value = line.partition(" = ")
+    assert (f"error: {config}:{at}: bad value for {key!r}: {value!r} ({message}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "runs").exists()
 
 
@@ -749,10 +756,16 @@ def test_simulate_needs_both_migration_files(tmp_path, capsys, keep):
     ("run.conf", "male_fraction = 0.5_0", "bad value for 'male_fraction': '0.5_0' (not a plain"),
     ("run.conf", "male_fraction = nan", "bad value for 'male_fraction': 'nan' (not a finite"),
     ("run.conf", "male_fraction = 1_0", "bad value for 'male_fraction': '1_0' (not a plain"),
-    ("run.conf", "male_fraction = 1.5", "bad value for 'male_fraction': '1.5' (must be in [0, 1])"),
+    ("run.conf", "male_fraction = 1.5",
+     "bad value for 'male_fraction': '1.5' (male_fraction must be in [0, 1])"),
     ("scenario.conf", "male_fraction = .5", "bad value for 'male_fraction': '.5' (not a plain"),
     ("scenario.conf", "male_fraction = -0.1",
-     "bad value for 'male_fraction': '-0.1' (must be in [0, 1])"),
+     "bad value for 'male_fraction': '-0.1' (male_fraction must be in [0, 1])"),
+    ("run.conf", "start = 2020-01-01,1e400",
+     "bad value for 'start': '2020-01-01,1e400' (bad ISO date '2020-01-01,1e400'"),
+    ("run.conf", "step_unit = year,1e400", "bad value for 'step_unit': 'year,1e400' (step unit "
+                                           "must be one of ('day', 'month', 'year'), got "
+                                           "'year,1e400')"),
     ("scenario.conf", "regions = AT-1, AT-1-",
      "bad value for 'regions': 'AT-1, AT-1-' (malformed region code 'AT-1-')")])
 def test_settings_errors_name_file_and_line(tmp_path, capsys, name, line, message):

@@ -800,13 +800,44 @@ def test_oracle_moves_mass_by_the_destination_shares(tensor, age_shift):
 @pytest.mark.parametrize("cell, message", [
     (("AT-1", "x", 30, 5), "sex must be 'm' or 'f', got 'x'"),
     (("AT-1", "f", 30, -1), r"negative population count for \(AT-1,f,30\)"),
-    (("AT-1", "f", -1, 5), r"negative age for \(AT-1,f,-1\)")])
+    (("AT-1", "f", -1, 5), r"negative age for \(AT-1,f,-1\)"),
+    (("AT-1", "f", 30.5, 5), r"non-integer age for \(AT-1,f,30\.5\)"),
+    (("AT-1", "f", 30, 2.5), r"non-integer population count for \(AT-1,f,30\)")])
 def test_engine_and_oracle_reject_a_bad_initial_cell_alike(cell, message):
+    """The engine, the oracle and an immigration table hold a cell to one rule: a
+    breach is the same InputError on each, and the table adds no cell."""
     params = constant_parameters(death=0.01)
+    table = ImmigrationTable()
     for run in (lambda: run_simulation(year_step(), params, [cell], seed=1),
-                lambda: cohort_projection(params, [cell], 2020, 2)):
+                lambda: cohort_projection(params, [cell], 2020, 2),
+                lambda: table.add(2020, *cell)):
         with pytest.raises(InputError, match=f"^{message}$"):
             run()
+    assert table.counts == {}
+
+
+def test_engine_and_oracle_reject_a_bad_male_fraction_alike():
+    params, cells = constant_parameters(death=0.01), [("AT-1", "f", 30, 5)]
+    for run in (lambda: run_simulation(year_step(), params, cells, seed=1, male_fraction=1.5),
+                lambda: cohort_projection(params, cells, 2020, 2, male_fraction=1.5)):
+        with pytest.raises(InputError, match=r"^male_fraction must be in \[0, 1\]$"):
+            run()
+
+
+def test_engine_oracle_and_immigration_take_a_whole_float_cell_as_its_integers(tmp_path):
+    params = constant_parameters(death=0.01)
+    for run in (lambda cells: run_simulation(year_step(), params, cells, seed=1),
+                lambda cells: cohort_projection(params, cells, 2020, 2)):
+        written = []
+        for cells in ([("AT-1", "f", 30, 2)], [("AT-1", "f", 30.0, 2.0)]):
+            run(cells).to_csv(tmp_path / "census.csv")
+            written.append((tmp_path / "census.csv").read_bytes())
+        assert written[0] == written[1]
+    table = ImmigrationTable()
+    table.add(2020, "AT-1", "f", 30.0, 2.0)
+    [(key, count)] = table.counts.items()
+    assert (key, count) == ((2020, "AT-1", "f", 30), 2)
+    assert list(map(type, (*key, count))) == [int, str, str, int, int]
 
 
 # ----- census booking by position, the calendar columns, stacked rate rows ----------
